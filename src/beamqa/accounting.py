@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 REPORT_COLUMNS = ("Retrieval Times", "API Times", "Tokens Per API", "Tokens Per Query")
@@ -110,25 +110,22 @@ class CostReport:
     tokens_per_query: int
 
     @classmethod
-    def from_ledger(cls, ledger: CostLedger) -> "CostReport":
+    def from_ledger(cls, ledger: CostLedger, n_queries: int = 1) -> "CostReport":
+        """The row for ``ledger``; with ``n_queries`` > 1, the per-query mean row:
+        retrievals and calls are divided and rounded, tokens per call are not."""
         snap = ledger.snapshot()
-        api = snap["api_times"]
-        if api == 0:
-            return cls(snap["retrieval_times"], 0, 0, 0)
-        total = snap["prompt_tokens"] + snap["completion_tokens"]
-        per_api = round(total / api)
-        return cls(snap["retrieval_times"], api, per_api, api * per_api)
+        api = round(snap["api_times"] / n_queries)
+        retrievals = round(snap["retrieval_times"] / n_queries)
+        if snap["api_times"] == 0:
+            return cls(retrievals, api, 0, 0)
+        per_api = round((snap["prompt_tokens"] + snap["completion_tokens"]) / snap["api_times"])
+        return cls(retrievals, api, per_api, api * per_api)
 
     def arithmetic(self) -> str:
         return f"{self.api_times} x {self.tokens_per_api} = {self.tokens_per_query}"
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "retrieval_times": self.retrieval_times,
-            "api_times": self.api_times,
-            "tokens_per_api": self.tokens_per_api,
-            "tokens_per_query": self.tokens_per_query,
-        }
+        return asdict(self)
 
 
 def format_cost_table(rows: dict[str, CostReport]) -> str:

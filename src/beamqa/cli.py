@@ -7,9 +7,10 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
-from .accounting import CostLedger, CostReport, format_cost_table
+from .accounting import CostReport, format_cost_table
 from .evaluation import (
     DatasetFormatError,
     QAExample,
@@ -148,7 +149,7 @@ def _manifest(args: argparse.Namespace, config: SearchConfig, **extra) -> dict:
         provider["endpoint"] = args.endpoint
         provider["model"] = args.model
     manifest = {
-        "config": config.as_dict(),
+        "config": asdict(config),
         "provider": provider,
         "index_path": args.index,
         "template_dir": args.template_dir,
@@ -271,7 +272,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "cost_report": result.ledger.report().as_dict(),
             }
         )
-    per_question = _mean_cost_report(report.cost, report.n_examples)
+    per_question = CostReport.from_ledger(report.cost, report.n_examples)
     print(
         f"n={report.n_examples} em={report.em_mean:.4f} f1={report.f1_mean:.4f} "
         f"hit_rate={report.hit_rate:.4f}"
@@ -290,20 +291,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             },
         )
     return 0
-
-
-def _mean_cost_report(total: CostLedger, n_examples: int) -> CostReport:
-    """Per-question means in the same row shape, integer-rounded."""
-    snap = total.snapshot()
-    api = round(snap["api_times"] / n_examples)
-    tokens = snap["prompt_tokens"] + snap["completion_tokens"]
-    per_api = round(tokens / snap["api_times"]) if snap["api_times"] else 0
-    return CostReport(
-        retrieval_times=round(snap["retrieval_times"] / n_examples),
-        api_times=api,
-        tokens_per_api=per_api,
-        tokens_per_query=api * per_api,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -87,15 +87,6 @@ class Evidence:
         if len(self.doc_ids) != len(self.retrieval_scores):
             raise ValueError("doc_ids and retrieval_scores must align")
 
-    def as_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "source_query": self.source_query,
-            "provenance": self.provenance,
-            "doc_ids": list(self.doc_ids),
-            "retrieval_scores": list(self.retrieval_scores),
-        }
-
 
 class LexicalIndex:
     """Immutable inverted index with the statistics BM25 needs."""

@@ -1,9 +1,13 @@
 """Depth-bounded beam search over provider calls.
 
-A search seeds two states (direct answer; answer over one gathered evidence),
-then repeatedly expands every beam state into children via generated
-follow-up queries, scores them, prunes to the beam width, and stops early as
-soon as a kept state reaches the confidence threshold.
+Every state, seed or child, goes through one evaluation: gather evidence for
+its query (if it has one), answer over the accumulated history, and score the
+answer. The two seeds form the first level: the direct seed has no query, the
+grounded seed's query is the question itself. Each later level asks every
+beam state for follow-up queries, evaluates one child per query, prunes to
+the beam width, and stops early as soon as a kept state reaches the
+confidence threshold. States within a level may run concurrently; ids and
+trace events are assigned after collection, in level order.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Callable, Sequence
 
 from .accounting import CostLedger
 from .prompts import (
-    HistoryPairs,
     ScoreParseError,
     parse_questions,
     parse_score,
@@ -77,17 +80,6 @@ class SearchConfig:
             raise ValueError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
         if self.evidence_mode not in EVIDENCE_MODES:
             raise ValueError(f"unknown evidence_mode {self.evidence_mode!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "beam_size": self.beam_size,
-            "max_depth": self.max_depth,
-            "max_queries": self.max_queries,
-            "retrieval_docs": self.retrieval_docs,
-            "score_threshold": self.score_threshold,
-            "evidence_mode": self.evidence_mode,
-            "dedupe_queries": self.dedupe_queries,
-        }
 
 
 @dataclass(frozen=True)
@@ -191,13 +183,17 @@ class _AskOutcome:
 
 
 @dataclass
-class _ChildOutcome:
-    query: str
-    evidence: Evidence | None = None
+class _Outcome:
+    """One evaluated state before it has an id: its history, answer and score,
+    or the provider error that stopped it, plus the calls it cost."""
+
+    query: str | None
+    queries: tuple[str, ...]
+    evidences: tuple[Evidence, ...]
     answer: str = ""
     score: float = 0.0
-    score_parse_error: str | None = None
-    error: str | None = None
+    parse_error: str | None = None
+    error: ProviderError | None = None
     ledger: CostLedger = field(default_factory=CostLedger)
     api_before_score: int = 0
 
@@ -234,133 +230,140 @@ class SearchRun:
     def _complete(self, prompt: str, tag: str, ledger: CostLedger) -> str:
         resp = self.provider.complete(CompletionRequest(prompt=prompt, tag=tag))
         ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
-        return resp.text
+        return str(resp.text)
 
-    def _with_retry(self, call: Callable[[], str | Evidence]) -> str | Evidence:
+    @staticmethod
+    def _retry(call: Callable, *args):
         # One engine-level retry for retryable provider failures; scripted
         # mismatches are deterministic and fail straight through.
         try:
-            return call()
+            return call(*args)
         except ProviderError as err:
             if not err.retryable:
                 raise
-            return call()
+            return call(*args)
 
-    def _take_id(self) -> int:
-        state_id = self._next_id
-        self._next_id += 1
-        return state_id
+    def _map(self, fn, items: list):
+        if self.workers == 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
+            return list(pool.map(fn, items))
 
     def _emit(self, kind: str, payload: dict) -> None:
         self.trace.append(TraceEvent(kind=kind, payload=payload))
 
-    # -- the Answer / Score / Ask calls ---------------------------------------
+    # -- one state: gather, answer, score ---------------------------------------
 
-    def _answer(self, question: str, history: HistoryPairs, ledger: CostLedger) -> str:
-        prompt = render_answer_prompt(question, history)
-        text = self._with_retry(lambda: self._complete(prompt, TAG_ANSWER, ledger))
-        answer = str(text).strip()
-        if not answer:
-            # Contract violation: an unanswerable state cannot be scored.
-            raise ProviderError("provider returned an empty answer")
-        return answer
-
-    def _score(
-        self, question: str, history: HistoryPairs, answer: str, ledger: CostLedger
-    ) -> tuple[float, str | None]:
-        prompt = render_score_prompt(question, history, answer)
-        text = self._with_retry(lambda: self._complete(prompt, TAG_SCORE, ledger))
+    def _evaluate(
+        self,
+        question: str,
+        queries: tuple[str, ...],
+        evidences: tuple[Evidence, ...],
+        query: str | None,
+    ) -> _Outcome:
+        """Extend the history with evidence gathered for ``query`` (if one is
+        given), answer over it and score the answer. May run in a worker; a
+        provider failure ends the state and is kept in the outcome."""
+        outcome = _Outcome(query, queries, evidences)
+        ledger = outcome.ledger
         try:
-            return parse_score(str(text)), None
+            if query is not None:
+                evidence = self._retry(
+                    gather_evidence, question, query, self.config, self.provider, self.index, ledger
+                )
+                outcome.queries += (query,)
+                outcome.evidences += (evidence,)
+            history = [(q, e.text) for q, e in zip(outcome.queries, outcome.evidences)]
+            prompt = render_answer_prompt(question, history)
+            answer = self._retry(self._complete, prompt, TAG_ANSWER, ledger).strip()
+            if not answer:
+                # Contract violation: an unanswerable state cannot be scored.
+                raise ProviderError("provider returned an empty answer")
+            outcome.answer, outcome.api_before_score = answer, ledger.api_times
+            prompt = render_score_prompt(question, history, answer)
+            text = self._retry(self._complete, prompt, TAG_SCORE, ledger)
+        except ProviderError as err:
+            outcome.error = err
+            return outcome
+        try:
+            outcome.score = parse_score(text)
         except ScoreParseError as err:
             # Tolerated: an unscorable answer competes with confidence zero.
-            return 0.0, str(err)
+            outcome.parse_error = str(err)
+        return outcome
 
-    def _ask(self, parent: SearchState, ledger: CostLedger) -> str:
-        prompt = render_ask_prompt(
-            parent.original_query, parent.history_pairs(), self.config.max_queries
-        )
-        return str(self._with_retry(lambda: self._complete(prompt, TAG_ASK, ledger)))
-
-    def _gather(self, original_question: str, query: str, ledger: CostLedger) -> Evidence:
-        return self._with_retry(
-            lambda: gather_evidence(
-                original_question, query, self.config, self.provider, self.index, ledger
+    def _admit(
+        self, question: str, outcome: _Outcome, depth: int, entry: dict
+    ) -> SearchState | None:
+        """Count an outcome's calls into the run and complete its trace entry;
+        a successful outcome becomes a state under the next id."""
+        self.ledger.merge_from(outcome.ledger)
+        entry["retrievals"] = outcome.ledger.retrieval_times
+        if outcome.error is not None:
+            entry.update(
+                state_id=None, error=str(outcome.error), api_calls=outcome.ledger.api_times
             )
+            return None
+        state = SearchState(
+            question,
+            outcome.queries,
+            outcome.evidences,
+            outcome.answer,
+            outcome.score,
+            depth,
+            self._next_id,
         )
+        self._next_id += 1
+        entry.update(state_id=state.state_id, answer=state.answer, api_calls=outcome.api_before_score)
+        if outcome.query is not None:
+            entry["provenance"] = state.evidences[-1].provenance
+        return state
+
+    def _emit_scored(self, state: SearchState, outcome: _Outcome) -> None:
+        payload = {
+            "state_id": state.state_id,
+            "score": state.score,
+            "api_calls": outcome.ledger.api_times - outcome.api_before_score,
+        }
+        if outcome.parse_error is not None:
+            payload["parse_error"] = outcome.parse_error
+        self._emit("scored", payload)
 
     # -- seeding ---------------------------------------------------------------
 
     def initialize_beam(self, question: str) -> Beam:
-        """Build and score the two depth-0 seeds; no threshold check happens here."""
+        """Evaluate the two depth-0 seeds as one level: a direct answer over an
+        empty history, and an answer over evidence gathered for the question
+        itself. No threshold check happens here. A failed seed raises its
+        provider error once both seeds' events and calls are recorded."""
         question = question.strip()
         if not question:
             raise ValueError("question must be non-empty")
-
-        # Seed 1: answer from model knowledge alone.
-        ledger = CostLedger()
-        answer = self._answer(question, [], ledger)
-        direct_id = self._take_id()
-        self._emit(
-            "seeded",
-            {
-                "state_id": direct_id,
-                "depth": 0,
-                "variant": "direct",
-                "answer": answer,
-                "api_calls": ledger.api_times,
-                "retrievals": ledger.retrieval_times,
-            },
-        )
-        self.ledger.merge_from(ledger)
-        ledger = CostLedger()
-        score, parse_error = self._score(question, [], answer, ledger)
-        self._emit_scored(direct_id, score, ledger.api_times, parse_error)
-        self.ledger.merge_from(ledger)
-        direct = SearchState(question, (), (), answer, score, 0, direct_id)
-
-        # Seed 2: answer over one evidence gathered for the question itself.
-        ledger = CostLedger()
-        evidence = self._gather(question, question, ledger)
-        history = [(question, evidence.text)]
-        answer = self._answer(question, history, ledger)
-        seeded_id = self._take_id()
-        self._emit(
-            "seeded",
-            {
-                "state_id": seeded_id,
-                "depth": 0,
-                "variant": "evidence",
-                "answer": answer,
-                "provenance": evidence.provenance,
-                "n_docs": len(evidence.doc_ids),
-                "api_calls": ledger.api_times,
-                "retrievals": ledger.retrieval_times,
-            },
-        )
-        self.ledger.merge_from(ledger)
-        ledger = CostLedger()
-        score, parse_error = self._score(question, history, answer, ledger)
-        self._emit_scored(seeded_id, score, ledger.api_times, parse_error)
-        self.ledger.merge_from(ledger)
-        grounded = SearchState(question, (question,), (evidence,), answer, score, 0, seeded_id)
-
-        return [direct, grounded]
-
-    def _emit_scored(
-        self, state_id: int, score: float, api_calls: int, parse_error: str | None
-    ) -> None:
-        payload = {"state_id": state_id, "score": score, "api_calls": api_calls}
-        if parse_error is not None:
-            payload["parse_error"] = parse_error
-        self._emit("scored", payload)
+        outcomes = self._map(lambda query: self._evaluate(question, (), (), query), [None, question])
+        beam: Beam = []
+        for variant, outcome in zip(("direct", "evidence"), outcomes):
+            payload = {"depth": 0, "variant": variant}
+            state = self._admit(question, outcome, 0, payload)
+            if state is not None and outcome.query is not None:
+                payload["n_docs"] = len(state.evidences[-1].doc_ids)
+            self._emit("seeded", payload)
+            if state is not None:
+                self._emit_scored(state, outcome)
+                beam.append(state)
+        failures = [outcome.error for outcome in outcomes if outcome.error is not None]
+        if failures:
+            raise failures[0]
+        return beam
 
     # -- expansion ---------------------------------------------------------------
 
     def _ask_parent(self, parent: SearchState) -> _AskOutcome:
         outcome = _AskOutcome(parent=parent)
+        prompt = render_ask_prompt(
+            parent.original_query, parent.history_pairs(), self.config.max_queries
+        )
         try:
-            text = self._ask(parent, outcome.ledger)
+            text = self._retry(self._complete, prompt, TAG_ASK, outcome.ledger)
         except ProviderError as err:
             outcome.error = str(err)
             return outcome
@@ -372,31 +375,6 @@ class SearchRun:
         outcome.kept_queries = kept
         return outcome
 
-    def _build_child(self, parent: SearchState, query: str) -> _ChildOutcome:
-        outcome = _ChildOutcome(query=query)
-        ledger = outcome.ledger
-        try:
-            evidence = self._gather(parent.original_query, query, ledger)
-            history = parent.history_pairs() + [(query, evidence.text)]
-            answer = self._answer(parent.original_query, history, ledger)
-            outcome.api_before_score = ledger.api_times
-            score, parse_error = self._score(parent.original_query, history, answer, ledger)
-        except ProviderError as err:
-            outcome.api_before_score = ledger.api_times
-            outcome.error = str(err)
-            return outcome
-        outcome.evidence = evidence
-        outcome.answer = answer
-        outcome.score = score
-        outcome.score_parse_error = parse_error
-        return outcome
-
-    def _map(self, fn, items: list):
-        if self.workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-
     def _expand_level(self, parents: Sequence[SearchState], depth: int) -> Beam:
         """Expand every parent once; emits events, returns unpruned candidates.
 
@@ -405,59 +383,22 @@ class SearchRun:
         never depends on completion order.
         """
         asks = self._map(self._ask_parent, list(parents))
-        jobs = [(a.parent, query) for a in asks for query in a.kept_queries]
-        child_outcomes = self._map(lambda job: self._build_child(*job), jobs)
-
-        by_parent: dict[int, list[_ChildOutcome]] = {a.parent.state_id: [] for a in asks}
-        for (parent, _), outcome in zip(jobs, child_outcomes):
-            by_parent[parent.state_id].append(outcome)
-
-        candidates: Beam = []
-        scored_events: list[tuple[int, float, int, str | None]] = []
+        jobs = [
+            (ask.parent.original_query, ask.parent.asked_queries, ask.parent.evidences, query)
+            for ask in asks
+            for query in ask.kept_queries
+        ]
+        outcomes = iter(self._map(lambda job: self._evaluate(*job), jobs))
+        scored: list[tuple[SearchState, _Outcome]] = []
         for ask in asks:
             entries = []
-            for outcome in by_parent[ask.parent.state_id]:
-                self.ledger.merge_from(outcome.ledger)
-                if outcome.error is not None:
-                    entries.append(
-                        {
-                            "query": outcome.query,
-                            "state_id": None,
-                            "error": outcome.error,
-                            "api_calls": outcome.ledger.api_times,
-                            "retrievals": outcome.ledger.retrieval_times,
-                        }
-                    )
-                    continue
-                state_id = self._take_id()
-                child = SearchState(
-                    ask.parent.original_query,
-                    ask.parent.asked_queries + (outcome.query,),
-                    ask.parent.evidences + (outcome.evidence,),
-                    outcome.answer,
-                    outcome.score,
-                    depth,
-                    state_id,
-                )
-                candidates.append(child)
-                entries.append(
-                    {
-                        "query": outcome.query,
-                        "state_id": state_id,
-                        "answer": outcome.answer,
-                        "provenance": outcome.evidence.provenance,
-                        "api_calls": outcome.api_before_score,
-                        "retrievals": outcome.ledger.retrieval_times,
-                    }
-                )
-                scored_events.append(
-                    (
-                        state_id,
-                        outcome.score,
-                        outcome.ledger.api_times - outcome.api_before_score,
-                        outcome.score_parse_error,
-                    )
-                )
+            for query in ask.kept_queries:
+                outcome = next(outcomes)
+                entry = {"query": query}
+                state = self._admit(ask.parent.original_query, outcome, depth, entry)
+                entries.append(entry)
+                if state is not None:
+                    scored.append((state, outcome))
             self.ledger.merge_from(ask.ledger)
             payload = {
                 "parent_id": ask.parent.state_id,
@@ -470,9 +411,9 @@ class SearchRun:
             if ask.error is not None:
                 payload["ask_error"] = ask.error
             self._emit("expanded", payload)
-        for state_id, score, api_calls, parse_error in scored_events:
-            self._emit_scored(state_id, score, api_calls, parse_error)
-        return candidates
+        for state, outcome in scored:
+            self._emit_scored(state, outcome)
+        return [state for state, _ in scored]
 
     def expand_state(self, parent: SearchState) -> Beam:
         """Expand one state into scored children (one generated query each)."""

@@ -226,6 +226,23 @@ def test_eval_report_matches_hand_scoring(tmp_path, capsys):
     assert report["manifest"]["dataset_path"] == str(dataset_path)
 
 
+def test_eval_per_question_cost_row(tmp_path, capsys):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    output = tmp_path / "report.json"
+    assert main(eval_args(index_path, script_path, dataset_path, output)) == 0
+    summary = json.loads(output.read_text(encoding="utf-8"))["summary"]
+    # 7 calls and 1 retrieval per question; tokens per call average all 28 calls.
+    assert summary["cost"]["prompt_tokens"] + summary["cost"]["completion_tokens"] == 4201
+    assert summary["cost_report_per_question"] == {
+        "retrieval_times": 1,
+        "api_times": 7,
+        "tokens_per_api": 150,
+        "tokens_per_query": 1050,
+    }
+    rows = capsys.readouterr().out.splitlines()
+    assert "per-question | 1               | 7         | 150            | 7 x 150 = 1050  " in rows
+
+
 def test_eval_is_byte_identical_across_invocations(tmp_path, capsys):
     index_path, script_path, dataset_path = eval_fixture(tmp_path)
     first = tmp_path / "report-1.json"

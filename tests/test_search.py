@@ -1,5 +1,6 @@
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,8 @@ from support import (
     harpers_script,
     recount_trace_costs,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def state(score, state_id, depth=0, answer="a"):
@@ -462,6 +465,68 @@ def test_seed_phase_provider_failure_aborts_with_partial_trace():
     assert err.value.ledger.api_times == 1
 
 
+def test_failed_grounded_seed_keeps_its_calls_in_the_partial_ledger():
+    plan = SeedPlan(
+        question="who?",
+        direct=StatePlan(answer="x", score="0.2"),
+        grounded=StatePlan(answer="y", score="0.3"),
+        grounded_evidence="generated background text",
+    )
+    config = genread_config(max_depth=1)
+    built = ScriptBuilder(config).build(plan)
+    from beamqa.prompts import render_answer_prompt
+
+    grounded_prompt = render_answer_prompt("who?", [("who?", "generated background text")])
+    rules = [r for r in built.rules if r.exact != grounded_prompt]
+    with pytest.raises(SearchError) as err:
+        run_search("who?", config, ScriptedProvider(rules))
+    assert isinstance(err.value.__cause__, ScriptError)
+    # Direct answer and score, plus the grounded seed's genread before its answer failed.
+    assert err.value.ledger.api_times == 3
+    seeded = [e.payload for e in err.value.trace if e.kind == "seeded"]
+    assert [p["variant"] for p in seeded] == ["direct", "evidence"]
+    assert seeded[0]["state_id"] == 0
+    failed = seeded[1]
+    assert failed["state_id"] is None
+    assert (failed["api_calls"], failed["retrievals"]) == (1, 0)
+    assert "error" in failed and "answer" not in failed
+    assert recount_trace_costs(err.value.trace) == (3, 0)
+
+
+class MeetingProvider:
+    """Delegates to a scripted provider; each of the first two calls waits
+    for the other, so both pass only when they are in flight together."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.barrier = threading.Barrier(2, timeout=2)
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.met = []
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            first_two = self.calls <= 2
+        if first_two:
+            try:
+                self.barrier.wait()
+                with self.lock:
+                    self.met.append(request.tag)
+            except threading.BrokenBarrierError:
+                pass
+        return self.inner.complete(request)
+
+
+def test_seeds_run_concurrently_with_two_workers():
+    built, index, config = harpers_script()
+    provider = MeetingProvider(ScriptedProvider(built.rules))
+    result = run_search(built.question, config, provider, index=index, workers=2)
+    # The direct seed's answer and the grounded seed's summarize met at the barrier.
+    assert sorted(provider.met) == ["answer", "summarize"]
+    assert result.trace_lines() == harpers_result(workers=1)[1].trace_lines()
+
+
 # --- trace structure and invariants ------------------------------------------------
 
 
@@ -540,6 +605,13 @@ def test_generate_background_run_counts_no_retrievals():
 
 
 # --- determinism and reentrancy ------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_default_run_reproduces_the_golden_trace(workers):
+    _, result = harpers_result(workers=workers)
+    text = "".join(line + "\n" for line in result.trace_lines())
+    assert text.encode("utf-8") == (GOLDEN / "harpers_trace.jsonl").read_bytes()
 
 
 def test_worker_counts_produce_byte_identical_traces():
