@@ -3,134 +3,41 @@
 The engine iteratively generates complementary queries, gathers evidence per
 query, answers over the accumulated history, scores candidates, and prunes to
 a fixed-width beam until a confidence threshold or the depth limit is hit.
+
+The package root exports what a caller needs to run and evaluate searches;
+everything else is imported from its submodule (``beamqa.search``,
+``beamqa.retrieval``, ``beamqa.prompts``, ``beamqa.providers``,
+``beamqa.evaluation``, ``beamqa.accounting``).
 """
 
-from .accounting import CostLedger, CostReport, format_cost_table
-from .evaluation import (
-    EvalReport,
-    QAExample,
-    evaluate,
-    exact_match,
-    f1_score,
-    hit_rate,
-    load_dataset,
-    normalize_answer,
-)
-from .prompts import (
-    ScoreParseError,
-    parse_questions,
-    parse_score,
-    render_answer_prompt,
-    render_ask_prompt,
-    render_genread_prompt,
-    render_score_prompt,
-    render_summarize_prompt,
-    serialize_history,
-    set_template_dir,
-)
+from .evaluation import QAExample, evaluate, load_dataset
 from .providers import (
     CompletionProvider,
-    CompletionRequest,
-    CompletionResponse,
     HttpChatProvider,
     ProviderError,
-    ScriptError,
     ScriptRule,
     ScriptedProvider,
-    TransportError,
-    estimate_tokens,
-    load_script,
-    save_script,
 )
-from .retrieval import (
-    Document,
-    DuplicateDocumentError,
-    Evidence,
-    GENERATE_BACKGROUND,
-    LexicalIndex,
-    RETRIEVE_SUMMARIZE,
-    dense_score,
-    gather_evidence,
-    index_corpus,
-    load_corpus,
-    load_index,
-    retrieve,
-    save_index,
-    tokenize,
-)
-from .search import (
-    Beam,
-    SearchConfig,
-    SearchError,
-    SearchResult,
-    SearchRun,
-    SearchState,
-    TraceEvent,
-    prune_beam,
-    run_search,
-    select_answer,
-    should_terminate,
-)
+from .retrieval import index_corpus, load_corpus, load_index
+from .search import SearchConfig, SearchError, SearchResult, SearchRun, run_search
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Beam",
     "CompletionProvider",
-    "CompletionRequest",
-    "CompletionResponse",
-    "CostLedger",
-    "CostReport",
-    "Document",
-    "DuplicateDocumentError",
-    "EvalReport",
-    "Evidence",
-    "GENERATE_BACKGROUND",
     "HttpChatProvider",
-    "LexicalIndex",
     "ProviderError",
     "QAExample",
-    "RETRIEVE_SUMMARIZE",
-    "ScoreParseError",
-    "ScriptError",
     "ScriptRule",
     "ScriptedProvider",
     "SearchConfig",
     "SearchError",
     "SearchResult",
     "SearchRun",
-    "SearchState",
-    "TraceEvent",
-    "TransportError",
-    "dense_score",
-    "estimate_tokens",
     "evaluate",
-    "exact_match",
-    "f1_score",
-    "format_cost_table",
-    "gather_evidence",
-    "hit_rate",
     "index_corpus",
     "load_corpus",
     "load_dataset",
     "load_index",
-    "load_script",
-    "normalize_answer",
-    "parse_questions",
-    "parse_score",
-    "prune_beam",
-    "render_answer_prompt",
-    "render_ask_prompt",
-    "render_genread_prompt",
-    "render_score_prompt",
-    "render_summarize_prompt",
-    "retrieve",
     "run_search",
-    "save_index",
-    "save_script",
-    "select_answer",
-    "serialize_history",
-    "set_template_dir",
-    "should_terminate",
-    "tokenize",
 ]

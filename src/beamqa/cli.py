@@ -49,14 +49,17 @@ def _unit_interval(value: str) -> float:
     return out
 
 
-def _positive_int(value: str) -> int:
-    try:
-        out = int(value)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from err
-    if out < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return out
+def _int_at_least(low: int):
+    def parse(value: str) -> int:
+        try:
+            out = int(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from err
+        if out < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return out
+
+    return parse
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
@@ -66,19 +69,19 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         help="early-exit confidence threshold (default %(default)s)",
     )
     parser.add_argument(
-        "-B", "--beam-size", type=_positive_int, default=defaults.beam_size,
+        "-B", "--beam-size", type=_int_at_least(1), default=defaults.beam_size,
         help="states kept after each prune (default %(default)s)",
     )
     parser.add_argument(
-        "-D", "--max-depth", type=_positive_int, default=defaults.max_depth,
+        "-D", "--max-depth", type=_int_at_least(1), default=defaults.max_depth,
         help="maximum expansion depth (default %(default)s)",
     )
     parser.add_argument(
-        "-K", "--max-queries", type=_positive_int, default=defaults.max_queries,
+        "-K", "--max-queries", type=_int_at_least(1), default=defaults.max_queries,
         help="generated queries per expansion (default %(default)s)",
     )
     parser.add_argument(
-        "-N", "--retrieval-docs", type=_positive_int, default=defaults.retrieval_docs,
+        "-N", "--retrieval-docs", type=_int_at_least(1), default=defaults.retrieval_docs,
         help="documents per retrieval (default %(default)s)",
     )
     parser.add_argument(
@@ -96,13 +99,13 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--script", help="rule file for the scripted provider")
     parser.add_argument("--endpoint", help="chat-completion URL (or BEAMQA_ENDPOINT)")
     parser.add_argument("--api-key", help="bearer token (or BEAMQA_API_KEY)")
-    parser.add_argument("--model", default="gpt-3.5-turbo", help="model name (or BEAMQA_MODEL)")
-    parser.add_argument("--timeout", type=float, default=30.0, help="HTTP timeout seconds")
-    parser.add_argument("--retries", type=int, default=3, help="HTTP transport retries")
+    parser.add_argument("--model", help="model name (or BEAMQA_MODEL; default gpt-3.5-turbo)")
+    parser.add_argument("--timeout", type=float, help="HTTP timeout s (or BEAMQA_TIMEOUT; default 30)")
+    parser.add_argument("--retries", type=_int_at_least(0), default=3, help="HTTP transport retries")
     parser.add_argument("--index", help="lexical index file (required for retrieve_summarize)")
     parser.add_argument("--template-dir", help="directory overriding the embedded prompt templates")
     parser.add_argument(
-        "--workers", type=_positive_int, default=1,
+        "--workers", type=_int_at_least(1), default=1,
         help="concurrency degree (default %(default)s)",
     )
 
@@ -141,16 +144,16 @@ def _index_from_args(args: argparse.Namespace, config: SearchConfig):
     return load_index(args.index)
 
 
-def _manifest(args: argparse.Namespace, config: SearchConfig, **extra) -> dict:
-    provider: dict = {"kind": args.provider}
+def _manifest(args: argparse.Namespace, config: SearchConfig, provider, **extra) -> dict:
+    source: dict = {"kind": args.provider}
     if args.provider == "scripted":
-        provider["script"] = args.script
+        source["script"] = args.script
     else:
-        provider["endpoint"] = args.endpoint
-        provider["model"] = args.model
+        source["endpoint"] = args.endpoint
+        source["model"] = provider.model
     manifest = {
         "config": asdict(config),
-        "provider": provider,
+        "provider": source,
         "index_path": args.index,
         "template_dir": args.template_dir,
         "workers": args.workers,
@@ -182,9 +185,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
-    if args.template_dir:
-        set_template_dir(args.template_dir)
     try:
+        set_template_dir(args.template_dir)
         config = _config_from_args(args)
         provider = _provider_from_args(args)
         index = _index_from_args(args, config)
@@ -208,7 +210,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
         _write_json(
             args.output,
             {
-                "manifest": _manifest(args, config, question=args.question),
+                "manifest": _manifest(args, config, provider, question=args.question),
                 "answer": result.final_answer,
                 "score": result.final_state.score,
                 "ledger": ledger,
@@ -219,8 +221,6 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.template_dir:
-        set_template_dir(args.template_dir)
     try:
         examples = load_dataset(args.dataset)
     except FileNotFoundError:
@@ -233,6 +233,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: dataset {args.dataset} contains no examples", file=sys.stderr)
         return 1
     try:
+        set_template_dir(args.template_dir)
         config = _config_from_args(args)
         provider = _provider_from_args(args)
         index = _index_from_args(args, config)
@@ -282,7 +283,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _write_json(
             args.output,
             {
-                "manifest": _manifest(args, config, dataset_path=args.dataset),
+                "manifest": _manifest(args, config, provider, dataset_path=args.dataset),
                 "summary": {
                     **report.as_dict(),
                     "cost_report_per_question": per_question.as_dict(),

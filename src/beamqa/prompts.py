@@ -4,7 +4,6 @@ typed values (ranked question lists, confidence scores)."""
 from __future__ import annotations
 
 import re
-import threading
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -14,37 +13,37 @@ HistoryPairs = Sequence[tuple[str, str]]
 
 TEMPLATE_NAMES = ("answer", "ask", "summarize", "genread", "score")
 
-_template_dir: Path | None = None
-_cache: dict[tuple[str | None, str], str] = {}
-_cache_lock = threading.Lock()
-
 
 class ScoreParseError(ValueError):
     """Raised when a completion contains no numeric confidence."""
 
 
+def _read_templates(directory: Path | None) -> dict[str, str]:
+    embedded = resources.files(__package__) / "templates"
+    templates = {}
+    for name in TEMPLATE_NAMES:
+        source = embedded / f"{name}.txt"
+        if directory is not None and (directory / f"{name}.txt").exists():
+            source = directory / f"{name}.txt"
+        templates[name] = source.read_text(encoding="utf-8").rstrip("\n")
+    return templates
+
+
+# Replaced whole, never mutated, so concurrent renders see one complete set.
+_templates = _read_templates(None)
+
+
 def set_template_dir(path: str | Path | None) -> None:
-    """Override where templates are read from; None restores the embedded ones."""
-    global _template_dir
-    with _cache_lock:
-        _template_dir = Path(path) if path is not None else None
-        _cache.clear()
-
-
-def _template(name: str) -> str:
-    key = (str(_template_dir) if _template_dir else None, name)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-        if _template_dir is not None:
-            raw = (_template_dir / f"{name}.txt").read_text(encoding="utf-8")
-        else:
-            raw = (resources.files(__package__) / "templates" / f"{name}.txt").read_text(
-                encoding="utf-8"
-            )
-        text = raw.rstrip("\n")
-        _cache[key] = text
-        return text
+    """Read the five templates again. A ``<name>.txt`` in ``path`` overrides
+    that template, and a missing one keeps the embedded text; None restores
+    the embedded set. A path that is not a directory raises ValueError."""
+    global _templates
+    directory = None
+    if path is not None:
+        directory = Path(path)
+        if not directory.is_dir():
+            raise ValueError(f"template directory not found: {path}")
+    _templates = _read_templates(directory)
 
 
 def serialize_history(history: HistoryPairs) -> str:
@@ -64,31 +63,31 @@ def _require_text(value: str, what: str) -> str:
 
 def render_answer_prompt(question: str, history: HistoryPairs) -> str:
     _require_text(question, "question")
-    return _template("answer").format(history=serialize_history(history), question=question)
+    return _templates["answer"].format(history=serialize_history(history), question=question)
 
 
 def render_ask_prompt(question: str, history: HistoryPairs, k: int) -> str:
     _require_text(question, "question")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _template("ask").format(history=serialize_history(history), question=question, k=k)
+    return _templates["ask"].format(history=serialize_history(history), question=question, k=k)
 
 
 def render_summarize_prompt(original_question: str, docs_text: str) -> str:
     _require_text(original_question, "question")
     _require_text(docs_text, "document block")
-    return _template("summarize").format(question=original_question, document=docs_text)
+    return _templates["summarize"].format(question=original_question, document=docs_text)
 
 
 def render_genread_prompt(original_question: str) -> str:
     _require_text(original_question, "question")
-    return _template("genread").format(question=original_question)
+    return _templates["genread"].format(question=original_question)
 
 
 def render_score_prompt(question: str, history: HistoryPairs, answer: str) -> str:
     _require_text(question, "question")
     _require_text(answer, "answer")
-    return _template("score").format(
+    return _templates["score"].format(
         history=serialize_history(history), question=question, answer=answer
     )
 
@@ -127,16 +126,29 @@ def parse_questions(text: str, k: int) -> list[str]:
     return out
 
 
-_NUMBER = re.compile(r"[-+]?(?:\d+(?:\.\d+)?|\.\d+)")
+_NUMBER = r"[-+]?(?:\d+(?:\.\d+)?|\.\d+)"
+_SCORE = re.compile(
+    rf"(?P<value>{_NUMBER})(?:\s*(?P<percent>%)|\s*(?:/|out\s+of)\s*(?P<scale>{_NUMBER}))?",
+    re.IGNORECASE,
+)
 
 
 def parse_score(text: str) -> float:
-    """First decimal number in the text, clamped into [0, 1].
+    """First number in the text, scaled and clamped into [0, 1].
 
     The scoring prompt asks for a bare number, so the first number wins over
-    any later ones a chatty completion may add.
+    any later ones a chatty completion may add. A percentage ("85%") or a
+    fraction ("8/10", "7 out of 10") is read as its scaled value first.
     """
-    m = _NUMBER.search(text)
+    m = _SCORE.search(text)
     if m is None:
         raise ScoreParseError(f"no numeric score in completion: {text[:80]!r}")
-    return min(1.0, max(0.0, float(m.group())))
+    value = float(m.group("value"))
+    if m.group("percent"):
+        value /= 100
+    elif m.group("scale"):
+        scale = float(m.group("scale"))
+        if scale <= 0:
+            raise ScoreParseError(f"non-positive score scale in completion: {text[:80]!r}")
+        value /= scale
+    return min(1.0, max(0.0, value))

@@ -109,6 +109,8 @@ class ScriptRule:
     completion_tokens: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.response, str):
+            raise ValueError(f"rule response must be a string, got {self.response!r}")
         if isinstance(self.contains, str):
             self.contains = (self.contains,)
         elif self.contains is not None:
@@ -224,16 +226,17 @@ def load_script(path: str | Path) -> ScriptedProvider:
 class HttpChatProvider(CompletionProvider):
     """JSON chat-completion client: one user message per request.
 
-    Configuration falls back to BEAMQA_ENDPOINT / BEAMQA_API_KEY /
-    BEAMQA_MODEL / BEAMQA_TIMEOUT environment variables. Transient transport
-    failures (connection errors, timeouts, 429 and 5xx statuses) are retried
-    with exponential backoff; other HTTP errors fail immediately.
+    Fields left unset fall back to the BEAMQA_ENDPOINT / BEAMQA_API_KEY /
+    BEAMQA_MODEL / BEAMQA_TIMEOUT environment variables, then to the
+    defaults; an explicit value always wins. Transient transport failures
+    (connection errors, timeouts, 429 and 5xx statuses) are retried with
+    exponential backoff; other HTTP errors fail immediately.
     """
 
     endpoint: str | None = None
     api_key: str | None = None
-    model: str = "gpt-3.5-turbo"
-    timeout: float = 30.0
+    model: str | None = None
+    timeout: float | None = None
     max_retries: int = 3
     backoff_base: float = 0.5
     session: requests.Session | None = field(default=None, repr=False)
@@ -241,12 +244,12 @@ class HttpChatProvider(CompletionProvider):
     def __post_init__(self):
         self.endpoint = self.endpoint or os.environ.get("BEAMQA_ENDPOINT")
         self.api_key = self.api_key or os.environ.get("BEAMQA_API_KEY")
-        env_model = os.environ.get("BEAMQA_MODEL")
-        if env_model and self.model == "gpt-3.5-turbo":
-            self.model = env_model
-        env_timeout = os.environ.get("BEAMQA_TIMEOUT")
-        if env_timeout:
-            self.timeout = float(env_timeout)
+        if self.model is None:
+            self.model = os.environ.get("BEAMQA_MODEL") or "gpt-3.5-turbo"
+        if self.timeout is None:
+            self.timeout = float(os.environ.get("BEAMQA_TIMEOUT") or 30.0)
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if not self.endpoint:
             raise ValueError("no endpoint configured (flag, constructor, or BEAMQA_ENDPOINT)")
         if self.session is None:
@@ -290,6 +293,8 @@ class HttpChatProvider(CompletionProvider):
             text = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as err:
             raise ProviderError(f"malformed completion payload: {err}") from err
+        if not isinstance(text, str):
+            raise ProviderError(f"malformed completion payload: content is {text!r}, not text")
         usage = payload.get("usage") or {}
         pt = usage.get("prompt_tokens")
         ct = usage.get("completion_tokens")

@@ -1,8 +1,6 @@
 """Lexical corpus index, BM25 retrieval, and evidence gathering.
 
 The index is a plain Okapi BM25 inverted index built for desk-scale corpora.
-Dense scoring over externally supplied embeddings is exposed as an inner
-product so a dense retriever can be plugged in without touching the engine.
 """
 
 from __future__ import annotations
@@ -123,9 +121,6 @@ class LexicalIndex:
     def documents(self) -> tuple[Document, ...]:
         return self._docs
 
-    def doc_length(self, position: int) -> int:
-        return self._doc_len[position]
-
 
 def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
     """Build an immutable index; duplicate ids and empty corpora are rejected."""
@@ -151,13 +146,6 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
             scores[doc_pos] = scores.get(doc_pos, 0.0) + idf * tf * (BM25_K1 + 1) / norm
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], index._docs[kv[0]].doc_id))
     return [(index._docs[pos], score) for pos, score in ranked[:n]]
-
-
-def dense_score(query_vec: Sequence[float], doc_vec: Sequence[float]) -> float:
-    """Inner-product similarity for externally supplied embeddings."""
-    if len(query_vec) != len(doc_vec):
-        raise ValueError(f"dimension mismatch: {len(query_vec)} vs {len(doc_vec)}")
-    return float(sum(q * d for q, d in zip(query_vec, doc_vec)))
 
 
 def _docs_block(hits: Sequence[tuple[Document, float]]) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .accounting import CostLedger
 from .prompts import (
@@ -29,6 +29,7 @@ from .prompts import (
 from .providers import (
     CompletionProvider,
     CompletionRequest,
+    CompletionResponse,
     ProviderError,
     TAG_ANSWER,
     TAG_ASK,
@@ -198,6 +199,23 @@ class _Outcome:
     api_before_score: int = 0
 
 
+class _RetryOnce(CompletionProvider):
+    """Sends a request once more, at once and in the same thread, when it
+    fails retryably; scripted mismatches are deterministic and fail straight
+    through. Every engine request, evidence calls included, goes through it."""
+
+    def __init__(self, inner: CompletionProvider):
+        self.inner = inner
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        try:
+            return self.inner.complete(request)
+        except ProviderError as err:
+            if not err.retryable:
+                raise
+            return self.inner.complete(request)
+
+
 class SearchRun:
     """Executes one search: holds the trace, the ledger, and the id counter.
 
@@ -218,7 +236,7 @@ class SearchRun:
         if config.evidence_mode == RETRIEVE_SUMMARIZE and index is None:
             raise ValueError("retrieve_summarize mode needs an index")
         self.config = config
-        self.provider = provider
+        self.provider = _RetryOnce(provider)
         self.index = index
         self.workers = workers
         self.trace: list[TraceEvent] = []
@@ -230,18 +248,7 @@ class SearchRun:
     def _complete(self, prompt: str, tag: str, ledger: CostLedger) -> str:
         resp = self.provider.complete(CompletionRequest(prompt=prompt, tag=tag))
         ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
-        return str(resp.text)
-
-    @staticmethod
-    def _retry(call: Callable, *args):
-        # One engine-level retry for retryable provider failures; scripted
-        # mismatches are deterministic and fail straight through.
-        try:
-            return call(*args)
-        except ProviderError as err:
-            if not err.retryable:
-                raise
-            return call(*args)
+        return resp.text
 
     def _map(self, fn, items: list):
         if self.workers == 1 or len(items) <= 1:
@@ -268,20 +275,20 @@ class SearchRun:
         ledger = outcome.ledger
         try:
             if query is not None:
-                evidence = self._retry(
-                    gather_evidence, question, query, self.config, self.provider, self.index, ledger
+                evidence = gather_evidence(
+                    question, query, self.config, self.provider, self.index, ledger
                 )
                 outcome.queries += (query,)
                 outcome.evidences += (evidence,)
             history = [(q, e.text) for q, e in zip(outcome.queries, outcome.evidences)]
             prompt = render_answer_prompt(question, history)
-            answer = self._retry(self._complete, prompt, TAG_ANSWER, ledger).strip()
+            answer = self._complete(prompt, TAG_ANSWER, ledger).strip()
             if not answer:
                 # Contract violation: an unanswerable state cannot be scored.
                 raise ProviderError("provider returned an empty answer")
             outcome.answer, outcome.api_before_score = answer, ledger.api_times
             prompt = render_score_prompt(question, history, answer)
-            text = self._retry(self._complete, prompt, TAG_SCORE, ledger)
+            text = self._complete(prompt, TAG_SCORE, ledger)
         except ProviderError as err:
             outcome.error = err
             return outcome
@@ -363,7 +370,7 @@ class SearchRun:
             parent.original_query, parent.history_pairs(), self.config.max_queries
         )
         try:
-            text = self._retry(self._complete, prompt, TAG_ASK, outcome.ledger)
+            text = self._complete(prompt, TAG_ASK, outcome.ledger)
         except ProviderError as err:
             outcome.error = str(err)
             return outcome

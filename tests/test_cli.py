@@ -3,6 +3,7 @@ import json
 import pytest
 
 from beamqa.cli import build_parser, main
+from beamqa.prompts import set_template_dir
 from beamqa.providers import save_script
 from beamqa.search import SearchConfig
 
@@ -118,6 +119,72 @@ def test_flag_defaults_match_default_config():
     assert args.max_queries == defaults.max_queries == 2
     assert args.retrieval_docs == defaults.retrieval_docs == 2
     assert args.evidence_mode == defaults.evidence_mode == "retrieve_summarize"
+
+
+def test_negative_retries_is_a_flag_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["ask", "a question", "--retries", "-1"])
+    assert exit_info.value.code == 2
+    assert "--retries" in capsys.readouterr().err
+
+
+class ConstantSession:
+    """Stands in for requests.Session: every completion is "0.9"."""
+
+    def __init__(self):
+        self.models = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.models.append(json["model"])
+        return ConstantResponse()
+
+
+class ConstantResponse:
+    status_code = 200
+
+    def json(self):
+        return {"choices": [{"message": {"content": "0.9"}}]}
+
+
+@pytest.mark.parametrize(
+    "flags, model", [([], "env-model"), (["--model", "gpt-3.5-turbo"], "gpt-3.5-turbo")]
+)
+def test_ask_manifest_records_the_model_used(tmp_path, monkeypatch, flags, model):
+    session = ConstantSession()
+    monkeypatch.setattr("beamqa.providers.requests.Session", lambda: session)
+    monkeypatch.setenv("BEAMQA_ENDPOINT", "http://svc.test/v1/chat/completions")
+    monkeypatch.setenv("BEAMQA_MODEL", "env-model")
+    output = tmp_path / "result.json"
+    args = ["ask", "who?", "--evidence-mode", "generate_background", "--output", str(output)]
+    assert main(args + flags) == 0
+    manifest = json.loads(output.read_text(encoding="utf-8"))["manifest"]
+    assert manifest["provider"]["model"] == model
+    assert set(session.models) == {model}
+
+
+@pytest.fixture()
+def embedded_templates_after():
+    yield
+    set_template_dir(None)
+
+
+def test_ask_missing_template_dir_fails_before_any_call(
+    harpers_cli, tmp_path, capsys, embedded_templates_after
+):
+    built, index_path, script_path = harpers_cli
+    code = main(
+        [
+            "ask", built.question,
+            "--provider", "scripted", "--script", str(script_path),
+            "--index", str(index_path),
+            "--template-dir", str(tmp_path / "nonexistent"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: template directory not found")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_ask_without_index_in_retrieval_mode_fails(harpers_cli, capsys):
@@ -263,6 +330,39 @@ def test_eval_workers_flag_keeps_dataset_order(tmp_path, capsys):
     b = json.loads(pooled.read_text(encoding="utf-8"))
     assert a["questions"] == b["questions"]
     assert a["summary"] == b["summary"]
+
+
+def test_eval_missing_template_dir_fails_before_any_call(
+    tmp_path, capsys, embedded_templates_after
+):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    output = tmp_path / "report.json"
+    args = eval_args(index_path, script_path, dataset_path, output)
+    code = main(args + ["--template-dir", str(tmp_path / "nonexistent")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: template directory not found")
+    assert "Traceback" not in captured.err
+    assert not output.exists()
+
+
+def test_eval_template_dir_falls_back_to_embedded_templates(
+    tmp_path, capsys, embedded_templates_after
+):
+    # Only genread.txt is overridden; the other four templates stay embedded,
+    # so the scripted retrieve_summarize run matches the plain one.
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "genread.txt").write_text("CUSTOM {question}\n", encoding="utf-8")
+    plain, custom = tmp_path / "plain.json", tmp_path / "custom.json"
+    assert main(eval_args(index_path, script_path, dataset_path, plain)) == 0
+    args = eval_args(index_path, script_path, dataset_path, custom)
+    assert main(args + ["--template-dir", str(templates)]) == 0
+    a = json.loads(plain.read_text(encoding="utf-8"))
+    b = json.loads(custom.read_text(encoding="utf-8"))
+    assert (a["summary"], a["questions"]) == (b["summary"], b["questions"])
+    assert b["manifest"]["template_dir"] == str(templates)
 
 
 def test_eval_empty_dataset_fails(tmp_path, capsys):

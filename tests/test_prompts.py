@@ -161,6 +161,11 @@ def test_template_dir_override(tmp_path):
     assert render_genread_prompt("who?").startswith("Generate a short background")
 
 
+def test_template_dir_must_be_a_directory(tmp_path):
+    with pytest.raises(ValueError, match="template directory"):
+        set_template_dir(tmp_path / "missing")
+
+
 # --- question list parsing ----------------------------------------------------
 
 
@@ -226,6 +231,19 @@ def test_parse_score_clamps_below_zero():
 
 def test_parse_score_takes_first_number():
     assert parse_score("0.6, maybe 0.9") == 0.6
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("85%", 0.85), ("8/10", 0.8), ("7 out of 10", 0.7), ("Score: 3 / 4", 0.75), ("120%", 1.0)],
+)
+def test_parse_score_reads_percentages_and_fractions_as_scaled_values(text, expected):
+    assert parse_score(text) == pytest.approx(expected)
+
+
+def test_parse_score_rejects_a_zero_scale():
+    with pytest.raises(ScoreParseError):
+        parse_score("8/0")
 
 
 def test_parse_score_raises_without_number():

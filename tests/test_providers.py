@@ -282,3 +282,41 @@ def test_http_reads_endpoint_from_env(monkeypatch):
     monkeypatch.setenv("BEAMQA_ENDPOINT", "http://env.test/chat")
     provider = HttpChatProvider()
     assert provider.endpoint == "http://env.test/chat"
+
+
+def test_http_null_content_is_a_malformed_payload():
+    provider, _ = http_provider([FakeResponse(payload=chat_payload(None))])
+    with pytest.raises(ProviderError, match="malformed completion payload") as err:
+        provider.complete(req())
+    assert not err.value.retryable
+
+
+def test_http_explicit_settings_win_over_the_environment(monkeypatch):
+    monkeypatch.setenv("BEAMQA_MODEL", "env-model")
+    monkeypatch.setenv("BEAMQA_TIMEOUT", "99")
+    provider, _ = http_provider([], model="gpt-3.5-turbo", timeout=5.0)
+    assert (provider.model, provider.timeout) == ("gpt-3.5-turbo", 5.0)
+
+
+def test_http_environment_fills_unset_settings(monkeypatch):
+    monkeypatch.setenv("BEAMQA_MODEL", "env-model")
+    monkeypatch.setenv("BEAMQA_TIMEOUT", "99")
+    provider, _ = http_provider([])
+    assert (provider.model, provider.timeout) == ("env-model", 99.0)
+
+
+def test_http_defaults_without_environment(monkeypatch):
+    monkeypatch.delenv("BEAMQA_MODEL", raising=False)
+    monkeypatch.delenv("BEAMQA_TIMEOUT", raising=False)
+    provider, _ = http_provider([])
+    assert (provider.model, provider.timeout) == ("gpt-3.5-turbo", 30.0)
+
+
+def test_http_negative_retries_rejected():
+    with pytest.raises(ValueError, match="max_retries"):
+        http_provider([], max_retries=-1)
+
+
+def test_script_rule_response_must_be_text():
+    with pytest.raises(ValueError, match="response"):
+        ScriptRule.from_dict({"response": 0.9})

@@ -10,7 +10,6 @@ from beamqa.retrieval import (
     DuplicateDocumentError,
     Evidence,
     GENERATE_BACKGROUND,
-    dense_score,
     gather_evidence,
     index_corpus,
     load_corpus,
@@ -77,7 +76,7 @@ def test_average_doc_length_matches_hand_count():
     lengths = [8, 8, 7]
     assert index.avg_doc_len == pytest.approx(sum(lengths) / 3)
     for i, expected in enumerate(lengths):
-        assert index.doc_length(i) == expected
+        assert index._doc_len[i] == expected
 
 
 def test_empty_body_rejected():
@@ -142,36 +141,6 @@ def test_retrieval_prefix_monotonicity():
 def test_retrieve_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         retrieve(index_corpus(docs3()), "cat", 0)
-
-
-# --- dense scoring ----------------------------------------------------
-
-
-def test_dense_score_orthogonal_is_zero():
-    assert dense_score([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_dense_score_hand_value():
-    assert dense_score([1, 2], [3, 4]) == 11.0
-
-
-def test_dense_score_self_product_non_negative():
-    rng = random.Random(3)
-    for _ in range(50):
-        v = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 6))]
-        assert dense_score(v, v) >= 0.0
-
-
-def test_dense_score_symmetry_and_linearity():
-    a, b, c = [1.5, -2.0, 3.0], [0.5, 4.0, -1.0], [2.0, 1.0, 0.0]
-    assert dense_score(a, b) == dense_score(b, a)
-    lhs = dense_score([x + y for x, y in zip(a, c)], b)
-    assert lhs == pytest.approx(dense_score(a, b) + dense_score(c, b))
-
-
-def test_dense_score_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dense_score([1.0], [1.0, 2.0])
 
 
 # --- evidence gathering ----------------------------------------------------

@@ -404,16 +404,18 @@ def test_failed_child_is_skipped_and_recorded():
 
 
 class FlakyOnce:
-    """Delegates to a scripted provider, failing the first call transiently."""
+    """Delegates to a scripted provider, failing the first call (of ``tag``,
+    if one is given) transiently."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, tag=None):
         self.inner = inner
+        self.tag = tag
         self.failures_left = 1
         self.attempts = 0
 
     def complete(self, request):
         self.attempts += 1
-        if self.failures_left:
+        if self.failures_left and self.tag in (None, request.tag):
             self.failures_left -= 1
             from beamqa.providers import TransportError
 
@@ -428,6 +430,15 @@ def test_transient_provider_failure_is_retried_once():
     assert result.final_answer == "Colonel Robert E. Lee"
     assert provider.attempts == 20  # 19 completions plus the one failed attempt
     assert result.ledger.api_times == 19
+
+
+def test_failed_summarize_retries_the_request_not_the_retrieval():
+    built, index, config = harpers_script()
+    provider = FlakyOnce(ScriptedProvider(built.rules), tag="summarize")
+    result = run_search(built.question, config, provider, index=index)
+    assert result.final_answer == "Colonel Robert E. Lee"
+    assert provider.attempts == 20
+    assert (result.ledger.api_times, result.ledger.retrieval_times) == (19, 5)
 
 
 def test_zero_hit_child_keeps_empty_evidence():
