@@ -149,7 +149,7 @@ def _manifest(args: argparse.Namespace, config: SearchConfig, provider, **extra)
     if args.provider == "scripted":
         source["script"] = args.script
     else:
-        source["endpoint"] = args.endpoint
+        source["endpoint"] = provider.endpoint
         source["model"] = provider.model
     manifest = {
         "config": asdict(config),

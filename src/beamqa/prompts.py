@@ -93,7 +93,7 @@ def render_score_prompt(question: str, history: HistoryPairs, answer: str) -> st
 
 
 _MARKER = re.compile(r"ranked\s+questions", re.IGNORECASE)
-_NUMBERED_LINE = re.compile(r"^\s*\d+\s*[.)]\s*(.*?)\s*$")
+_NUMBERED_LINE = re.compile(r"^\s*\d+\s*(?:\.(?!\d)|\))\s*(.*?)\s*$")
 
 
 def parse_questions(text: str, k: int) -> list[str]:
@@ -101,7 +101,9 @@ def parse_questions(text: str, k: int) -> list[str]:
 
     Looks for lines after a "Ranked Questions" marker; a bare numbered list
     without the marker is accepted too. List numbering and one layer of
-    enclosing [brackets] are stripped; empty items are dropped.
+    enclosing [brackets] are stripped; empty items are dropped. A number
+    whose "." is directly followed by a digit (``0.9``) is a decimal, not
+    a list item.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -247,7 +247,11 @@ class HttpChatProvider(CompletionProvider):
         if self.model is None:
             self.model = os.environ.get("BEAMQA_MODEL") or "gpt-3.5-turbo"
         if self.timeout is None:
-            self.timeout = float(os.environ.get("BEAMQA_TIMEOUT") or 30.0)
+            raw = os.environ.get("BEAMQA_TIMEOUT") or "30"
+            try:
+                self.timeout = float(raw)
+            except ValueError:
+                raise ValueError(f"BEAMQA_TIMEOUT must be a number of seconds, got {raw!r}") from None
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if not self.endpoint:

@@ -1,14 +1,21 @@
 """Lexical corpus index, BM25 retrieval, and evidence gathering.
 
-The index is a plain Okapi BM25 inverted index built for desk-scale corpora.
+The index is an Okapi BM25 inverted index whose postings carry each
+document's finished term weight, so a query only adds up weights.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import os
 import re
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -30,9 +37,9 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 INDEX_FORMAT = "beamqa-lexical-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
-_TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
+_TOKEN = re.compile(r"[^\W_]+")
 
 
 class DuplicateDocumentError(ValueError):
@@ -49,7 +56,7 @@ class CorpusFormatError(ValueError):
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop empties."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -87,32 +94,67 @@ class Evidence:
 
 
 class LexicalIndex:
-    """Immutable inverted index with the statistics BM25 needs."""
+    """Immutable BM25 index: postings in CSR form with precomputed weights.
 
-    def __init__(self, docs: Sequence[Document]):
-        self._docs = tuple(docs)
-        self._doc_len: list[int] = []
-        self._postings: dict[str, list[tuple[int, int]]] = {}
-        seen: set[str] = set()
+    The postings of ``term`` are ``positions[start:end]`` (document
+    positions, ascending) and ``weights[start:end]`` (that document's BM25
+    term weight), where ``(start, end) = spans[term]``. The spans tile both
+    arrays in the dict's order, which is what ``save_index`` writes out.
+    """
+
+    def __init__(self, docs: Iterable[Document]):
+        self._docs = _unique(docs)
+        self._doc_len = array("i")
+        doc_terms: dict[str, array] = {}  # term -> [pos, tf, pos, tf, ...]
         for i, doc in enumerate(self._docs):
-            if doc.doc_id in seen:
-                raise DuplicateDocumentError(doc.doc_id)
-            seen.add(doc.doc_id)
             tokens = tokenize(f"{doc.title} {doc.body}")
             self._doc_len.append(len(tokens))
-            counts: dict[str, int] = {}
-            for t in tokens:
-                counts[t] = counts.get(t, 0) + 1
-            for term, tf in counts.items():
-                self._postings.setdefault(term, []).append((i, tf))
-        if not self._docs:
-            raise ValueError("cannot index an empty corpus")
+            for term, tf in Counter(tokens).items():
+                posting = doc_terms.get(term)
+                if posting is None:
+                    doc_terms[term] = array("i", (i, tf))
+                else:
+                    posting.append(i)
+                    posting.append(tf)
         self.avg_doc_len = sum(self._doc_len) / len(self._docs)
+        # Each weight is idf * tf * (k1 + 1) / (tf + norm[pos]), evaluated in
+        # the formula's order so that scores are the same to the last bit;
+        # tf == 1, most postings, takes the same operations precomputed.
+        norm = [
+            BM25_K1 * (1 - BM25_B + BM25_B * dl / self.avg_doc_len) for dl in self._doc_len
+        ]
+        norm_tf1 = [1 + x for x in norm]
         n = len(self._docs)
-        self._idf = {
-            term: math.log(1.0 + (n - len(posting) + 0.5) / (len(posting) + 0.5))
-            for term, posting in self._postings.items()
-        }
+        k1_plus_1 = BM25_K1 + 1
+        self._spans: dict[str, tuple[int, int]] = {}
+        self._positions = array("i")
+        self._weights = array("d")
+        for term, posting in doc_terms.items():
+            positions = posting[0::2]
+            df = len(positions)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            num_tf1 = idf * 1 * k1_plus_1
+            start = len(self._positions)
+            self._spans[term] = (start, start + df)
+            self._positions.extend(positions)
+            self._weights.fromlist([
+                num_tf1 / norm_tf1[pos] if tf == 1 else idf * tf * k1_plus_1 / (tf + norm[pos])
+                for pos, tf in zip(positions, posting[1::2])
+            ])
+
+    @classmethod
+    def _from_arrays(
+        cls, docs: Sequence[Document], doc_len: array, terms: Sequence[str],
+        offsets: array, positions: array, weights: array,
+    ) -> "LexicalIndex":
+        index = cls.__new__(cls)
+        index._docs = _unique(docs)
+        index._doc_len = doc_len
+        index.avg_doc_len = sum(doc_len) / len(docs)
+        index._spans = dict(zip(terms, zip(offsets, offsets[1:])))
+        index._positions = positions
+        index._weights = weights
+        return index
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -122,30 +164,52 @@ class LexicalIndex:
         return self._docs
 
 
+def _unique(docs: Iterable[Document]) -> tuple[Document, ...]:
+    """The documents as a tuple; duplicate ids and an empty corpus are rejected."""
+    docs = tuple(docs)
+    seen: set[str] = set()
+    for doc in docs:
+        if doc.doc_id in seen:
+            raise DuplicateDocumentError(doc.doc_id)
+        seen.add(doc.doc_id)
+    if not seen:
+        raise ValueError("cannot index an empty corpus")
+    return docs
+
+
 def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
     """Build an immutable index; duplicate ids and empty corpora are rejected."""
-    return LexicalIndex(list(docs))
+    return LexicalIndex(docs)
 
 
 def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, float]]:
     """Top-``n`` documents by BM25 (k1=1.2, b=0.75); ties break by doc_id.
 
     Only documents sharing at least one query term are matches; fewer than
-    ``n`` matches returns them all, zero matches returns an empty list.
+    ``n`` matches returns them all, zero matches returns an empty list. A
+    term repeated in the query counts once per occurrence.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     scores: dict[int, float] = {}
+    get = scores.get
     for term in tokenize(query):
-        posting = index._postings.get(term)
-        if not posting:
+        span = index._spans.get(term)
+        if span is None:
             continue
-        idf = index._idf[term]
-        for doc_pos, tf in posting:
-            norm = tf + BM25_K1 * (1 - BM25_B + BM25_B * index._doc_len[doc_pos] / index.avg_doc_len)
-            scores[doc_pos] = scores.get(doc_pos, 0.0) + idf * tf * (BM25_K1 + 1) / norm
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], index._docs[kv[0]].doc_id))
-    return [(index._docs[pos], score) for pos, score in ranked[:n]]
+        start, end = span
+        for pos, weight in zip(index._positions[start:end], index._weights[start:end]):
+            scores[pos] = get(pos, 0.0) + weight
+    if len(scores) > n:
+        # Only the scores at or above the n-th largest can make the cut.
+        cutoff = heapq.nlargest(n, scores.values())[-1]
+        kept = compress(scores, map(cutoff.__le__, scores.values()))
+        matches = [(pos, scores[pos]) for pos in kept]
+    else:
+        matches = list(scores.items())
+    docs = index._docs
+    matches.sort(key=lambda kv: (-kv[1], docs[kv[0]].doc_id))
+    return [(docs[pos], score) for pos, score in matches[:n]]
 
 
 def _docs_block(hits: Sequence[tuple[Document, float]]) -> str:
@@ -220,27 +284,104 @@ def load_corpus(path: str | Path) -> list[Document]:
     return docs
 
 
-def save_index(index: LexicalIndex, path: str | Path) -> None:
-    """Persist the corpus snapshot with a format/version header.
+# The arrays of a v2 index file, in file order, with their array typecodes.
+_ARRAYS = (("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d"))
 
-    Postings are rebuilt deterministically on load, which keeps the file
-    small and immune to statistics drift.
+
+def save_index(index: LexicalIndex, path: str | Path) -> None:
+    """Write a v2 index file: one JSON header line, then the raw arrays.
+
+    The header holds the documents, the terms in posting order, each
+    array's length, the item sizes and the byte order; the arrays follow in
+    ``_ARRAYS`` order. Term ``k``'s postings are ``offsets[k]:offsets[k+1]``
+    of ``positions`` and ``weights``, so loading never re-tokenizes.
     """
-    payload = {
+    offsets = array("i", [0])
+    offsets.extend(end for _, end in index._spans.values())
+    arrays = {
+        "doc_len": index._doc_len,
+        "offsets": offsets,
+        "positions": index._positions,
+        "weights": index._weights,
+    }
+    header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "documents": [
-            {"id": d.doc_id, "title": d.title, "text": d.body} for d in index.documents
-        ],
+        "byteorder": sys.byteorder,
+        "itemsize": {code: array(code).itemsize for _, code in _ARRAYS},
+        "lengths": {name: len(arr) for name, arr in arrays.items()},
+        "terms": list(index._spans),
+        "documents": [[d.doc_id, d.title, d.body] for d in index.documents],
     }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False) + "\n", encoding="utf-8")
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
+        for name, _ in _ARRAYS:
+            arrays[name].tofile(handle)
 
 
 def load_index(path: str | Path) -> LexicalIndex:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict) or raw.get("format") != INDEX_FORMAT:
-        raise ValueError(f"{path} is not a lexical index file")
-    if raw.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {raw.get('version')!r}")
-    docs = [Document(d["id"], d.get("title", ""), d["text"]) for d in raw["documents"]]
-    return index_corpus(docs)
+    """Read a v2 index file, or rebuild the postings of a v1 file."""
+    with open(path, "rb") as handle:
+        first = handle.readline()
+        header = _json_object(first)
+        if header is None:  # a v1 file may spread its JSON over several lines
+            header = _json_object(first + handle.read())
+        if header is None or header.get("format") != INDEX_FORMAT:
+            raise ValueError(f"{path} is not a lexical index file")
+        version = header.get("version")
+        if version == 1:
+            if handle.read().strip():
+                raise ValueError(f"{path}: malformed index file: data after the v1 payload")
+            docs = [Document(d["id"], d.get("title", ""), d["text"]) for d in header["documents"]]
+            return index_corpus(docs)
+        if version != INDEX_VERSION:
+            raise ValueError(f"unsupported index version {version!r}")
+        return _read_v2(header, handle, path)
+
+
+def _json_object(raw: bytes) -> dict | None:
+    try:
+        value = json.loads(raw)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def _read_v2(header: dict, handle, path: str | Path) -> LexicalIndex:
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{path}: malformed index file: {what}")
+
+    lengths, itemsize = header.get("lengths"), header.get("itemsize")
+    check(header.get("byteorder") in ("little", "big"), "unknown byte order")
+    check(isinstance(lengths, dict) and isinstance(itemsize, dict), "no array lengths")
+    arrays = {name: array(code) for name, code in _ARRAYS}
+    size = 0
+    for name, arr in arrays.items():
+        count = lengths.get(name)
+        check(itemsize.get(arr.typecode) == arr.itemsize, f"item size of {name!r} differs from this platform's")
+        check(type(count) is int and count >= 0, f"bad length for {name!r}")
+        size += count * arr.itemsize
+    remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+    check(size == remaining, f"the header's arrays take {size} bytes, the file holds {remaining}")
+    for name, arr in arrays.items():
+        arr.fromfile(handle, lengths[name])
+        if header["byteorder"] != sys.byteorder:
+            arr.byteswap()
+
+    raw_docs, terms = header.get("documents"), header.get("terms")
+    check(isinstance(raw_docs, list) and isinstance(terms, list), "no documents or terms")
+    try:
+        docs = [Document(doc_id, title, body) for doc_id, title, body in raw_docs]
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed index file: bad document ({err})") from None
+    doc_len, offsets, positions = arrays["doc_len"], arrays["offsets"], arrays["positions"]
+    check(len(doc_len) == len(docs), "doc_len does not match the documents")
+    check(len(offsets) == len(terms) + 1 and len(set(terms)) == len(terms), "offsets do not match the terms")
+    check(offsets[0] == 0 and offsets[-1] == len(positions) == len(arrays["weights"]),
+          "offsets do not match the postings")
+    check(all(a <= b for a, b in zip(offsets, offsets[1:])), "offsets are not ascending")
+    # Read as unsigned, a negative position is 2**31 or more: one max() bounds both ends.
+    unsigned = array("I", positions.tobytes())
+    check(not unsigned or max(unsigned) < len(docs), "a posting names no document")
+    return LexicalIndex._from_arrays(docs, doc_len, terms, offsets, positions, arrays["weights"])

@@ -162,6 +162,28 @@ def test_ask_manifest_records_the_model_used(tmp_path, monkeypatch, flags, model
     assert set(session.models) == {model}
 
 
+def test_ask_manifest_records_the_endpoint_from_the_environment(tmp_path, monkeypatch):
+    session = ConstantSession()
+    monkeypatch.setattr("beamqa.providers.requests.Session", lambda: session)
+    monkeypatch.setenv("BEAMQA_ENDPOINT", "http://svc.test/v1/chat/completions")
+    output = tmp_path / "result.json"
+    args = ["ask", "who?", "--evidence-mode", "generate_background", "--output", str(output)]
+    assert main(args) == 0
+    manifest = json.loads(output.read_text(encoding="utf-8"))["manifest"]
+    assert manifest["provider"]["endpoint"] == "http://svc.test/v1/chat/completions"
+
+
+def test_non_numeric_timeout_env_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setattr("beamqa.providers.requests.Session", ConstantSession)
+    monkeypatch.setenv("BEAMQA_ENDPOINT", "http://svc.test/v1/chat/completions")
+    monkeypatch.setenv("BEAMQA_TIMEOUT", "abc")
+    code = main(["ask", "who?", "--evidence-mode", "generate_background"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: BEAMQA_TIMEOUT must be a number of seconds, got 'abc'\n"
+    assert captured.out == ""
+
+
 @pytest.fixture()
 def embedded_templates_after():
     yield

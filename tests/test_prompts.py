@@ -196,6 +196,15 @@ def test_parse_questions_drops_empty_items():
     assert parse_questions(text, 5) == ["real question?"]
 
 
+@pytest.mark.parametrize("text", ["0.9", "Ranked Questions:\n0.9", "3.14 is pi", " 12.5"])
+def test_parse_questions_reads_a_decimal_as_no_item(text):
+    assert parse_questions(text, 5) == []
+
+
+def test_parse_questions_still_reads_both_list_markers():
+    assert parse_questions("1. first?\n2) second?\n3.third?", 5) == ["first?", "second?", "third?"]
+
+
 def test_parse_questions_round_trip():
     rng = random.Random(7)
     words = "what when where which who how why engine raid license commander".split()

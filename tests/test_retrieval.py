@@ -1,4 +1,7 @@
+import json
 import random
+import re
+from array import array
 
 import pytest
 
@@ -49,6 +52,15 @@ def test_tokenize_lowercases_and_splits_non_alphanumeric():
 
 def test_tokenize_drops_empty_tokens():
     assert tokenize("  ...  ") == []
+
+
+def test_tokenize_equals_splitting_on_non_alphanumeric_runs():
+    rng = random.Random(3)
+    alphabet = "aZ09_ .,-'\t\nÉßçΩж中文١٢½²\u0301\u200b"
+    split = re.compile(r"[\W_]+")
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
+        assert tokenize(text) == [t for t in split.split(text.lower()) if t]
 
 
 # --- index construction ----------------------------------------------------
@@ -233,4 +245,183 @@ def test_load_index_rejects_other_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}', encoding="utf-8")
     with pytest.raises(ValueError):
+        load_index(path)
+
+
+# --- index file format v2 ---------------------------------------------------
+
+
+def write_v1(index, path):
+    payload = {
+        "format": "beamqa-lexical-index",
+        "version": 1,
+        "documents": [{"id": d.doc_id, "title": d.title, "text": d.body} for d in index.documents],
+    }
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+
+
+def test_v2_round_trip_equals_fresh_build_and_v1_load(tmp_path):
+    rng = random.Random(11)
+    docs, vocab = random_corpus(rng, n_docs=300, vocab_size=400)
+    fresh = index_corpus(docs)
+    save_index(fresh, tmp_path / "v2.idx")
+    write_v1(fresh, tmp_path / "v1.json")
+    from_v2 = load_index(tmp_path / "v2.idx")
+    from_v1 = load_index(tmp_path / "v1.json")
+    assert from_v2.avg_doc_len == fresh.avg_doc_len
+    for _ in range(60):
+        query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
+        for n in (1, 3, 10):
+            expected = retrieve(fresh, query, n)
+            assert retrieve(from_v2, query, n) == expected
+            assert retrieve(from_v1, query, n) == expected
+
+
+def test_v2_file_starts_with_a_json_header_line(tmp_path):
+    save_index(index_corpus(docs3()), tmp_path / "index")
+    header = json.loads((tmp_path / "index").read_bytes().split(b"\n", 1)[0])
+    assert (header["format"], header["version"]) == ("beamqa-lexical-index", 2)
+    assert header["documents"][0] == ["d1", "Cats", "the quick cat sat on the mat"]
+    assert header["lengths"]["doc_len"] == 3
+
+
+def test_repeated_query_term_counts_twice():
+    docs = docs3()
+    index = index_corpus(docs)
+    once = dict((d.doc_id, s) for d, s in retrieve(index, "cat", 3))
+    twice = dict((d.doc_id, s) for d, s in retrieve(index, "cat cat", 3))
+    expected = naive_bm25(docs, "cat cat")
+    assert set(twice) == set(expected) == set(once)
+    for doc_id, score in expected.items():
+        assert twice[doc_id] == pytest.approx(score, abs=1e-9)
+        assert twice[doc_id] == pytest.approx(2 * once[doc_id], abs=1e-9)
+
+
+def test_ties_at_the_cutoff_come_back_by_doc_id():
+    ids = ["e", "b", "d", "a", "c"]
+    docs = [Document(i, "", "tied words here") for i in ids]
+    docs.append(Document("z", "", "tied tied words"))
+    hits = retrieve(index_corpus(docs), "tied", 3)
+    assert [d.doc_id for d, _ in hits] == ["z", "a", "b"]
+    assert hits[1][1] == hits[2][1] < hits[0][1]
+
+
+def test_loading_a_v2_file_never_tokenizes(tmp_path, monkeypatch):
+    index = index_corpus(docs3())
+    save_index(index, tmp_path / "index")
+    expected = retrieve(index, "the cat", 3)
+
+    def no_tokenize(text):
+        raise AssertionError("load_index tokenized a document")
+
+    monkeypatch.setattr("beamqa.retrieval.tokenize", no_tokenize)
+    loaded = load_index(tmp_path / "index")
+    monkeypatch.undo()
+    assert retrieve(loaded, "the cat", 3) == expected
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_hand_written_v1_file_still_loads(tmp_path, indent):
+    payload = {
+        "format": "beamqa-lexical-index",
+        "version": 1,
+        "documents": [
+            {"id": "d1", "title": "Cats", "text": "the quick cat sat on the mat"},
+            {"id": "d2", "text": "a loud dog barked at the cat"},
+        ],
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload, indent=indent) + "\n", encoding="utf-8")
+    loaded = load_index(path)
+    assert [d.doc_id for d in loaded.documents] == ["d1", "d2"]
+    assert loaded.documents[1].title == ""
+    assert retrieve(loaded, "cat", 2) == retrieve(index_corpus(loaded.documents), "cat", 2)
+
+
+def saved_v2(tmp_path):
+    path = tmp_path / "index"
+    save_index(index_corpus(docs3()), path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(header), body
+
+
+def with_header(path, header, body):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+def test_v2_file_in_the_other_byte_order_loads(tmp_path):
+    index = index_corpus(docs3())
+    path, header, body = saved_v2(tmp_path)
+    swapped = b""
+    for name, code in (("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d")):
+        arr = array(code)
+        size = header["lengths"][name] * arr.itemsize
+        arr.frombytes(body[:size])
+        body = body[size:]
+        arr.byteswap()
+        swapped += arr.tobytes()
+    header["byteorder"] = {"little": "big", "big": "little"}[header["byteorder"]]
+    with_header(path, header, swapped)
+    assert retrieve(load_index(path), "the cat", 3) == retrieve(index, "the cat", 3)
+
+
+@pytest.mark.parametrize("keep", [0.3, 0.9, -1, -9])
+def test_truncated_v2_file_is_rejected(tmp_path, keep):
+    path, _, _ = saved_v2(tmp_path)
+    data = path.read_bytes()
+    cut = int(len(data) * keep) if keep > 0 else len(data) + keep
+    path.write_bytes(data[:cut])
+    with pytest.raises(ValueError):
+        load_index(path)
+
+
+def test_v2_file_with_trailing_bytes_is_rejected(tmp_path):
+    path, header, body = saved_v2(tmp_path)
+    with_header(path, header, body + b"\0")
+    with pytest.raises(ValueError, match="the file holds"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "name, delta", [("doc_len", -1), ("offsets", 1), ("positions", -1), ("weights", 1), ("weights", -1)]
+)
+def test_v2_lengths_that_disagree_with_the_arrays_are_rejected(tmp_path, name, delta):
+    path, header, body = saved_v2(tmp_path)
+    header["lengths"][name] += delta
+    with_header(path, header, body)
+    with pytest.raises(ValueError, match="malformed index file"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h["documents"].pop(),
+        lambda h: h["terms"].pop(),
+        lambda h: h["terms"].__setitem__(1, h["terms"][0]),
+        lambda h: h["itemsize"].__setitem__("d", 4),
+        lambda h: h.__setitem__("byteorder", "middle"),
+        lambda h: h["lengths"].__setitem__("weights", -1),
+    ],
+    ids=["documents", "terms", "duplicate-term", "itemsize", "byteorder", "negative-length"],
+)
+def test_v2_header_that_disagrees_with_the_arrays_is_rejected(tmp_path, edit):
+    path, header, body = saved_v2(tmp_path)
+    edit(header)
+    with_header(path, header, body)
+    with pytest.raises(ValueError, match="malformed index file"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("bad", ["past-the-end", "negative"])
+def test_v2_posting_that_names_no_document_is_rejected(tmp_path, bad):
+    path, header, body = saved_v2(tmp_path)
+    lengths, size = header["lengths"], array("i").itemsize
+    start = size * (lengths["doc_len"] + lengths["offsets"])
+    end = start + size * lengths["positions"]
+    positions = array("i", body[start:end])
+    positions[0] = len(header["documents"]) if bad == "past-the-end" else -1
+    body = body[:start] + positions.tobytes() + body[end:]
+    with_header(path, header, body)
+    with pytest.raises(ValueError, match="names no document"):
         load_index(path)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from beamqa.providers import ScriptError, ScriptRule, ScriptedProvider
+from beamqa.providers import CompletionResponse, ScriptError, ScriptRule, ScriptedProvider
 from beamqa.retrieval import GENERATE_BACKGROUND, index_corpus
 from beamqa.search import (
     SearchConfig,
@@ -439,6 +439,29 @@ def test_failed_summarize_retries_the_request_not_the_retrieval():
     assert result.final_answer == "Colonel Robert E. Lee"
     assert provider.attempts == 20
     assert (result.ledger.api_times, result.ledger.retrieval_times) == (19, 5)
+
+
+class ConstantProvider:
+    """Every completion, whatever its tag, is the same text."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tags = []
+
+    def complete(self, request):
+        self.tags.append(request.tag)
+        return CompletionResponse(self.text, 10, 1, True)
+
+
+def test_decimal_ask_completion_yields_no_child_queries():
+    provider = ConstantProvider("0.9")
+    result = run_search("who?", genread_config(), provider)
+    # Two seeds (answer, score; genread, answer, score) and one ask per seed.
+    assert provider.tags.count("ask") == 2
+    assert len(provider.tags) == result.ledger.api_times == 7
+    expanded = [e.payload for e in result.trace if e.kind == "expanded"]
+    assert [(p["raw_queries"], p["children"]) for p in expanded] == [([], [])] * 2
+    assert result.final_state.depth == 0
 
 
 def test_zero_hit_child_keeps_empty_evidence():
