@@ -13,9 +13,9 @@ import os
 import re
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -35,6 +35,10 @@ PROVENANCE_GENERATED = "generated"
 
 BM25_K1 = 1.2
 BM25_B = 0.75
+# retrieve sums bounds and partial scores in another order than the exact
+# score, so it prunes only below the cutoff less this share of it: rounding
+# (about 1e-16 per addition) can then never drop a document that ties.
+_PRUNE_MARGIN = 1e-9
 
 INDEX_FORMAT = "beamqa-lexical-index"
 INDEX_VERSION = 2
@@ -97,9 +101,12 @@ class LexicalIndex:
     """Immutable BM25 index: postings in CSR form with precomputed weights.
 
     The postings of ``term`` are ``positions[start:end]`` (document
-    positions, ascending) and ``weights[start:end]`` (that document's BM25
-    term weight), where ``(start, end) = spans[term]``. The spans tile both
-    arrays in the dict's order, which is what ``save_index`` writes out.
+    positions, strictly ascending) and ``weights[start:end]`` (that
+    document's BM25 term weight), where ``(start, end) = spans[term]``. The
+    spans tile both arrays in the dict's order, which is what ``save_index``
+    writes out. ``retrieve`` finds a document in a term's postings by binary
+    search, so it relies on the order; ``load_index`` trusts a file's
+    positions to be in that order, as it trusts its weights and lengths.
     """
 
     def __init__(self, docs: Iterable[Document]):
@@ -188,26 +195,63 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
     Only documents sharing at least one query term are matches; fewer than
     ``n`` matches returns them all, zero matches returns an empty list. A
     term repeated in the query counts once per occurrence.
+
+    The search is max-score (Turtle & Flood 1995). It reads the posting
+    lists in order of the most each term can add to a score, rarest terms
+    first, and stops once the terms left could not lift a document it has
+    not seen into the top ``n``; the long lists of frequent terms are then
+    never read. The documents that can still make the cut are scored
+    exactly, their weights summed in query token order, so scores are the
+    same to the last bit as those of a sum over every list.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    scores: dict[int, float] = {}
-    get = scores.get
-    for term in tokenize(query):
-        span = index._spans.get(term)
-        if span is None:
-            continue
-        start, end = span
-        for pos, weight in zip(index._positions[start:end], index._weights[start:end]):
-            scores[pos] = get(pos, 0.0) + weight
-    if len(scores) > n:
-        # Only the scores at or above the n-th largest can make the cut.
-        cutoff = heapq.nlargest(n, scores.values())[-1]
-        kept = compress(scores, map(cutoff.__le__, scores.values()))
-        matches = [(pos, scores[pos]) for pos in kept]
+    spans, positions, weights = index._spans, index._positions, index._weights
+    query_spans = [spans[term] for term in tokenize(query) if term in spans]
+    # No weight reaches idf * (k1 + 1), since tf / (tf + norm) < 1, so a term
+    # repeated m times adds less than m * idf * (k1 + 1) to any score.
+    n_docs, k1_plus_1 = len(index._docs), BM25_K1 + 1
+    terms = []
+    for (start, end), mult in Counter(query_spans).items():
+        df = end - start
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        terms.append((mult * idf * k1_plus_1, start, end, mult))
+    terms.sort(reverse=True)
+
+    # Read the lists from the highest bound down while a document found in
+    # none of them so far could still make the top n.
+    partial: dict[int, float] = {}
+    get = partial.get
+    floor = rest = 0.0
+    for i, (_, start, end, mult) in enumerate(terms):
+        if len(partial) >= n:
+            floor = heapq.nlargest(n, partial.values())[-1] * (1 - _PRUNE_MARGIN)
+            rest = sum(bound for bound, _, _, _ in terms[i:])
+            if rest < floor:
+                break
+        for pos, weight in zip(positions[start:end], weights[start:end]):
+            partial[pos] = get(pos, 0.0) + mult * weight
     else:
-        matches = list(scores.items())
+        rest = 0.0
+        if partial:
+            floor = heapq.nlargest(n, partial.values())[-1] * (1 - _PRUNE_MARGIN)
+    # n documents score at least the floor, so one whose partial score plus
+    # the bounds of the unread terms is below it cannot make the cut. The
+    # rest are scored exactly, in query token order as a full scan adds.
     docs = index._docs
+    matches = []
+    for pos, score in partial.items():
+        if score + rest < floor:
+            continue
+        score = 0.0
+        for start, end in query_spans:
+            k = bisect_left(positions, pos, start, end)
+            if k < end and positions[k] == pos:
+                score += weights[k]
+        matches.append((pos, score))
+    if len(matches) > n:
+        cutoff = heapq.nlargest(n, [score for _, score in matches])[-1]
+        matches = [match for match in matches if match[1] >= cutoff]
     matches.sort(key=lambda kv: (-kv[1], docs[kv[0]].doc_id))
     return [(docs[pos], score) for pos, score in matches[:n]]
 
@@ -286,6 +330,7 @@ def load_corpus(path: str | Path) -> list[Document]:
 
 # The arrays of a v2 index file, in file order, with their array typecodes.
 _ARRAYS = (("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d"))
+_DOCS_PER_CHUNK = 1024
 
 
 def save_index(index: LexicalIndex, path: str | Path) -> None:
@@ -311,10 +356,19 @@ def save_index(index: LexicalIndex, path: str | Path) -> None:
         "itemsize": {code: array(code).itemsize for _, code in _ARRAYS},
         "lengths": {name: len(arr) for name, arr in arrays.items()},
         "terms": list(index._spans),
-        "documents": [[d.doc_id, d.title, d.body] for d in index.documents],
     }
+    # The documents, the header's last and largest field, go out in chunks so
+    # that no copy of the whole header is held; the bytes are still those of
+    # json.dumps of the full header.
+    docs = index.documents
     with open(path, "wb") as handle:
-        handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
+        head = json.dumps(header, ensure_ascii=False)[:-1]
+        handle.write(f'{head}, "documents": ['.encode("utf-8"))
+        for i in range(0, len(docs), _DOCS_PER_CHUNK):
+            chunk = [[d.doc_id, d.title, d.body] for d in docs[i:i + _DOCS_PER_CHUNK]]
+            text = json.dumps(chunk, ensure_ascii=False)[1:-1]
+            handle.write(f"{', ' if i else ''}{text}".encode("utf-8"))
+        handle.write(b"]}\n")
         for name, _ in _ARRAYS:
             arrays[name].tofile(handle)
 
@@ -322,10 +376,10 @@ def save_index(index: LexicalIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> LexicalIndex:
     """Read a v2 index file, or rebuild the postings of a v1 file."""
     with open(path, "rb") as handle:
-        first = handle.readline()
-        header = _json_object(first)
+        header = _json_object(handle.readline())
         if header is None:  # a v1 file may spread its JSON over several lines
-            header = _json_object(first + handle.read())
+            handle.seek(0)
+            header = _json_object(handle.read())
         if header is None or header.get("format") != INDEX_FORMAT:
             raise ValueError(f"{path} is not a lexical index file")
         version = header.get("version")
@@ -382,6 +436,6 @@ def _read_v2(header: dict, handle, path: str | Path) -> LexicalIndex:
           "offsets do not match the postings")
     check(all(a <= b for a, b in zip(offsets, offsets[1:])), "offsets are not ascending")
     # Read as unsigned, a negative position is 2**31 or more: one max() bounds both ends.
-    unsigned = array("I", positions.tobytes())
-    check(not unsigned or max(unsigned) < len(docs), "a posting names no document")
+    with memoryview(positions).cast("B").cast("I") as unsigned:
+        check(not unsigned or max(unsigned) < len(docs), "a posting names no document")
     return LexicalIndex._from_arrays(docs, doc_len, terms, offsets, positions, arrays["weights"])

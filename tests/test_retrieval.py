@@ -1,7 +1,10 @@
+import heapq
 import json
 import random
 import re
+import sys
 from array import array
+from itertools import compress
 
 import pytest
 
@@ -150,6 +153,79 @@ def test_retrieval_prefix_monotonicity():
             assert retrieve(index, query, n) == full[:n]
 
 
+def full_scan_retrieve(index, query, n):
+    """The reference: sum every posting of every query token, keep the top n."""
+    scores = {}
+    for term in tokenize(query):
+        if term not in index._spans:
+            continue
+        start, end = index._spans[term]
+        for pos, weight in zip(index._positions[start:end], index._weights[start:end]):
+            scores[pos] = scores.get(pos, 0.0) + weight
+    if len(scores) > n:
+        cutoff = heapq.nlargest(n, scores.values())[-1]
+        kept = compress(scores, map(cutoff.__le__, scores.values()))
+        matches = [(pos, scores[pos]) for pos in kept]
+    else:
+        matches = list(scores.items())
+    docs = index._docs
+    matches.sort(key=lambda kv: (-kv[1], docs[kv[0]].doc_id))
+    return [(docs[pos], score) for pos, score in matches[:n]]
+
+
+def skewed_corpus(rng, n_docs=400):
+    """Documents over terms from every doc down to a few, with duplicate bodies."""
+    common = ["all"] + [f"most{i}" for i in range(3)]
+    middle = [f"mid{i}" for i in range(20)]
+    rare = [f"rare{i}" for i in range(120)]
+    docs = []
+    for i in range(n_docs):
+        words = ["all"] * rng.randint(1, 4)
+        words += [w for w in common[1:] if rng.random() < 0.9]
+        words += rng.choices(middle, k=rng.randint(0, 8))
+        words += rng.choices(rare, k=rng.randint(0, 3))
+        rng.shuffle(words)
+        docs.append(Document(f"doc{i:03d}", "", " ".join(words)))
+    # Exact ties: the same body under several ids, at both ends of the order.
+    for i in range(0, n_docs, 37):
+        for copy in ("a", "z"):
+            docs.append(Document(f"{copy}-copy-of-{i:03d}", "", docs[i].body))
+    return docs, common + middle + rare + ["absent"]
+
+
+def test_max_score_equals_full_scan_to_the_bit():
+    rng = random.Random(17)
+    docs, vocab = skewed_corpus(rng)
+    index = index_corpus(docs)
+    queries = [" ".join(rng.choices(vocab, k=rng.randint(1, 8))) for _ in range(300)]
+    queries += ["all", "all all", "rare3 rare3 all", "absent", "absent all", "mid1 mid1 mid1 most0"]
+    queries += [docs[i].body for i in range(0, 400, 37)]  # a tied body as the query
+    for query in queries:
+        for n in (1, 2, 3, 10, 1000):
+            expected = [(d.doc_id, repr(s)) for d, s in full_scan_retrieve(index, query, n)]
+            got = [(d.doc_id, repr(s)) for d, s in retrieve(index, query, n)]
+            assert got == expected, (query, n)
+
+
+def test_max_score_never_reads_a_list_that_cannot_reach_the_top_n():
+    class SliceLog(array):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                self.read.append((key.start, key.stop))
+            return super().__getitem__(key)
+
+    docs = [Document(f"d{i:03d}", "", f"common filler{i % 7}") for i in range(200)]
+    docs[42] = Document("d042", "", "common needle")
+    docs[99] = Document("d099", "", "common needle")
+    index = index_corpus(docs)
+    index._positions = SliceLog("i", index._positions)
+    index._positions.read = []
+    hits = retrieve(index, "common needle", 2)
+    assert [d.doc_id for d, _ in hits] == ["d042", "d099"]
+    assert index._positions.read == [index._spans["needle"]]
+    assert hits == full_scan_retrieve(index, "common needle", 2)
+
+
 def test_retrieve_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         retrieve(index_corpus(docs3()), "cat", 0)
@@ -275,6 +351,52 @@ def test_v2_round_trip_equals_fresh_build_and_v1_load(tmp_path):
             expected = retrieve(fresh, query, n)
             assert retrieve(from_v2, query, n) == expected
             assert retrieve(from_v1, query, n) == expected
+
+
+def test_positions_ascend_strictly_within_each_term_after_build_and_reload(tmp_path):
+    rng = random.Random(23)
+    docs, _ = skewed_corpus(rng)
+    built = index_corpus(docs)
+    save_index(built, tmp_path / "index")
+    for index in (built, load_index(tmp_path / "index")):
+        for start, end in index._spans.values():
+            span = index._positions[start:end]
+            assert all(a < b for a, b in zip(span, span[1:]))
+
+
+def test_v2_file_is_the_json_header_then_the_arrays_byte_for_byte(tmp_path):
+    rng = random.Random(29)
+    alphabet = 'ab "\\\n\t/é中ж\u2028😀'
+    docs = [
+        Document(
+            f"id-{i}-{rng.choice(alphabet)}",
+            "".join(rng.choices(alphabet, k=rng.randint(0, 6))),
+            f"w{i % 50} " + "".join(rng.choices(alphabet, k=rng.randint(1, 12))),
+        )
+        for i in range(2600)
+    ]
+    index = index_corpus(docs)
+    save_index(index, tmp_path / "index")
+    offsets = array("i", [0] + [end for _, end in index._spans.values()])
+    header = {
+        "format": "beamqa-lexical-index",
+        "version": 2,
+        "byteorder": sys.byteorder,
+        "itemsize": {"i": array("i").itemsize, "d": array("d").itemsize},
+        "lengths": {
+            "doc_len": len(docs),
+            "offsets": len(offsets),
+            "positions": len(index._positions),
+            "weights": len(index._weights),
+        },
+        "terms": list(index._spans),
+        "documents": [[d.doc_id, d.title, d.body] for d in docs],
+    }
+    expected = json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n"
+    for arr in (index._doc_len, offsets, index._positions, index._weights):
+        expected += arr.tobytes()
+    assert (tmp_path / "index").read_bytes() == expected
+    assert load_index(tmp_path / "index").documents == tuple(docs)
 
 
 def test_v2_file_starts_with_a_json_header_line(tmp_path):
