@@ -191,8 +191,10 @@ class ScriptedProvider(CompletionProvider):
                     chosen = rule
                     break
             if chosen is None:
+                # Names only what the request carries: the ordinal depends on
+                # arrival order, and the message ends up in traces.
                 raise ScriptError(
-                    f"no scripted response for tag={request.tag!r} ordinal={ordinal}; "
+                    f"no scripted response for tag={request.tag!r}; "
                     f"prompt starts: {request.prompt[:160]!r}"
                 )
         reported = chosen.prompt_tokens is not None and chosen.completion_tokens is not None

@@ -6,16 +6,27 @@ answer. The two seeds form the first level: the direct seed has no query, the
 grounded seed's query is the question itself. Each later level asks every
 beam state for follow-up queries, evaluates one child per query, prunes to
 the beam width, and stops early as soon as a kept state reaches the
-confidence threshold. States within a level may run concurrently; ids and
-trace events are assigned after collection, in level order.
+confidence threshold.
+
+With ``workers`` above one, all of a run's calls go through one thread pool,
+built at its first task and shut down when the run (or a directly called
+``initialize_beam`` or ``expand_state``) returns or raises. A parent's
+children start as soon as that parent's ask returns, without waiting for the
+other parents' asks; pruning still waits for the whole level, because it
+needs every score. Only the run's thread waits on a task, so no worker count
+can deadlock. With one worker no thread starts: each task runs on the calling
+thread when its result is read, which is the seeds, then the level's asks in
+parent order, then its children in (parent order, query order). Ids and
+trace events are assigned after collection in that same order, so the trace
+never depends on completion order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .accounting import CostLedger
 from .prompts import (
@@ -174,13 +185,28 @@ def _normalize_query(query: str) -> str:
     return " ".join(query.split()).casefold()
 
 
+class _Deferred:
+    """A task that runs when its result is read, on the reading thread, so
+    with one worker the order results are read in is the order calls are
+    sent in. The engine reads each result once."""
+
+    def __init__(self, fn: Callable, args: tuple):
+        self._fn, self._args = fn, args
+
+    def result(self):
+        return self._fn(*self._args)
+
+
 @dataclass
 class _AskOutcome:
+    """A parent's ask, and one submitted evaluation per kept query."""
+
     parent: SearchState
     raw_queries: list[str] = field(default_factory=list)
     kept_queries: list[str] = field(default_factory=list)
     error: str | None = None
     ledger: CostLedger = field(default_factory=CostLedger)
+    children: list = field(default_factory=list)
 
 
 @dataclass
@@ -242,6 +268,7 @@ class SearchRun:
         self.trace: list[TraceEvent] = []
         self.ledger = CostLedger()
         self._next_id = 0
+        self._pool: ThreadPoolExecutor | None = None
 
     # -- provider plumbing ---------------------------------------------------
 
@@ -250,11 +277,23 @@ class SearchRun:
         ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
         return resp.text
 
-    def _map(self, fn, items: list):
-        if self.workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
-            return list(pool.map(fn, items))
+    def _submit(self, fn: Callable, *args) -> Future | _Deferred:
+        """Start ``fn(*args)`` on the run's pool, built on first use; with one
+        worker, defer it until its result is read. A task may submit further
+        tasks but never waits on one: only the run's thread reads results."""
+        if self.workers == 1:
+            return _Deferred(fn, args)
+        if self._pool is None:
+            # Only the run's thread gets here: tasks exist once the pool does.
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        return self._pool.submit(fn, *args)
+
+    def _shutdown_pool(self) -> None:
+        """Called on the way out of every public entry point, so that no
+        worker outlives the call that started it."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
 
     def _emit(self, kind: str, payload: dict) -> None:
         self.trace.append(TraceEvent(kind=kind, payload=payload))
@@ -343,10 +382,17 @@ class SearchRun:
         empty history, and an answer over evidence gathered for the question
         itself. No threshold check happens here. A failed seed raises its
         provider error once both seeds' events and calls are recorded."""
+        try:
+            return self._seed_level(question)
+        finally:
+            self._shutdown_pool()
+
+    def _seed_level(self, question: str) -> Beam:
         question = question.strip()
         if not question:
             raise ValueError("question must be non-empty")
-        outcomes = self._map(lambda query: self._evaluate(question, (), (), query), [None, question])
+        tasks = [self._submit(self._evaluate, question, (), (), query) for query in (None, question)]
+        outcomes = [task.result() for task in tasks]
         beam: Beam = []
         for variant, outcome in zip(("direct", "evidence"), outcomes):
             payload = {"depth": 0, "variant": variant}
@@ -365,6 +411,8 @@ class SearchRun:
     # -- expansion ---------------------------------------------------------------
 
     def _ask_parent(self, parent: SearchState) -> _AskOutcome:
+        """Ask ``parent`` for follow-up queries and submit one child
+        evaluation per kept query, without waiting for any of them."""
         outcome = _AskOutcome(parent=parent)
         prompt = render_ask_prompt(
             parent.original_query, parent.history_pairs(), self.config.max_queries
@@ -380,27 +428,30 @@ class SearchRun:
             seen = {_normalize_query(q) for q in parent.asked_queries}
             kept = [q for q in kept if _normalize_query(q) not in seen]
         outcome.kept_queries = kept
+        outcome.children = [
+            self._submit(
+                self._evaluate, parent.original_query, parent.asked_queries, parent.evidences, query
+            )
+            for query in kept
+        ]
         return outcome
 
     def _expand_level(self, parents: Sequence[SearchState], depth: int) -> Beam:
         """Expand every parent once; emits events, returns unpruned candidates.
 
-        Workers only parallelize the provider calls: ids are assigned and
-        events emitted afterwards in (parent order, query order), so the trace
-        never depends on completion order.
+        Each parent's children start as soon as its own ask returns; the
+        caller prunes once the whole level is collected. Ids are assigned and
+        events emitted after collection in (parent order, query order), so the
+        trace never depends on completion order. With one worker, reading the
+        results in that order sends every ask before any child.
         """
-        asks = self._map(self._ask_parent, list(parents))
-        jobs = [
-            (ask.parent.original_query, ask.parent.asked_queries, ask.parent.evidences, query)
-            for ask in asks
-            for query in ask.kept_queries
-        ]
-        outcomes = iter(self._map(lambda job: self._evaluate(*job), jobs))
+        tasks = [self._submit(self._ask_parent, parent) for parent in parents]
+        asks = [task.result() for task in tasks]
         scored: list[tuple[SearchState, _Outcome]] = []
         for ask in asks:
             entries = []
-            for query in ask.kept_queries:
-                outcome = next(outcomes)
+            for query, child in zip(ask.kept_queries, ask.children):
+                outcome = child.result()
                 entry = {"query": query}
                 state = self._admit(ask.parent.original_query, outcome, depth, entry)
                 entries.append(entry)
@@ -428,7 +479,10 @@ class SearchRun:
             raise ValueError(
                 f"state {parent.state_id} is already at the maximum depth {self.config.max_depth}"
             )
-        return self._expand_level([parent], parent.depth + 1)
+        try:
+            return self._expand_level([parent], parent.depth + 1)
+        finally:
+            self._shutdown_pool()
 
     # -- the full loop --------------------------------------------------------------
 
@@ -437,7 +491,7 @@ class SearchRun:
         if not question or not question.strip():
             raise ValueError("question must be non-empty")
         try:
-            beam = self.initialize_beam(question)
+            beam = self._seed_level(question)
             final_beam = beam
             reason = EXIT_MAX_DEPTH
             for depth in range(1, self.config.max_depth + 1):
@@ -476,6 +530,8 @@ class SearchRun:
             raise SearchError(
                 f"search aborted: {err}", tuple(self.trace), self.ledger
             ) from err
+        finally:
+            self._shutdown_pool()
         winner = select_answer(final_beam)
         self._emit(
             "finished",

@@ -148,6 +148,20 @@ def test_scripted_provider_thread_safe_with_exact_rules():
     assert results == {i: f"r{i}" for i in range(32)}
 
 
+def test_unmatched_request_error_does_not_depend_on_arrival_order():
+    # A search records the message in its trace, which must not change with
+    # how many requests of the tag happened to arrive first.
+    messages = []
+    for earlier in (0, 3):
+        provider = ScriptedProvider([ScriptRule(response="a", exact="known", repeat=True)])
+        for _ in range(earlier):
+            provider.complete(req(prompt="known"))
+        with pytest.raises(ScriptError) as err:
+            provider.complete(req(prompt="no rule for this"))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_script_file_round_trip(tmp_path):
     rules = [
         ScriptRule(response="0.8", tag="score", ordinal=1),

@@ -1,11 +1,14 @@
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import beamqa.search
+from beamqa.prompts import render_answer_prompt, render_ask_prompt, render_summarize_prompt
 from beamqa.providers import CompletionResponse, ScriptError, ScriptRule, ScriptedProvider
-from beamqa.retrieval import GENERATE_BACKGROUND, index_corpus
+from beamqa.retrieval import GENERATE_BACKGROUND, _docs_block, index_corpus, retrieve
 from beamqa.search import (
     SearchConfig,
     SearchError,
@@ -380,16 +383,30 @@ def test_unparseable_score_becomes_zero_with_trace_warning():
     assert result.final_answer == "other"
 
 
+def without_prompt(rules, prompt):
+    return [r for r in rules if r.exact != prompt]
+
+
+def failed_child_rules(built):
+    """The golden script minus the answer of the direct seed's first child."""
+    child = harpers_plan().direct.children[0]
+    return without_prompt(
+        built.rules, render_answer_prompt(built.question, [(child.query, child.evidence)])
+    )
+
+
+def failed_ask_rules(built):
+    """The golden script minus the grounded seed's ask."""
+    grounded = [(built.question, harpers_plan().grounded_evidence)]
+    return without_prompt(
+        built.rules, render_ask_prompt(built.question, grounded, SearchConfig().max_queries)
+    )
+
+
 def test_failed_child_is_skipped_and_recorded():
     built, index, config = harpers_script()
-    plan = harpers_plan()
-    broken_query = plan.direct.children[0].query
-    from beamqa.prompts import render_answer_prompt
-
-    broken_prompt = render_answer_prompt(
-        built.question, [(broken_query, plan.direct.children[0].evidence)]
-    )
-    rules = [r for r in built.rules if r.exact != broken_prompt]
+    broken_query = harpers_plan().direct.children[0].query
+    rules = failed_child_rules(built)
     result = run_search(built.question, config, ScriptedProvider(rules), index=index)
     # The 0.8 child is gone; its sibling at 0.7 still wins depth 1.
     assert result.final_answer == "First Lieutenant Israel Greene"
@@ -508,10 +525,8 @@ def test_failed_grounded_seed_keeps_its_calls_in_the_partial_ledger():
     )
     config = genread_config(max_depth=1)
     built = ScriptBuilder(config).build(plan)
-    from beamqa.prompts import render_answer_prompt
-
     grounded_prompt = render_answer_prompt("who?", [("who?", "generated background text")])
-    rules = [r for r in built.rules if r.exact != grounded_prompt]
+    rules = without_prompt(built.rules, grounded_prompt)
     with pytest.raises(SearchError) as err:
         run_search("who?", config, ScriptedProvider(rules))
     assert isinstance(err.value.__cause__, ScriptError)
@@ -641,11 +656,158 @@ def test_generate_background_run_counts_no_retrievals():
 # --- determinism and reentrancy ------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+# Worker counts below the number of tasks in flight are where a worker that
+# waited on another task would deadlock.
+WORKER_SWEEP = [1, 2, 3, 4, 8]
+
+
+@pytest.mark.parametrize("workers", WORKER_SWEEP)
 def test_default_run_reproduces_the_golden_trace(workers):
     _, result = harpers_result(workers=workers)
     text = "".join(line + "\n" for line in result.trace_lines())
     assert text.encode("utf-8") == (GOLDEN / "harpers_trace.jsonl").read_bytes()
+    assert result.ledger == harpers_result(workers=1)[1].ledger
+
+
+@pytest.mark.parametrize("workers", WORKER_SWEEP[1:])
+@pytest.mark.parametrize("scenario", ["failed_child", "ask_error"])
+def test_failures_repeat_exactly_across_worker_counts(scenario, workers):
+    built, index, config = harpers_script()
+    rules = {"failed_child": failed_child_rules, "ask_error": failed_ask_rules}[scenario](built)
+
+    def search(workers):
+        return run_search(built.question, config, ScriptedProvider(rules), index=index, workers=workers)
+
+    serial, pooled = search(1), search(workers)
+    expanded = [e.payload for e in serial.trace if e.kind == "expanded"]
+    child_errors = [c for p in expanded for c in p["children"] if "error" in c]
+    ask_errors = [p for p in expanded if "ask_error" in p]
+    assert len(child_errors if scenario == "failed_child" else ask_errors) == 1
+    assert pooled.trace_lines() == serial.trace_lines()
+    assert pooled.ledger == serial.ledger
+
+
+class GatedProvider:
+    """Delegates to a scripted provider; the ``gated`` request waits (at most
+    ``timeout`` seconds) until the ``opener`` request has been sent."""
+
+    def __init__(self, inner, gated, opener, timeout=5.0):
+        self.inner = inner
+        self.gated, self.opener = gated, opener
+        self.timeout = timeout
+        self.opened = threading.Event()
+        self.opened_in_time = None
+
+    def complete(self, request):
+        key = (request.tag, request.prompt)
+        if key == self.opener:
+            self.opened.set()
+        if key == self.gated:
+            self.opened_in_time = self.opened.wait(self.timeout)
+        return self.inner.complete(request)
+
+
+def test_a_parents_children_start_while_another_parent_still_asks():
+    built, index, config = harpers_script()
+    plan = harpers_plan()
+    # Parents run in seed order: the direct seed first, then the grounded one.
+    grounded_history = [(built.question, plan.grounded_evidence)]
+    second_ask = ("ask", render_ask_prompt(built.question, grounded_history, config.max_queries))
+    first_child_query = plan.direct.children[0].query
+    hits = retrieve(index, first_child_query, config.retrieval_docs)
+    first_child_request = ("summarize", render_summarize_prompt(built.question, _docs_block(hits)))
+    provider = GatedProvider(ScriptedProvider(built.rules), second_ask, first_child_request)
+    result = run_search(built.question, config, provider, index=index, workers=4)
+    assert provider.opened_in_time is True
+    assert result.trace_lines() == harpers_result(workers=1)[1].trace_lines()
+
+
+class RecordingProvider:
+    """Delegates to a scripted provider and records each request's tag,
+    prompt and thread."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = []
+        self.threads = []
+
+    def complete(self, request):
+        self.requests.append((request.tag, request.prompt))
+        self.threads.append(threading.current_thread())
+        return self.inner.complete(request)
+
+
+def test_one_worker_sends_every_request_inline_in_serial_order():
+    built, index, config = harpers_script()
+    provider = RecordingProvider(ScriptedProvider(built.rules))
+    run_search(built.question, config, provider, index=index, workers=1)
+    assert set(provider.threads) == {threading.current_thread()}
+    seeds = ["answer", "score", "summarize", "answer", "score"]
+    asks = ["ask", "ask"]
+    children = ["summarize", "answer", "score"] * 4
+    assert [tag for tag, _ in provider.requests] == seeds + asks + children
+    # The script builder lists its rules in the serial order, one per request.
+    assert provider.requests == [(rule.tag, rule.exact) for rule in built.rules]
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Swaps the engine's pool for one that records each pool it builds and
+    each thread that runs one of its tasks."""
+    pools, threads = [], set()
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            def run():
+                threads.add(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return super().submit(run)
+
+    monkeypatch.setattr(beamqa.search, "ThreadPoolExecutor", CountingPool)
+    return pools, threads
+
+
+def assert_no_worker_alive(threads):
+    assert threads, "no task ran on a pool thread"
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_a_run_builds_one_pool_and_leaves_no_worker_running(counted_pools):
+    pools, threads = counted_pools
+    harpers_result(workers=1)
+    assert pools == [] and threads == set()
+    harpers_result(workers=4)
+    assert len(pools) == 1
+    assert_no_worker_alive(threads)
+
+
+def test_a_failed_run_leaves_no_worker_running(counted_pools):
+    pools, threads = counted_pools
+    built, index, config = harpers_script()
+    grounded = [(built.question, harpers_plan().grounded_evidence)]
+    rules = without_prompt(built.rules, render_answer_prompt(built.question, grounded))
+    with pytest.raises(SearchError):
+        run_search(built.question, config, ScriptedProvider(rules), index=index, workers=4)
+    assert len(pools) == 1
+    assert_no_worker_alive(threads)
+
+
+def test_public_steps_leave_no_worker_running(counted_pools):
+    pools, threads = counted_pools
+    built, index, config = harpers_script()
+    run = SearchRun(config, ScriptedProvider(built.rules), index=index, workers=4)
+    direct, _ = run.initialize_beam(built.question)
+    assert len(pools) == 1
+    assert_no_worker_alive(threads)
+    threads.clear()
+    assert len(run.expand_state(direct)) == 2
+    assert len(pools) == 2
+    assert_no_worker_alive(threads)
 
 
 def test_worker_counts_produce_byte_identical_traces():
