@@ -176,10 +176,14 @@ def cmd_index(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: corpus file not found: {args.corpus}", file=sys.stderr)
         return 1
-    except (CorpusFormatError, DuplicateDocumentError, ValueError) as err:
+    except (CorpusFormatError, DuplicateDocumentError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    save_index(index, args.out)
+    try:
+        save_index(index, args.out)
+    except OSError as err:
+        print(f"error: cannot write the index: {err}", file=sys.stderr)
+        return 1
     print(f"indexed {len(index)} documents -> {args.out}")
     return 0
 
@@ -226,7 +230,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: dataset file not found: {args.dataset}", file=sys.stderr)
         return 1
-    except DatasetFormatError as err:
+    except (DatasetFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if not examples:

@@ -196,13 +196,26 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
     ``n`` matches returns them all, zero matches returns an empty list. A
     term repeated in the query counts once per occurrence.
 
-    The search is max-score (Turtle & Flood 1995). It reads the posting
-    lists in order of the most each term can add to a score, rarest terms
-    first, and stops once the terms left could not lift a document it has
-    not seen into the top ``n``; the long lists of frequent terms are then
-    never read. The documents that can still make the cut are scored
-    exactly, their weights summed in query token order, so scores are the
-    same to the last bit as those of a sum over every list.
+    The search is max-score (Turtle & Flood 1995), in three steps:
+
+    1. Read. The posting lists are added up in order of the most each term
+       can add to a score, rarest terms first, until the terms left could
+       not lift a document not yet seen into the top ``n``; the long lists
+       of frequent terms are then never read.
+    2. Finish. Each document that can still make the cut has the weights
+       of the unread lists added to its partial score. Each unread list is
+       read whichever way touches fewer entries: one pass over the list
+       that looks the documents up, or a binary search per document.
+    3. Rescore. Only the documents whose finished score reaches the
+       ``n``-th best, less the margin below, are scored exactly, their
+       weights summed in query token order as a sum over every list adds
+       them.
+
+    Partial and finished scores add the same weights in another order, so
+    they differ from the exact score only by rounding. They are used only
+    to prune, below a cutoff lowered by ``_PRUNE_MARGIN``, which rounding
+    cannot cross; every score returned is the exact one, the same to the
+    last bit as that of a full scan.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -221,28 +234,52 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
     # Read the lists from the highest bound down while a document found in
     # none of them so far could still make the top n.
     partial: dict[int, float] = {}
-    get = partial.get
-    floor = rest = 0.0
+    unread = []
     for i, (_, start, end, mult) in enumerate(terms):
         if len(partial) >= n:
             floor = heapq.nlargest(n, partial.values())[-1] * (1 - _PRUNE_MARGIN)
             rest = sum(bound for bound, _, _, _ in terms[i:])
             if rest < floor:
+                unread = terms[i:]
+                # n documents score at least the floor, so one whose partial
+                # score plus the bounds of the unread terms is below it
+                # cannot make the cut.
+                partial = {pos: score for pos, score in partial.items() if score + rest >= floor}
                 break
-        for pos, weight in zip(positions[start:end], weights[start:end]):
-            partial[pos] = get(pos, 0.0) + mult * weight
-    else:
-        rest = 0.0
-        if partial:
-            floor = heapq.nlargest(n, partial.values())[-1] * (1 - _PRUNE_MARGIN)
-    # n documents score at least the floor, so one whose partial score plus
-    # the bounds of the unread terms is below it cannot make the cut. The
-    # rest are scored exactly, in query token order as a full scan adds.
+        span, added = positions[start:end], weights[start:end]
+        if mult > 1:
+            added = [mult * weight for weight in added]
+        # Add the smaller side into the larger: a list longer than the
+        # partial scores becomes the dict, and the scores are folded into it.
+        if len(partial) < len(span):
+            partial, scores = dict(zip(span, added)), partial
+            get = partial.get
+            for pos, score in scores.items():
+                partial[pos] = get(pos, 0.0) + score
+        else:
+            get = partial.get
+            for pos, weight in zip(span, added):
+                partial[pos] = get(pos, 0.0) + weight
+
+    # Finish the survivors on the unread lists.
+    for _, start, end, mult in unread:
+        if _one_pass_touches_fewer(end - start, len(partial)):
+            for pos, weight in zip(positions[start:end], weights[start:end]):
+                if pos in partial:
+                    partial[pos] += mult * weight
+        else:
+            for pos in partial:
+                k = bisect_left(positions, pos, start, end)
+                if k < end and positions[k] == pos:
+                    partial[pos] += mult * weights[k]
+
+    # Prune again at the n-th best finished score; score the rest exactly.
+    if len(partial) > n:
+        floor = heapq.nlargest(n, partial.values())[-1] * (1 - _PRUNE_MARGIN)
+        partial = {pos: score for pos, score in partial.items() if score >= floor}
     docs = index._docs
     matches = []
-    for pos, score in partial.items():
-        if score + rest < floor:
-            continue
+    for pos in partial:
         score = 0.0
         for start, end in query_spans:
             k = bisect_left(positions, pos, start, end)
@@ -254,6 +291,13 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
         matches = [match for match in matches if match[1] >= cutoff]
     matches.sort(key=lambda kv: (-kv[1], docs[kv[0]].doc_id))
     return [(docs[pos], score) for pos, score in matches[:n]]
+
+
+def _one_pass_touches_fewer(length: int, survivors: int) -> bool:
+    """Whether one pass over a posting list of ``length`` entries touches
+    fewer of them than a binary search for each survivor, which touches
+    about log2(``length``) entries."""
+    return length <= survivors * length.bit_length()
 
 
 def _docs_block(hits: Sequence[tuple[Document, float]]) -> str:

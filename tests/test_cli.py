@@ -55,6 +55,24 @@ def test_index_missing_file_fails(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_index_out_into_a_missing_directory_fails(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus_path, fact_corpus(3, {0}))
+    out = tmp_path / "missing" / "i.json"
+    code = main(["index", "--corpus", str(corpus_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the index") and str(out) in err
+
+
+def test_index_corpus_that_is_a_directory_fails(tmp_path, capsys):
+    code = main(["index", "--corpus", str(tmp_path), "--out", str(tmp_path / "i.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert not (tmp_path / "i.json").exists()
+
+
 def test_index_duplicate_id_fails_naming_it(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text(
@@ -393,6 +411,13 @@ def test_eval_empty_dataset_fails(tmp_path, capsys):
     code = main(["eval", "--dataset", str(dataset), "--provider", "scripted", "--script", "x"])
     assert code != 0
     assert "no examples" in capsys.readouterr().err
+
+
+def test_eval_dataset_that_is_a_directory_fails(tmp_path, capsys):
+    code = main(["eval", "--dataset", str(tmp_path), "--provider", "scripted", "--script", "x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_eval_flag_overrides_land_in_manifest(tmp_path):

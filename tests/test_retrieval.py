@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from array import array
+from bisect import bisect_left
 from itertools import compress
 
 import pytest
@@ -16,6 +17,7 @@ from beamqa.retrieval import (
     DuplicateDocumentError,
     Evidence,
     GENERATE_BACKGROUND,
+    _one_pass_touches_fewer,
     gather_evidence,
     index_corpus,
     load_corpus,
@@ -224,6 +226,73 @@ def test_max_score_never_reads_a_list_that_cannot_reach_the_top_n():
     assert [d.doc_id for d, _ in hits] == ["d042", "d099"]
     assert index._positions.read == [index._spans["needle"]]
     assert hits == full_scan_retrieve(index, "common needle", 2)
+
+
+def question_corpus(rng, n_docs=600):
+    """The benchmark question's shape: an entity in one document, then terms
+    in nearly every document, of varied lengths and term counts."""
+    docs = []
+    for i in range(n_docs):
+        words = [f"filler{rng.randrange(40)}" for _ in range(rng.randint(3, 40))]
+        if rng.random() < 0.05:
+            words += ["some"] * rng.randint(1, 2)
+        if rng.random() < 0.9:
+            words += ["near"] * rng.randint(1, 3)
+        if rng.random() < 0.97:
+            words += ["most"] * rng.randint(1, 2)
+        words.append("what")
+        rng.shuffle(words)
+        docs.append(Document(f"doc{i:03d}", "", " ".join(words)))
+    docs[123] = Document("doc123", "", docs[123].body + " entity")
+    for i in range(0, n_docs, 53):  # exact ties, at both ends of the id order
+        docs.append(Document(f"a-copy-of-{i:03d}", "", docs[i].body))
+    return docs
+
+
+# Terms in nearly every document, one repeated, after the entity.
+QUESTIONS = ["what entity near most most", "entity most near what most"]
+
+
+def test_finishing_the_question_shape_equals_full_scan_on_both_paths(monkeypatch):
+    chosen = []
+
+    def spy(length, survivors):
+        chosen.append(_one_pass_touches_fewer(length, survivors))
+        return chosen[-1]
+
+    monkeypatch.setattr("beamqa.retrieval._one_pass_touches_fewer", spy)
+    for seed in (1, 2, 3):
+        index = index_corpus(question_corpus(random.Random(seed)))
+        for query in QUESTIONS + ["what entity some near most most", "most entity most"]:
+            for n in (1, 2, 3, 10):
+                expected = [(d.doc_id, repr(s)) for d, s in full_scan_retrieve(index, query, n)]
+                got = [(d.doc_id, repr(s)) for d, s in retrieve(index, query, n)]
+                assert got == expected, (seed, query, n)
+    # A long list read before the stop leaves many documents to finish, in
+    # one pass; the entity's list alone (n = 1), or with a short one, leaves
+    # few, found by binary search.
+    assert True in chosen and False in chosen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_exact_rescoring_touches_only_the_documents_left_after_the_second_prune(monkeypatch, n):
+    index = index_corpus(question_corpus(random.Random(4)))
+    searched = set()
+
+    def spy(a, x, lo, hi):
+        searched.add(x)
+        return bisect_left(a, x, lo, hi)
+
+    monkeypatch.setattr("beamqa.retrieval.bisect_left", spy)
+    for query in QUESTIONS:
+        searched.clear()
+        hits = retrieve(index, query, n)
+        assert hits == full_scan_retrieve(index, query, n)
+        # The documents within the pruning margin of the n-th best score:
+        # the n returned and any that tie with the last of them.
+        scores = [s for _, s in full_scan_retrieve(index, query, len(index))]
+        contenders = sum(s >= scores[n - 1] * (1 - 1e-9) for s in scores)
+        assert len(searched) <= contenders <= n + 3, query
 
 
 def test_retrieve_rejects_nonpositive_n():
