@@ -1,98 +1,59 @@
-"""Cost counters for retrievals, provider calls, and token usage."""
+"""Cost counters for retrievals, provider calls, and token usage.
+
+A ``CostLedger`` is a plain value with one writer: each evaluated state and
+each ask counts into its own ledger on the thread that runs it, and only the
+run's thread adds them up with ``+``. Nothing locks, so no ledger may be
+written by two threads at once.
+"""
 
 from __future__ import annotations
 
-import threading
-from dataclasses import asdict, dataclass
-from typing import Iterable
+from dataclasses import asdict, dataclass, fields
 
 REPORT_COLUMNS = ("Retrieval Times", "API Times", "Tokens Per API", "Tokens Per Query")
 
 
+@dataclass
 class CostLedger:
-    """Monotone counters for one search, or for an aggregate of several.
+    """Monotone counters for one search, or for a sum of several."""
 
-    All increments are lock-protected so workers may record concurrently.
-    """
+    retrieval_times: int = 0
+    api_times: int = 0
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
 
-    def __init__(
-        self,
-        retrieval_times: int = 0,
-        api_times: int = 0,
-        prompt_tokens: int = 0,
-        completion_tokens: int = 0,
-    ):
-        for name, value in (
-            ("retrieval_times", retrieval_times),
-            ("api_times", api_times),
-            ("prompt_tokens", prompt_tokens),
-            ("completion_tokens", completion_tokens),
-        ):
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        self.retrieval_times = retrieval_times
-        self.api_times = api_times
-        self.prompt_tokens = prompt_tokens
-        self.completion_tokens = completion_tokens
-        self._lock = threading.Lock()
+                raise ValueError(f"{f.name} must be non-negative, got {value}")
+
+    def __add__(self, other: CostLedger) -> CostLedger:
+        if not isinstance(other, CostLedger):
+            return NotImplemented
+        return CostLedger(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
     def record_api_call(self, prompt_tokens: int, completion_tokens: int) -> None:
         """Count one completed provider call and its token usage."""
         if prompt_tokens < 0 or completion_tokens < 0:
             raise ValueError("token counts must be non-negative")
-        with self._lock:
-            self.api_times += 1
-            self.prompt_tokens += prompt_tokens
-            self.completion_tokens += completion_tokens
+        self.api_times += 1
+        self.prompt_tokens += prompt_tokens
+        self.completion_tokens += completion_tokens
 
     def record_retrieval(self) -> None:
         """Count one retrieval round-trip against the index."""
-        with self._lock:
-            self.retrieval_times += 1
-
-    def merge_from(self, other: "CostLedger") -> None:
-        """Add another ledger's counters into this one (sum semantics)."""
-        snap = other.snapshot()
-        with self._lock:
-            self.retrieval_times += snap["retrieval_times"]
-            self.api_times += snap["api_times"]
-            self.prompt_tokens += snap["prompt_tokens"]
-            self.completion_tokens += snap["completion_tokens"]
-
-    @classmethod
-    def combined(cls, ledgers: Iterable["CostLedger"]) -> "CostLedger":
-        total = cls()
-        for ledger in ledgers:
-            total.merge_from(ledger)
-        return total
+        self.retrieval_times += 1
 
     @property
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
 
     def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "retrieval_times": self.retrieval_times,
-                "api_times": self.api_times,
-                "prompt_tokens": self.prompt_tokens,
-                "completion_tokens": self.completion_tokens,
-            }
+        return asdict(self)
 
-    def report(self) -> "CostReport":
+    def report(self) -> CostReport:
         return CostReport.from_ledger(self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CostLedger):
-            return NotImplemented
-        return self.snapshot() == other.snapshot()
-
-    def __repr__(self) -> str:
-        s = self.snapshot()
-        return (
-            f"CostLedger(retrieval_times={s['retrieval_times']}, api_times={s['api_times']}, "
-            f"prompt_tokens={s['prompt_tokens']}, completion_tokens={s['completion_tokens']})"
-        )
 
 
 @dataclass(frozen=True)
@@ -113,12 +74,11 @@ class CostReport:
     def from_ledger(cls, ledger: CostLedger, n_queries: int = 1) -> "CostReport":
         """The row for ``ledger``; with ``n_queries`` > 1, the per-query mean row:
         retrievals and calls are divided and rounded, tokens per call are not."""
-        snap = ledger.snapshot()
-        api = round(snap["api_times"] / n_queries)
-        retrievals = round(snap["retrieval_times"] / n_queries)
-        if snap["api_times"] == 0:
+        api = round(ledger.api_times / n_queries)
+        retrievals = round(ledger.retrieval_times / n_queries)
+        if ledger.api_times == 0:
             return cls(retrievals, api, 0, 0)
-        per_api = round((snap["prompt_tokens"] + snap["completion_tokens"]) / snap["api_times"])
+        per_api = round(ledger.total_tokens / ledger.api_times)
         return cls(retrievals, api, per_api, api * per_api)
 
     def arithmetic(self) -> str:

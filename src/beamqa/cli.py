@@ -163,6 +163,13 @@ def _manifest(args: argparse.Namespace, config: SearchConfig, provider, **extra)
     return manifest
 
 
+def _check_out_dirs(*paths: str | None) -> None:
+    """Reject an output path whose directory does not exist, before any call is paid for."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
+
+
 def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -190,6 +197,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_ask(args: argparse.Namespace) -> int:
     try:
+        _check_out_dirs(args.trace, args.output)
         set_template_dir(args.template_dir)
         config = _config_from_args(args)
         provider = _provider_from_args(args)
@@ -199,28 +207,32 @@ def cmd_ask(args: argparse.Namespace) -> int:
     except (ValueError, OSError, ProviderError, SearchError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if args.trace:
-        Path(args.trace).write_text(
-            "".join(line + "\n" for line in result.trace_lines()), encoding="utf-8"
-        )
     ledger = result.ledger.snapshot()
+    try:
+        if args.trace:
+            Path(args.trace).write_text(
+                "".join(line + "\n" for line in result.trace_lines()), encoding="utf-8"
+            )
+        if args.output:
+            _write_json(
+                args.output,
+                {
+                    "manifest": _manifest(args, config, provider, question=args.question),
+                    "answer": result.final_answer,
+                    "score": result.final_state.score,
+                    "ledger": ledger,
+                    "cost_report": result.ledger.report().as_dict(),
+                },
+            )
+    except OSError as err:
+        print(f"error: cannot write the result: {err}", file=sys.stderr)
+        return 1
     print(f"answer: {result.final_answer}")
     print(f"score: {result.final_state.score}")
     print(
         "cost: retrievals={retrieval_times} api_calls={api_times} "
         "prompt_tokens={prompt_tokens} completion_tokens={completion_tokens}".format(**ledger)
     )
-    if args.output:
-        _write_json(
-            args.output,
-            {
-                "manifest": _manifest(args, config, provider, question=args.question),
-                "answer": result.final_answer,
-                "score": result.final_state.score,
-                "ledger": ledger,
-                "cost_report": result.ledger.report().as_dict(),
-            },
-        )
     return 0
 
 
@@ -237,6 +249,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: dataset {args.dataset} contains no examples", file=sys.stderr)
         return 1
     try:
+        _check_out_dirs(args.output)
         set_template_dir(args.template_dir)
         config = _config_from_args(args)
         provider = _provider_from_args(args)
@@ -278,23 +291,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
             }
         )
     per_question = CostReport.from_ledger(report.cost, report.n_examples)
+    if args.output:
+        try:
+            _write_json(
+                args.output,
+                {
+                    "manifest": _manifest(args, config, provider, dataset_path=args.dataset),
+                    "summary": {
+                        **report.as_dict(),
+                        "cost_report_per_question": per_question.as_dict(),
+                    },
+                    "questions": rows,
+                },
+            )
+        except OSError as err:
+            print(f"error: cannot write the report: {err}", file=sys.stderr)
+            return 1
     print(
         f"n={report.n_examples} em={report.em_mean:.4f} f1={report.f1_mean:.4f} "
         f"hit_rate={report.hit_rate:.4f}"
     )
     print(format_cost_table({"totals": report.cost.report(), "per-question": per_question}))
-    if args.output:
-        _write_json(
-            args.output,
-            {
-                "manifest": _manifest(args, config, provider, dataset_path=args.dataset),
-                "summary": {
-                    **report.as_dict(),
-                    "cost_report_per_question": per_question.as_dict(),
-                },
-                "questions": rows,
-            },
-        )
     return 0
 
 

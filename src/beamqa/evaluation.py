@@ -6,7 +6,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -106,13 +106,7 @@ class EvalReport:
     cost: CostLedger
 
     def as_dict(self) -> dict:
-        return {
-            "n_examples": self.n_examples,
-            "em_mean": self.em_mean,
-            "f1_mean": self.f1_mean,
-            "hit_rate": self.hit_rate,
-            "cost": self.cost.snapshot(),
-        }
+        return asdict(self)
 
 
 def evaluate(results: Sequence["SearchResult"], examples: Sequence[QAExample]) -> EvalReport:
@@ -137,7 +131,7 @@ def evaluate(results: Sequence["SearchResult"], examples: Sequence[QAExample]) -
         em_mean=sum(ems) / n,
         f1_mean=sum(f1s) / n,
         hit_rate=sum(hits) / n,
-        cost=CostLedger.combined(r.ledger for r in results),
+        cost=sum((r.ledger for r in results), CostLedger()),
     )
 
 

@@ -120,11 +120,13 @@ class SearchState:
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
 
-    def history_pairs(self) -> list[tuple[str, str]]:
-        return [(q, e.text) for q, e in zip(self.asked_queries, self.evidences)]
-
 
 Beam = list[SearchState]
+
+
+def _history_pairs(queries: Sequence[str], evidences: Sequence[Evidence]) -> list[tuple[str, str]]:
+    """The (query, evidence text) pairs a prompt renders, in history order."""
+    return [(q, e.text) for q, e in zip(queries, evidences)]
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,7 @@ class SearchRun:
                 )
                 outcome.queries += (query,)
                 outcome.evidences += (evidence,)
-            history = [(q, e.text) for q, e in zip(outcome.queries, outcome.evidences)]
+            history = _history_pairs(outcome.queries, outcome.evidences)
             prompt = render_answer_prompt(question, history)
             answer = self._complete(prompt, TAG_ANSWER, ledger).strip()
             if not answer:
@@ -343,7 +345,7 @@ class SearchRun:
     ) -> SearchState | None:
         """Count an outcome's calls into the run and complete its trace entry;
         a successful outcome becomes a state under the next id."""
-        self.ledger.merge_from(outcome.ledger)
+        self.ledger += outcome.ledger
         entry["retrievals"] = outcome.ledger.retrieval_times
         if outcome.error is not None:
             entry.update(
@@ -414,9 +416,8 @@ class SearchRun:
         """Ask ``parent`` for follow-up queries and submit one child
         evaluation per kept query, without waiting for any of them."""
         outcome = _AskOutcome(parent=parent)
-        prompt = render_ask_prompt(
-            parent.original_query, parent.history_pairs(), self.config.max_queries
-        )
+        history = _history_pairs(parent.asked_queries, parent.evidences)
+        prompt = render_ask_prompt(parent.original_query, history, self.config.max_queries)
         try:
             text = self._complete(prompt, TAG_ASK, outcome.ledger)
         except ProviderError as err:
@@ -457,7 +458,7 @@ class SearchRun:
                 entries.append(entry)
                 if state is not None:
                     scored.append((state, outcome))
-            self.ledger.merge_from(ask.ledger)
+            self.ledger += ask.ledger
             payload = {
                 "parent_id": ask.parent.state_id,
                 "depth": depth,
@@ -488,8 +489,6 @@ class SearchRun:
 
     def run_search(self, question: str) -> SearchResult:
         """Run seeding, depth-bounded expansion, pruning, and final selection."""
-        if not question or not question.strip():
-            raise ValueError("question must be non-empty")
         try:
             beam = self._seed_level(question)
             final_beam = beam

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import beamqa.cli
 from beamqa.cli import build_parser, main
 from beamqa.prompts import set_template_dir
 from beamqa.providers import save_script
@@ -227,6 +228,59 @@ def test_ask_missing_template_dir_fails_before_any_call(
     assert captured.out == ""
 
 
+@pytest.fixture()
+def no_search(monkeypatch):
+    """Fail the test if the CLI starts a search, and so pays for a call."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a search started")
+
+    monkeypatch.setattr(beamqa.cli, "SearchRun", refuse)
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--output"])
+def test_ask_into_a_missing_directory_fails_before_any_call(
+    harpers_cli, tmp_path, capsys, no_search, flag
+):
+    built, index_path, script_path = harpers_cli
+    target = tmp_path / "missing" / "out"
+    code = main(
+        [
+            "ask", built.question,
+            "--provider", "scripted", "--script", str(script_path),
+            "--index", str(index_path),
+            flag, str(target),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--output"])
+def test_ask_write_that_fails_after_the_run_is_an_error(harpers_cli, tmp_path, capsys, flag):
+    built, index_path, script_path = harpers_cli
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    code = main(
+        [
+            "ask", built.question,
+            "--provider", "scripted", "--script", str(script_path),
+            "--index", str(index_path),
+            flag, str(target),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: cannot write the result")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(target.iterdir()) == []
+
+
 def test_ask_without_index_in_retrieval_mode_fails(harpers_cli, capsys):
     built, _, script_path = harpers_cli
     code = main(
@@ -384,6 +438,33 @@ def test_eval_missing_template_dir_fails_before_any_call(
     assert captured.err.startswith("error: template directory not found")
     assert "Traceback" not in captured.err
     assert not output.exists()
+
+
+def test_eval_output_into_a_missing_directory_fails_before_any_call(tmp_path, capsys, no_search):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    capsys.readouterr()
+    output = tmp_path / "missing" / "report.json"
+    code = main(eval_args(index_path, script_path, dataset_path, output))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: cannot write {output}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not output.parent.exists()
+
+
+def test_eval_output_that_cannot_be_written_is_an_error(tmp_path, capsys):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    capsys.readouterr()
+    output = tmp_path / "a-directory"
+    output.mkdir()
+    code = main(eval_args(index_path, script_path, dataset_path, output))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: cannot write the report")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(output.iterdir()) == []
 
 
 def test_eval_template_dir_falls_back_to_embedded_templates(
