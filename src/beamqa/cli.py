@@ -101,7 +101,10 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--api-key", help="bearer token (or BEAMQA_API_KEY)")
     parser.add_argument("--model", help="model name (or BEAMQA_MODEL; default gpt-3.5-turbo)")
     parser.add_argument("--timeout", type=float, help="HTTP timeout s (or BEAMQA_TIMEOUT; default 30)")
-    parser.add_argument("--retries", type=_int_at_least(0), default=3, help="HTTP transport retries")
+    parser.add_argument(
+        "--retries", type=_int_at_least(0), default=3,
+        help="retries of a transiently failed request (default %(default)s)",
+    )
     parser.add_argument("--index", help="lexical index file (required for retrieve_summarize)")
     parser.add_argument("--template-dir", help="directory overriding the embedded prompt templates")
     parser.add_argument(
@@ -132,7 +135,6 @@ def _provider_from_args(args: argparse.Namespace):
         api_key=args.api_key,
         model=args.model,
         timeout=args.timeout,
-        max_retries=args.retries,
     )
 
 
@@ -202,7 +204,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
         config = _config_from_args(args)
         provider = _provider_from_args(args)
         index = _index_from_args(args, config)
-        run = SearchRun(config, provider, index=index, workers=args.workers)
+        run = SearchRun(config, provider, index=index, workers=args.workers, retries=args.retries)
         result = run.run_search(args.question)
     except (ValueError, OSError, ProviderError, SearchError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -259,7 +261,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 1
 
     def run_one(example: QAExample):
-        return SearchRun(config, provider, index=index).run_search(example.question)
+        return SearchRun(config, provider, index=index, retries=args.retries).run_search(
+            example.question
+        )
 
     try:
         if args.workers == 1:

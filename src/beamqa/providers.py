@@ -7,10 +7,9 @@ import json
 import math
 import os
 import threading
-import time
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,6 +23,9 @@ TAG_GENREAD = "genread"
 TAG_SCORE = "score"
 REQUEST_TAGS = (TAG_ANSWER, TAG_ASK, TAG_SUMMARIZE, TAG_GENREAD, TAG_SCORE)
 
+# Completion length cap of every HTTP request; requests are sent at temperature 0.
+MAX_OUTPUT_TOKENS = 256
+
 
 class ProviderError(Exception):
     """A completion could not be produced."""
@@ -32,7 +34,7 @@ class ProviderError(Exception):
 
 
 class TransportError(ProviderError):
-    """Transient transport failure (connection, timeout, 429/5xx) after retries."""
+    """Transient transport failure (connection, timeout, 429/5xx); worth retrying."""
 
     retryable = True
 
@@ -52,18 +54,12 @@ def estimate_tokens(text: str) -> int:
 class CompletionRequest:
     prompt: str
     tag: str
-    temperature: float = 0.0
-    max_output_tokens: int = 256
 
     def __post_init__(self):
         if not self.prompt or not self.prompt.strip():
             raise ValueError("prompt must be non-empty")
         if self.tag not in REQUEST_TAGS:
             raise ValueError(f"unknown request tag {self.tag!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,30 +128,15 @@ class ScriptRule:
         return True
 
     def as_dict(self) -> dict:
-        out: dict = {"response": self.response}
-        if self.tag is not None:
-            out["tag"] = self.tag
-        if self.exact is not None:
-            out["exact"] = self.exact
-        if self.contains is not None:
+        """The set fields: unset (``None``) ones and ``repeat=False`` are left out."""
+        out = {k: v for k, v in asdict(self).items() if v is not None and v is not False}
+        if "contains" in out:
             out["contains"] = list(self.contains)
-        if self.ordinal is not None:
-            out["ordinal"] = self.ordinal
-        if self.repeat:
-            out["repeat"] = True
-        if self.prompt_tokens is not None:
-            out["prompt_tokens"] = self.prompt_tokens
-        if self.completion_tokens is not None:
-            out["completion_tokens"] = self.completion_tokens
         return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScriptRule":
-        known = {
-            "response", "tag", "exact", "contains", "ordinal", "repeat",
-            "prompt_tokens", "completion_tokens",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown script rule fields: {sorted(unknown)}")
         if "response" not in raw:
@@ -230,17 +211,16 @@ class HttpChatProvider(CompletionProvider):
 
     Fields left unset fall back to the BEAMQA_ENDPOINT / BEAMQA_API_KEY /
     BEAMQA_MODEL / BEAMQA_TIMEOUT environment variables, then to the
-    defaults; an explicit value always wins. Transient transport failures
-    (connection errors, timeouts, 429 and 5xx statuses) are retried with
-    exponential backoff; other HTTP errors fail immediately.
+    defaults; an explicit value always wins. Each call is one POST: a
+    connection error, a timeout, a 429 or a 5xx status raises the retryable
+    ``TransportError``, any other failure a plain ``ProviderError``. Retrying
+    is the caller's decision (``SearchRun(retries=...)``).
     """
 
     endpoint: str | None = None
     api_key: str | None = None
     model: str | None = None
     timeout: float | None = None
-    max_retries: int = 3
-    backoff_base: float = 0.5
     session: requests.Session | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -248,14 +228,17 @@ class HttpChatProvider(CompletionProvider):
         self.api_key = self.api_key or os.environ.get("BEAMQA_API_KEY")
         if self.model is None:
             self.model = os.environ.get("BEAMQA_MODEL") or "gpt-3.5-turbo"
+        source = "timeout"
         if self.timeout is None:
-            raw = os.environ.get("BEAMQA_TIMEOUT") or "30"
+            source, raw = "BEAMQA_TIMEOUT", os.environ.get("BEAMQA_TIMEOUT") or "30"
             try:
                 self.timeout = float(raw)
             except ValueError:
-                raise ValueError(f"BEAMQA_TIMEOUT must be a number of seconds, got {raw!r}") from None
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+                raise ValueError(f"{source} must be a number of seconds, got {raw!r}") from None
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(
+                f"{source} must be a finite number of seconds above 0, got {self.timeout!r}"
+            )
         if not self.endpoint:
             raise ValueError("no endpoint configured (flag, constructor, or BEAMQA_ENDPOINT)")
         if self.session is None:
@@ -271,27 +254,20 @@ class HttpChatProvider(CompletionProvider):
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "temperature": 0.0,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
-        last_error = "no attempt made"
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
-            try:
-                resp = self.session.post(
-                    self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
-                )
-            except (requests.ConnectionError, requests.Timeout) as err:
-                last_error = f"transport failure: {err}"
-                continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
-                continue
-            if resp.status_code != 200:
-                raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            return self._parse(request, resp)
-        raise TransportError(f"gave up after {self.max_retries + 1} attempts ({last_error})")
+        try:
+            resp = self.session.post(
+                self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
+            )
+        except (requests.ConnectionError, requests.Timeout) as err:
+            raise TransportError(f"transport failure: {err}") from err
+        if resp.status_code == 429 or resp.status_code >= 500:
+            raise TransportError(f"HTTP {resp.status_code}")
+        if resp.status_code != 200:
+            raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        return self._parse(request, resp)
 
     def _parse(self, request: CompletionRequest, resp: requests.Response) -> CompletionResponse:
         try:
@@ -301,11 +277,13 @@ class HttpChatProvider(CompletionProvider):
             raise ProviderError(f"malformed completion payload: {err}") from err
         if not isinstance(text, str):
             raise ProviderError(f"malformed completion payload: content is {text!r}, not text")
-        usage = payload.get("usage") or {}
-        pt = usage.get("prompt_tokens")
-        ct = usage.get("completion_tokens")
-        if isinstance(pt, int) and isinstance(ct, int):
-            return CompletionResponse(text, pt, ct, usage_reported=True)
+        # Usage counts only when both are non-negative ints (not bools); any
+        # other shape is treated as unreported and estimated instead.
+        usage = payload.get("usage")
+        if isinstance(usage, dict):
+            pt, ct = usage.get("prompt_tokens"), usage.get("completion_tokens")
+            if type(pt) is int and type(ct) is int and pt >= 0 and ct >= 0:
+                return CompletionResponse(text, pt, ct, usage_reported=True)
         return CompletionResponse(
             text,
             estimate_tokens(request.prompt),

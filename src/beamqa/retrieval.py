@@ -17,11 +17,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .accounting import CostLedger
 from .prompts import render_genread_prompt, render_summarize_prompt
-from .providers import CompletionProvider, CompletionRequest, TAG_GENREAD, TAG_SUMMARIZE
+from .providers import TAG_GENREAD, TAG_SUMMARIZE
 
 if TYPE_CHECKING:
     from .search import SearchConfig
@@ -311,11 +311,14 @@ def gather_evidence(
     original_question: str,
     query: str,
     config: "SearchConfig",
-    provider: CompletionProvider,
+    complete: Callable[[str, str], str],
     index: LexicalIndex | None,
     ledger: CostLedger,
 ) -> Evidence:
     """Produce one Evidence for ``query``, per the configured mode.
+
+    ``complete(prompt, tag)`` sends a request and returns its text, and is
+    expected to count the call; ``ledger`` counts the retrieval.
 
     retrieve_summarize: one retrieval for ``query``, then a single
     summarization call over the concatenated top-N documents (framed by the
@@ -324,21 +327,17 @@ def gather_evidence(
     question, no retrieval.
     """
     if config.evidence_mode == GENERATE_BACKGROUND:
-        prompt = render_genread_prompt(original_question)
-        resp = provider.complete(CompletionRequest(prompt=prompt, tag=TAG_GENREAD))
-        ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
-        return Evidence(resp.text.strip(), query, PROVENANCE_GENERATED)
+        text = complete(render_genread_prompt(original_question), TAG_GENREAD)
+        return Evidence(text.strip(), query, PROVENANCE_GENERATED)
     if index is None:
         raise ValueError("retrieve_summarize mode needs an index")
     hits = retrieve(index, query, config.retrieval_docs)
     ledger.record_retrieval()
     if not hits:
         return Evidence("", query, PROVENANCE_RETRIEVED)
-    prompt = render_summarize_prompt(original_question, _docs_block(hits))
-    resp = provider.complete(CompletionRequest(prompt=prompt, tag=TAG_SUMMARIZE))
-    ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
+    text = complete(render_summarize_prompt(original_question, _docs_block(hits)), TAG_SUMMARIZE)
     return Evidence(
-        resp.text.strip(),
+        text.strip(),
         query,
         PROVENANCE_RETRIEVED,
         doc_ids=tuple(doc.doc_id for doc, _ in hits),

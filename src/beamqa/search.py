@@ -19,13 +19,19 @@ thread when its result is read, which is the seeds, then the level's asks in
 parent order, then its children in (parent order, query order). Ids and
 trace events are assigned after collection in that same order, so the trace
 never depends on completion order.
+
+Every provider call, evidence calls included, goes through one function,
+``SearchRun._complete``: it sends the request, retries a retryable failure
+in the same thread, and counts the call. That is the only retry layer.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .accounting import CostLedger
@@ -40,7 +46,6 @@ from .prompts import (
 from .providers import (
     CompletionProvider,
     CompletionRequest,
-    CompletionResponse,
     ProviderError,
     TAG_ANSWER,
     TAG_ASK,
@@ -59,6 +64,9 @@ TRACE_KINDS = ("seeded", "expanded", "scored", "pruned", "early_exit", "finished
 EXIT_EARLY = "early_exit"
 EXIT_MAX_DEPTH = "max_depth"
 EXIT_NO_CANDIDATES = "no_candidates"
+
+# Seconds before a request's second retry; see SearchRun._complete.
+RETRY_BACKOFF_S = 0.5
 
 
 class SearchError(Exception):
@@ -227,29 +235,13 @@ class _Outcome:
     api_before_score: int = 0
 
 
-class _RetryOnce(CompletionProvider):
-    """Sends a request once more, at once and in the same thread, when it
-    fails retryably; scripted mismatches are deterministic and fail straight
-    through. Every engine request, evidence calls included, goes through it."""
-
-    def __init__(self, inner: CompletionProvider):
-        self.inner = inner
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        try:
-            return self.inner.complete(request)
-        except ProviderError as err:
-            if not err.retryable:
-                raise
-            return self.inner.complete(request)
-
-
 class SearchRun:
     """Executes one search: holds the trace, the ledger, and the id counter.
 
     A run is single-use (one question); the provider and index it borrows may
     be shared across concurrent runs as long as they tolerate concurrent
-    calls, which the bundled ones do.
+    calls, which the bundled ones do. ``retries`` is how many times one
+    request is sent again after a retryable ``ProviderError``.
     """
 
     def __init__(
@@ -258,15 +250,19 @@ class SearchRun:
         provider: CompletionProvider,
         index: LexicalIndex | None = None,
         workers: int = 1,
+        retries: int = 1,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         if config.evidence_mode == RETRIEVE_SUMMARIZE and index is None:
             raise ValueError("retrieve_summarize mode needs an index")
         self.config = config
-        self.provider = _RetryOnce(provider)
+        self.provider = provider
         self.index = index
         self.workers = workers
+        self.retries = retries
         self.trace: list[TraceEvent] = []
         self.ledger = CostLedger()
         self._next_id = 0
@@ -275,9 +271,23 @@ class SearchRun:
     # -- provider plumbing ---------------------------------------------------
 
     def _complete(self, prompt: str, tag: str, ledger: CostLedger) -> str:
-        resp = self.provider.complete(CompletionRequest(prompt=prompt, tag=tag))
-        ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
-        return resp.text
+        """Send one request and count it into ``ledger``. A retryable failure
+        is sent again in the same thread, up to ``retries`` times: the first
+        retry at once, retry k >= 2 after ``RETRY_BACKOFF_S * 2 ** (k - 2)``
+        seconds. Any other failure, such as a scripted mismatch, is raised
+        at once."""
+        request = CompletionRequest(prompt=prompt, tag=tag)
+        for retry in range(self.retries + 1):
+            if retry > 1:
+                time.sleep(RETRY_BACKOFF_S * 2 ** (retry - 2))
+            try:
+                resp = self.provider.complete(request)
+            except ProviderError as err:
+                if err.retryable and retry < self.retries:
+                    continue
+                raise
+            ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
+            return resp.text
 
     def _submit(self, fn: Callable, *args) -> Future | _Deferred:
         """Start ``fn(*args)`` on the run's pool, built on first use; with one
@@ -316,9 +326,8 @@ class SearchRun:
         ledger = outcome.ledger
         try:
             if query is not None:
-                evidence = gather_evidence(
-                    question, query, self.config, self.provider, self.index, ledger
-                )
+                complete = partial(self._complete, ledger=ledger)
+                evidence = gather_evidence(question, query, self.config, complete, self.index, ledger)
                 outcome.queries += (query,)
                 outcome.evidences += (evidence,)
             history = _history_pairs(outcome.queries, outcome.evidences)

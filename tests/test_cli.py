@@ -6,7 +6,7 @@ import beamqa.cli
 from beamqa.cli import build_parser, main
 from beamqa.prompts import set_template_dir
 from beamqa.providers import save_script
-from beamqa.search import SearchConfig
+from beamqa.search import SearchConfig, SearchRun
 
 from support import (
     HARPERS_CORPUS,
@@ -147,6 +147,33 @@ def test_negative_retries_is_a_flag_error(capsys):
     assert "--retries" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def searched_retries(monkeypatch):
+    """The ``retries`` of every SearchRun the CLI builds; the runs go ahead."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("retries"))
+        return SearchRun(*args, **kwargs)
+
+    monkeypatch.setattr(beamqa.cli, "SearchRun", recording)
+    return seen
+
+
+def test_ask_retries_reach_the_engine(harpers_cli, capsys, searched_retries):
+    built, index_path, script_path = harpers_cli
+    args = ["ask", built.question, "--provider", "scripted", "--script", str(script_path)]
+    assert main(args + ["--index", str(index_path), "--retries", "4"]) == 0
+    assert searched_retries == [4]
+
+
+def test_eval_retries_reach_the_engine(tmp_path, capsys, searched_retries):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    output = tmp_path / "report.json"
+    assert main(eval_args(index_path, script_path, dataset_path, output) + ["--retries", "4"]) == 0
+    assert searched_retries == [4] * 4
+
+
 class ConstantSession:
     """Stands in for requests.Session: every completion is "0.9"."""
 
@@ -190,6 +217,31 @@ def test_ask_manifest_records_the_endpoint_from_the_environment(tmp_path, monkey
     assert main(args) == 0
     manifest = json.loads(output.read_text(encoding="utf-8"))["manifest"]
     assert manifest["provider"]["endpoint"] == "http://svc.test/v1/chat/completions"
+
+
+@pytest.mark.parametrize(
+    "flags, env, source",
+    [
+        (["--timeout", "inf"], None, "timeout"),
+        (["--timeout", "0"], None, "timeout"),
+        (["--timeout", "nan"], None, "timeout"),
+        ([], "nan", "BEAMQA_TIMEOUT"),
+    ],
+)
+def test_bad_timeout_fails_before_any_post(monkeypatch, capsys, flags, env, source):
+    session = ConstantSession()
+    monkeypatch.setattr("beamqa.providers.requests.Session", lambda: session)
+    monkeypatch.setenv("BEAMQA_ENDPOINT", "http://svc.test/v1/chat/completions")
+    if env is None:
+        monkeypatch.delenv("BEAMQA_TIMEOUT", raising=False)
+    else:
+        monkeypatch.setenv("BEAMQA_TIMEOUT", env)
+    code = main(["ask", "who?", "--evidence-mode", "generate_background"] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {source} must be a finite number of seconds above 0")
+    assert "Traceback" not in captured.err
+    assert (captured.out, session.models) == ("", [])
 
 
 def test_non_numeric_timeout_env_names_the_variable(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import json
 import threading
+from collections import Counter
 
 import pytest
 import requests
@@ -17,6 +18,7 @@ from beamqa.providers import (
     load_script,
     save_script,
 )
+from beamqa.search import SearchConfig, SearchError, run_search
 
 
 def req(prompt="hello there", tag="answer"):
@@ -174,6 +176,22 @@ def test_script_file_round_trip(tmp_path):
     assert provider.complete(req(tag="score")).text == "0.8"
 
 
+def test_rule_dict_round_trips_every_field():
+    rules = [
+        ScriptRule(response="", tag="answer"),
+        ScriptRule(response="a", tag="score", ordinal=2, repeat=True),
+        ScriptRule(response="b", exact="full", contains=("x", "y"), prompt_tokens=0, completion_tokens=0),
+    ]
+    assert [ScriptRule.from_dict(r.as_dict()) for r in rules] == rules
+    assert rules[0].as_dict() == {"response": "", "tag": "answer"}
+    assert rules[2].as_dict()["contains"] == ["x", "y"]
+
+
+def test_rule_dict_with_an_unknown_field_is_rejected():
+    with pytest.raises(ValueError, match="unknown script rule fields"):
+        ScriptRule.from_dict({"response": "a", "temperature": 0.0})
+
+
 def test_script_file_rejects_bad_shape(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([1, 2]), encoding="utf-8")
@@ -221,7 +239,6 @@ def http_provider(outcomes, **kwargs):
     provider = HttpChatProvider(
         endpoint="http://svc.test/v1/chat/completions",
         api_key="sk-test",
-        backoff_base=0.0,
         session=session,
         **kwargs,
     )
@@ -239,7 +256,7 @@ def test_http_success_with_usage():
     body = session.calls[0]["json"]
     assert body["messages"] == [{"role": "user", "content": "say hi"}]
     assert body["model"] == "gpt-3.5-turbo"
-    assert body["temperature"] == 0.0
+    assert (body["temperature"], body["max_tokens"]) == (0.0, 256)
     assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
 
 
@@ -249,27 +266,38 @@ def test_http_missing_usage_falls_back_to_estimate():
     assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_reported) == (2, 10, False)
 
 
-def test_http_retries_5xx_then_succeeds():
-    provider, session = http_provider(
-        [FakeResponse(status_code=500), FakeResponse(payload=chat_payload("ok"))]
-    )
-    assert provider.complete(req()).text == "ok"
-    assert len(session.calls) == 2
+@pytest.mark.parametrize(
+    "usage",
+    [
+        ["x"],
+        "n/a",
+        {"prompt_tokens": -1, "completion_tokens": 3},
+        {"prompt_tokens": True, "completion_tokens": 3},
+    ],
+    ids=["list", "string", "negative", "bool"],
+)
+def test_http_malformed_usage_falls_back_to_estimate(usage):
+    provider, _ = http_provider([FakeResponse(payload=chat_payload("x" * 40, usage))])
+    resp = provider.complete(req(prompt="p" * 8))
+    assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_reported) == (2, 10, False)
 
 
-def test_http_retries_connection_errors():
-    provider, session = http_provider(
-        [requests.ConnectionError("boom"), FakeResponse(payload=chat_payload("ok"))]
-    )
-    assert provider.complete(req()).text == "ok"
-    assert len(session.calls) == 2
-
-
-def test_http_transport_exhaustion_raises():
-    provider, session = http_provider([FakeResponse(status_code=503)] * 3, max_retries=2)
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        FakeResponse(status_code=500),
+        FakeResponse(status_code=503),
+        FakeResponse(status_code=429),
+        requests.ConnectionError("boom"),
+        requests.Timeout("slow"),
+    ],
+    ids=["500", "503", "429", "connection", "timeout"],
+)
+def test_http_transient_failure_is_one_post_raising_transport_error(outcome):
+    provider, session = http_provider([outcome, FakeResponse(payload=chat_payload("ok"))])
     with pytest.raises(TransportError):
         provider.complete(req())
-    assert len(session.calls) == 3
+    assert len(session.calls) == 1
 
 
 def test_http_client_error_fails_fast():
@@ -326,9 +354,48 @@ def test_http_defaults_without_environment(monkeypatch):
     assert (provider.model, provider.timeout) == ("gpt-3.5-turbo", 30.0)
 
 
-def test_http_negative_retries_rejected():
-    with pytest.raises(ValueError, match="max_retries"):
-        http_provider([], max_retries=-1)
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_http_timeout_must_be_finite_and_positive(monkeypatch, timeout):
+    monkeypatch.setenv("BEAMQA_TIMEOUT", "30")
+    with pytest.raises(ValueError, match="^timeout must be a finite number of seconds above 0"):
+        http_provider([], timeout=timeout)
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf"])
+def test_http_timeout_from_the_environment_must_be_finite_and_positive(monkeypatch, raw):
+    monkeypatch.setenv("BEAMQA_TIMEOUT", raw)
+    with pytest.raises(ValueError, match="^BEAMQA_TIMEOUT must be a finite number of seconds"):
+        http_provider([])
+
+
+# --- HTTP provider inside a search: the engine is the one retry layer ---------
+
+
+def genread_search(provider):
+    config = SearchConfig(evidence_mode="generate_background", max_depth=1, max_queries=1)
+    return run_search("who?", config, provider)
+
+
+def test_search_resends_a_5xx_once_and_counts_one_call(monkeypatch):
+    # Every completion is "0.9": two seeds (2 + 3 calls) and two asks that
+    # yield no query, so 7 calls; the first POST fails and is sent again.
+    monkeypatch.setattr("time.sleep", lambda s: pytest.fail("the first retry must not wait"))
+    ok = FakeResponse(payload=chat_payload("0.9"))
+    provider, session = http_provider([FakeResponse(status_code=500)] + [ok] * 7)
+    result = genread_search(provider)
+    assert result.final_answer == "0.9"
+    assert result.ledger.api_times == 7
+    assert (len(session.calls), session.outcomes) == (8, [])
+
+
+def test_default_search_posts_each_failing_request_twice(monkeypatch):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    provider, session = http_provider([FakeResponse(status_code=503)] * 32)
+    with pytest.raises(SearchError, match="HTTP 503"):
+        genread_search(provider)
+    # Both seeds send their first request, and nothing else is sent.
+    posts = Counter(call["json"]["messages"][0]["content"] for call in session.calls)
+    assert list(posts.values()) == [2, 2]
 
 
 def test_script_rule_response_must_be_text():

@@ -5,6 +5,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
+from functools import partial
 from itertools import compress
 
 import pytest
@@ -26,7 +27,7 @@ from beamqa.retrieval import (
     save_index,
     tokenize,
 )
-from beamqa.search import SearchConfig
+from beamqa.search import SearchConfig, SearchRun
 
 from support import naive_bm25
 
@@ -303,11 +304,17 @@ def test_retrieve_rejects_nonpositive_n():
 # --- evidence gathering ----------------------------------------------------
 
 
+def engine_complete(config, provider, index, ledger):
+    """The engine's own send-and-count function, counting into ``ledger``."""
+    return partial(SearchRun(config, provider, index=index)._complete, ledger=ledger)
+
+
 def test_generate_background_mode_costs_one_call_no_retrieval():
     provider = ScriptedProvider([ScriptRule(response="Generated background.", tag="genread")])
     ledger = CostLedger()
     config = SearchConfig(evidence_mode=GENERATE_BACKGROUND)
-    evidence = gather_evidence("who?", "who exactly?", config, provider, None, ledger)
+    complete = engine_complete(config, provider, None, ledger)
+    evidence = gather_evidence("who?", "who exactly?", config, complete, None, ledger)
     assert evidence.provenance == "generated"
     assert evidence.doc_ids == ()
     assert evidence.text == "Generated background."
@@ -320,7 +327,8 @@ def test_retrieve_summarize_mode_costs_one_call_one_retrieval():
     provider = ScriptedProvider([ScriptRule(response="Cats sat on mats.", tag="summarize")])
     ledger = CostLedger()
     config = SearchConfig(retrieval_docs=2)
-    evidence = gather_evidence("who sat?", "cat mat", config, provider, index, ledger)
+    complete = engine_complete(config, provider, index, ledger)
+    evidence = gather_evidence("who sat?", "cat mat", config, complete, index, ledger)
     assert evidence.provenance == "retrieved"
     assert evidence.text == "Cats sat on mats."
     assert 1 <= len(evidence.doc_ids) <= 2
@@ -332,7 +340,8 @@ def test_zero_hit_retrieval_yields_empty_evidence_without_call():
     index = index_corpus(docs3())
     provider = ScriptedProvider([])  # any call would raise
     ledger = CostLedger()
-    evidence = gather_evidence("who?", "zebra xylophone", SearchConfig(), provider, index, ledger)
+    complete = engine_complete(SearchConfig(), provider, index, ledger)
+    evidence = gather_evidence("who?", "zebra xylophone", SearchConfig(), complete, index, ledger)
     assert evidence.text == ""
     assert evidence.doc_ids == ()
     assert (ledger.api_times, ledger.retrieval_times) == (0, 1)

@@ -7,7 +7,14 @@ import pytest
 
 import beamqa.search
 from beamqa.prompts import render_answer_prompt, render_ask_prompt, render_summarize_prompt
-from beamqa.providers import CompletionResponse, ScriptError, ScriptRule, ScriptedProvider
+from beamqa.providers import (
+    CompletionResponse,
+    ProviderError,
+    ScriptError,
+    ScriptRule,
+    ScriptedProvider,
+    TransportError,
+)
 from beamqa.retrieval import GENERATE_BACKGROUND, _docs_block, index_corpus, retrieve
 from beamqa.search import (
     SearchConfig,
@@ -421,22 +428,21 @@ def test_failed_child_is_skipped_and_recorded():
 
 
 class FlakyOnce:
-    """Delegates to a scripted provider, failing the first call (of ``tag``,
-    if one is given) transiently."""
+    """Delegates to a scripted provider, failing the first ``failures`` calls
+    (of ``tag``, if one is given) with ``error``, a transient one by default."""
 
-    def __init__(self, inner, tag=None):
+    def __init__(self, inner, tag=None, failures=1, error=TransportError):
         self.inner = inner
         self.tag = tag
-        self.failures_left = 1
+        self.failures_left = failures
+        self.error = error
         self.attempts = 0
 
     def complete(self, request):
         self.attempts += 1
         if self.failures_left and self.tag in (None, request.tag):
             self.failures_left -= 1
-            from beamqa.providers import TransportError
-
-            raise TransportError("transient blip")
+            raise self.error("transient blip")
         return self.inner.complete(request)
 
 
@@ -456,6 +462,45 @@ def test_failed_summarize_retries_the_request_not_the_retrieval():
     assert result.final_answer == "Colonel Robert E. Lee"
     assert provider.attempts == 20
     assert (result.ledger.api_times, result.ledger.retrieval_times) == (19, 5)
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The waits the engine asks for, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr(beamqa.search.time, "sleep", waits.append)
+    return waits
+
+
+def test_retries_back_off_from_the_second_retry_on(sleeps):
+    built, index, config = harpers_script()
+    provider = FlakyOnce(ScriptedProvider(built.rules), failures=3)
+    result = SearchRun(config, provider, index=index, retries=3).run_search(built.question)
+    assert result.final_answer == "Colonel Robert E. Lee"
+    # The first request succeeds on its fourth attempt and is counted once.
+    assert provider.attempts == 19 + 3
+    assert result.ledger.api_times == 19
+    assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "error, retries",
+    [(TransportError, 0), (ProviderError, 0), (ProviderError, 1), (ProviderError, 3)],
+    ids=["transient-0", "non-retryable-0", "non-retryable-1", "non-retryable-3"],
+)
+def test_a_request_that_may_not_be_retried_is_sent_once(sleeps, error, retries):
+    built, provider = build_genread(harpers_plan(), genread_config())
+    provider = FlakyOnce(provider, tag="genread", error=error)
+    with pytest.raises(SearchError, match="blip"):
+        SearchRun(genread_config(), provider, retries=retries).run_search(built.question)
+    # The direct seed's two calls, and the grounded seed's one failed genread.
+    assert provider.attempts == 3
+    assert sleeps == []
+
+
+def test_negative_retries_rejected():
+    with pytest.raises(ValueError, match="retries"):
+        SearchRun(genread_config(), ScriptedProvider([]), retries=-1)
 
 
 class ConstantProvider:
