@@ -62,7 +62,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_search_flags(parser: argparse.ArgumentParser) -> None:
+def _add_search_flags(parser: argparse.ArgumentParser, workers_help: str) -> None:
     defaults = SearchConfig()
     parser.add_argument(
         "-S", "--threshold", type=_unit_interval, default=defaults.score_threshold,
@@ -89,10 +89,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         help="how evidence is produced (default %(default)s)",
     )
     parser.add_argument(
-        "--no-dedupe", action="store_true",
-        help="keep generated queries already present in a state's history",
-    )
-    parser.add_argument(
         "--provider", choices=("scripted", "http"), default="http",
         help="completion provider (default %(default)s)",
     )
@@ -109,7 +105,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--template-dir", help="directory overriding the embedded prompt templates")
     parser.add_argument(
         "--workers", type=_int_at_least(1), default=1,
-        help="concurrency degree (default %(default)s)",
+        help=f"{workers_help} (default %(default)s)",
     )
 
 
@@ -121,7 +117,6 @@ def _config_from_args(args: argparse.Namespace) -> SearchConfig:
         retrieval_docs=args.retrieval_docs,
         score_threshold=args.threshold,
         evidence_mode=args.evidence_mode,
-        dedupe_queries=not args.no_dedupe,
     )
 
 
@@ -333,14 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ask = sub.add_parser("ask", help="answer a single question")
     p_ask.add_argument("question")
-    _add_search_flags(p_ask)
+    _add_search_flags(
+        p_ask, "size of the search's thread pool; 1 sends every call serially, with no pool"
+    )
     p_ask.add_argument("--trace", help="write the search trace (one JSON event per line)")
     p_ask.add_argument("--output", help="write a JSON result with the run manifest")
     p_ask.set_defaults(func=cmd_ask)
 
     p_eval = sub.add_parser("eval", help="run a dataset and report EM/F1/hit rate/cost")
     p_eval.add_argument("--dataset", required=True, help="line-delimited {question,answers} file")
-    _add_search_flags(p_eval)
+    _add_search_flags(
+        p_eval, "questions run at once; each question's search sends its calls serially"
+    )
     p_eval.add_argument("--output", help="write the JSON report")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -90,8 +90,8 @@ class ScriptRule:
     with that tag, ``exact`` requires the full prompt, ``contains`` requires
     every listed substring, ``ordinal`` requires the request to be the n-th
     (1-based) carrying the rule's tag. Rules are consumed on first use unless
-    ``repeat`` is set. Explicit token counts mark the response as
-    service-reported usage; otherwise usage falls back to the character
+    ``repeat`` is set. Explicit token counts, ints >= 0, mark the response
+    as service-reported usage; otherwise usage falls back to the character
     estimate.
     """
 
@@ -115,6 +115,10 @@ class ScriptRule:
             raise ValueError("ordinal rules need a tag to count against")
         if self.tag is not None and self.tag not in REQUEST_TAGS:
             raise ValueError(f"unknown rule tag {self.tag!r}")
+        for name in ("prompt_tokens", "completion_tokens"):
+            count = getattr(self, name)
+            if count is not None and not (type(count) is int and count >= 0):
+                raise ValueError(f"rule {name} must be an int >= 0, got {count!r}")
 
     def matches(self, request: CompletionRequest, tag_ordinal: int) -> bool:
         if self.tag is not None and request.tag != self.tag:

@@ -468,6 +468,7 @@ def _read_v2(header: dict, handle, path: str | Path) -> LexicalIndex:
 
     raw_docs, terms = header.get("documents"), header.get("terms")
     check(isinstance(raw_docs, list) and isinstance(terms, list), "no documents or terms")
+    check(all(isinstance(term, str) for term in terms), "a term is not a string")
     try:
         docs = [Document(doc_id, title, body) for doc_id, title, body in raw_docs]
     except (TypeError, ValueError) as err:

@@ -8,17 +8,17 @@ beam state for follow-up queries, evaluates one child per query, prunes to
 the beam width, and stops early as soon as a kept state reaches the
 confidence threshold.
 
-With ``workers`` above one, all of a run's calls go through one thread pool,
-built at its first task and shut down when the run (or a directly called
-``initialize_beam`` or ``expand_state``) returns or raises. A parent's
-children start as soon as that parent's ask returns, without waiting for the
-other parents' asks; pruning still waits for the whole level, because it
-needs every score. Only the run's thread waits on a task, so no worker count
-can deadlock. With one worker no thread starts: each task runs on the calling
-thread when its result is read, which is the seeds, then the level's asks in
-parent order, then its children in (parent order, query order). Ids and
-trace events are assigned after collection in that same order, so the trace
-never depends on completion order.
+``SearchRun.run_search`` is the one way in. With ``workers`` above one, all
+of a search's calls go through one thread pool, which ``run_search`` builds
+once the question is checked and shuts down when it returns or raises. A
+parent's children start as soon as that parent's ask returns, without
+waiting for the other parents' asks; pruning still waits for the whole
+level, because it needs every score. Only the search's thread waits on a
+task, so no worker count can deadlock. With one worker no thread starts:
+each task runs on the calling thread when its result is read, which is the
+seeds, then the level's asks in parent order, then its children in (parent
+order, query order). Ids and trace events are assigned after collection in
+that same order, so the trace never depends on completion order.
 
 Every provider call, evidence calls included, goes through one function,
 ``SearchRun._complete``: it sends the request, retries a retryable failure
@@ -90,7 +90,6 @@ class SearchConfig:
     retrieval_docs: int = 2
     score_threshold: float = 0.8
     evidence_mode: str = RETRIEVE_SUMMARIZE
-    dedupe_queries: bool = True
 
     def __post_init__(self):
         for name in ("beam_size", "max_depth", "max_queries", "retrieval_docs"):
@@ -236,12 +235,15 @@ class _Outcome:
 
 
 class SearchRun:
-    """Executes one search: holds the trace, the ledger, and the id counter.
+    """Executes searches: holds the current search's trace, ledger, id counter
+    and pool.
 
-    A run is single-use (one question); the provider and index it borrows may
-    be shared across concurrent runs as long as they tolerate concurrent
-    calls, which the bundled ones do. ``retries`` is how many times one
-    request is sent again after a retryable ``ProviderError``.
+    Each ``run_search`` call starts from an empty trace, a zero ledger and id
+    0, so one run can answer several questions one after another, but not two
+    at the same time. The provider and index it borrows may be shared across
+    concurrent runs as long as they tolerate concurrent calls, which the
+    bundled ones do. ``retries`` is how many times one request is sent again
+    after a retryable ``ProviderError``.
     """
 
     def __init__(
@@ -263,10 +265,6 @@ class SearchRun:
         self.index = index
         self.workers = workers
         self.retries = retries
-        self.trace: list[TraceEvent] = []
-        self.ledger = CostLedger()
-        self._next_id = 0
-        self._pool: ThreadPoolExecutor | None = None
 
     # -- provider plumbing ---------------------------------------------------
 
@@ -290,22 +288,12 @@ class SearchRun:
             return resp.text
 
     def _submit(self, fn: Callable, *args) -> Future | _Deferred:
-        """Start ``fn(*args)`` on the run's pool, built on first use; with one
-        worker, defer it until its result is read. A task may submit further
-        tasks but never waits on one: only the run's thread reads results."""
-        if self.workers == 1:
-            return _Deferred(fn, args)
+        """Start ``fn(*args)`` on the search's pool; with one worker, defer it
+        until its result is read. A task may submit further tasks but never
+        waits on one: only the search's thread reads results."""
         if self._pool is None:
-            # Only the run's thread gets here: tasks exist once the pool does.
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+            return _Deferred(fn, args)
         return self._pool.submit(fn, *args)
-
-    def _shutdown_pool(self) -> None:
-        """Called on the way out of every public entry point, so that no
-        worker outlives the call that started it."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
 
     def _emit(self, kind: str, payload: dict) -> None:
         self.trace.append(TraceEvent(kind=kind, payload=payload))
@@ -388,20 +376,11 @@ class SearchRun:
 
     # -- seeding ---------------------------------------------------------------
 
-    def initialize_beam(self, question: str) -> Beam:
+    def _seed_level(self, question: str) -> Beam:
         """Evaluate the two depth-0 seeds as one level: a direct answer over an
         empty history, and an answer over evidence gathered for the question
         itself. No threshold check happens here. A failed seed raises its
         provider error once both seeds' events and calls are recorded."""
-        try:
-            return self._seed_level(question)
-        finally:
-            self._shutdown_pool()
-
-    def _seed_level(self, question: str) -> Beam:
-        question = question.strip()
-        if not question:
-            raise ValueError("question must be non-empty")
         tasks = [self._submit(self._evaluate, question, (), (), query) for query in (None, question)]
         outcomes = [task.result() for task in tasks]
         beam: Beam = []
@@ -433,16 +412,13 @@ class SearchRun:
             outcome.error = str(err)
             return outcome
         outcome.raw_queries = parse_questions(text, self.config.max_queries)
-        kept = outcome.raw_queries
-        if self.config.dedupe_queries:
-            seen = {_normalize_query(q) for q in parent.asked_queries}
-            kept = [q for q in kept if _normalize_query(q) not in seen]
-        outcome.kept_queries = kept
+        seen = {_normalize_query(q) for q in parent.asked_queries}
+        outcome.kept_queries = [q for q in outcome.raw_queries if _normalize_query(q) not in seen]
         outcome.children = [
             self._submit(
                 self._evaluate, parent.original_query, parent.asked_queries, parent.evidences, query
             )
-            for query in kept
+            for query in outcome.kept_queries
         ]
         return outcome
 
@@ -483,21 +459,18 @@ class SearchRun:
             self._emit_scored(state, outcome)
         return [state for state, _ in scored]
 
-    def expand_state(self, parent: SearchState) -> Beam:
-        """Expand one state into scored children (one generated query each)."""
-        if parent.depth >= self.config.max_depth:
-            raise ValueError(
-                f"state {parent.state_id} is already at the maximum depth {self.config.max_depth}"
-            )
-        try:
-            return self._expand_level([parent], parent.depth + 1)
-        finally:
-            self._shutdown_pool()
-
     # -- the full loop --------------------------------------------------------------
 
     def run_search(self, question: str) -> SearchResult:
-        """Run seeding, depth-bounded expansion, pruning, and final selection."""
+        """Run seeding, depth-bounded expansion, pruning, and final selection,
+        from an empty trace, a zero ledger and id 0."""
+        question = question.strip()
+        if not question:
+            raise ValueError("question must be non-empty")
+        self.trace: list[TraceEvent] = []
+        self.ledger = CostLedger()
+        self._next_id = 0
+        self._pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         try:
             beam = self._seed_level(question)
             final_beam = beam
@@ -539,7 +512,8 @@ class SearchRun:
                 f"search aborted: {err}", tuple(self.trace), self.ledger
             ) from err
         finally:
-            self._shutdown_pool()
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
         winner = select_answer(final_beam)
         self._emit(
             "finished",

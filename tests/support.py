@@ -146,9 +146,8 @@ class ScriptBuilder:
                 self._add_exact(TAG_ASK, prompt, ask_text)
                 self._api += 1
                 kept = parse_questions(ask_text, self.config.max_queries)
-                if self.config.dedupe_queries:
-                    seen = {_normalize_query(q) for q, _ in parent.history}
-                    kept = [q for q in kept if _normalize_query(q) not in seen]
+                seen = {_normalize_query(q) for q, _ in parent.history}
+                kept = [q for q in kept if _normalize_query(q) not in seen]
                 kept_per_parent.append((parent, kept))
             candidates: list[SimState] = []
             for parent, kept in kept_per_parent:

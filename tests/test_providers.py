@@ -401,3 +401,11 @@ def test_default_search_posts_each_failing_request_twice(monkeypatch):
 def test_script_rule_response_must_be_text():
     with pytest.raises(ValueError, match="response"):
         ScriptRule.from_dict({"response": 0.9})
+
+
+@pytest.mark.parametrize("count", [-1, "5", True, 1.0])
+@pytest.mark.parametrize("field", ["prompt_tokens", "completion_tokens"])
+def test_script_rule_token_counts_must_be_ints_at_least_zero(field, count):
+    counts = {"prompt_tokens": 1, "completion_tokens": 1, field: count}
+    with pytest.raises(ValueError, match=field):
+        ScriptRule(response="x", repeat=True, **counts)

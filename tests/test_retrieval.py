@@ -602,8 +602,13 @@ def test_v2_lengths_that_disagree_with_the_arrays_are_rejected(tmp_path, name, d
         lambda h: h["itemsize"].__setitem__("d", 4),
         lambda h: h.__setitem__("byteorder", "middle"),
         lambda h: h["lengths"].__setitem__("weights", -1),
+        lambda h: h["terms"].__setitem__(0, ["cat"]),
+        lambda h: h["terms"].__setitem__(0, 7),
     ],
-    ids=["documents", "terms", "duplicate-term", "itemsize", "byteorder", "negative-length"],
+    ids=[
+        "documents", "terms", "duplicate-term", "itemsize", "byteorder", "negative-length",
+        "list-term", "int-term",
+    ],
 )
 def test_v2_header_that_disagrees_with_the_arrays_is_rejected(tmp_path, edit):
     path, header, body = saved_v2(tmp_path)

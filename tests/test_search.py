@@ -1,6 +1,7 @@
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -74,7 +75,6 @@ def test_config_defaults_follow_nq_setup():
     assert (config.beam_size, config.max_depth, config.max_queries) == (2, 2, 2)
     assert (config.retrieval_docs, config.score_threshold) == (2, 0.8)
     assert config.evidence_mode == "retrieve_summarize"
-    assert config.dedupe_queries is True
 
 
 def test_config_rejects_bad_values():
@@ -158,46 +158,53 @@ def test_select_rejects_empty_beam():
 # --- seeding ----------------------------------------------------
 
 
+def seeds_only_result(direct_score, grounded_score):
+    """A genread search whose asks give no queries, so it ends on its seeds."""
+    plan = SeedPlan(
+        question="who?",
+        direct=StatePlan(answer="x", score=direct_score),
+        grounded=StatePlan(answer="y", score=grounded_score),
+        grounded_evidence="generated background text",
+    )
+    config = genread_config(max_depth=1)
+    _, provider = build_genread(plan, config)
+    return run_search("who?", config, provider)
+
+
 def test_initialize_beam_produces_two_depth0_seeds():
-    built, index, config = harpers_script()
-    run = SearchRun(config, ScriptedProvider(built.rules), index=index)
-    beam = run.initialize_beam(built.question)
-    assert len(beam) == 2
-    assert [s.depth for s in beam] == [0, 0]
-    assert [s.state_id for s in beam] == [0, 1]
+    _, result = harpers_result()
+    seeded = [e.payload for e in result.trace if e.kind == "seeded"]
+    assert [(p["variant"], p["depth"], p["state_id"]) for p in seeded] == [
+        ("direct", 0, 0),
+        ("evidence", 0, 1),
+    ]
 
 
 def test_seed_histories_are_empty_then_one_pair():
-    built, index, config = harpers_script()
-    run = SearchRun(config, ScriptedProvider(built.rules), index=index)
-    direct, grounded = run.initialize_beam(built.question)
+    direct = seeds_only_result("0.9", "0.1").final_state
+    assert (direct.state_id, direct.depth) == (0, 0)
     assert direct.asked_queries == ()
     assert direct.evidences == ()
-    assert len(grounded.asked_queries) == 1
-    assert grounded.asked_queries[0] == built.question
+    grounded = seeds_only_result("0.1", "0.9").final_state
+    assert (grounded.state_id, grounded.depth) == (1, 0)
+    assert grounded.asked_queries == ("who?",)
     assert len(grounded.evidences) == 1
 
 
 def test_generate_background_seed_has_generated_provenance_and_no_retrievals():
-    plan = SeedPlan(
-        question="who?",
-        direct=StatePlan(answer="x", score="0.2"),
-        grounded=StatePlan(answer="y", score="0.3"),
-        grounded_evidence="generated background text",
-    )
-    config = genread_config(max_depth=1)
-    built, provider = build_genread(plan, config)
-    run = SearchRun(config, provider)
-    beam = run.initialize_beam("who?")
-    assert beam[1].evidences[0].provenance == "generated"
-    assert run.ledger.retrieval_times == 0
-    assert run.ledger.api_times == 5
+    result = seeds_only_result("0.2", "0.3")
+    assert result.final_state.evidences[0].provenance == "generated"
+    grounded = [e.payload for e in result.trace if e.kind == "seeded"][1]
+    assert (grounded["provenance"], grounded["retrievals"]) == ("generated", 0)
+    assert result.ledger.retrieval_times == 0
+    # The seeds' 5 calls (answer, score; genread, answer, score) and 2 asks.
+    assert result.ledger.api_times == 7
 
 
 def test_empty_question_is_an_input_error():
     run = SearchRun(genread_config(), ScriptedProvider([]))
     with pytest.raises(ValueError):
-        run.initialize_beam("   ")
+        run.run_search("   ")
     with pytest.raises(ValueError):
         run_search("", genread_config(), ScriptedProvider([]))
 
@@ -206,22 +213,23 @@ def test_empty_question_is_an_input_error():
 
 
 def test_expand_state_one_child_per_query():
-    built, index, config = harpers_script()
-    run = SearchRun(config, ScriptedProvider(built.rules), index=index)
-    direct, _ = run.initialize_beam(built.question)
-    children = run.expand_state(direct)
-    assert len(children) == 2
-    assert all(c.depth == direct.depth + 1 for c in children)
-    assert all(len(c.asked_queries) == len(direct.asked_queries) + 1 for c in children)
-    assert all(c.asked_queries[:-1] == direct.asked_queries for c in children)
+    _, result = harpers_result()
+    expanded = [e.payload for e in result.trace if e.kind == "expanded"]
+    assert [(p["parent_id"], p["depth"]) for p in expanded] == [(0, 1), (1, 1)]
+    for payload in expanded:
+        assert len(payload["kept_queries"]) == 2
+        assert [c["query"] for c in payload["children"]] == payload["kept_queries"]
+    assert [c["state_id"] for p in expanded for c in p["children"]] == [2, 3, 4, 5]
+    # The winner is the direct seed's first child: one query on an empty history.
+    child = result.final_state
+    assert (child.state_id, child.depth) == (2, 1)
+    assert child.asked_queries == (expanded[0]["kept_queries"][0],)
+    assert len(child.evidences) == 1
 
 
 def test_expand_state_child_evidence_names_the_colonel():
-    built, index, config = harpers_script()
-    run = SearchRun(config, ScriptedProvider(built.rules), index=index)
-    direct, _ = run.initialize_beam(built.question)
-    children = run.expand_state(direct)
-    assert any("Colonel Robert E. Lee" in c.evidences[-1].text for c in children)
+    _, result = harpers_result()
+    assert "Colonel Robert E. Lee" in result.final_state.evidences[-1].text
 
 
 def test_expand_dedupes_queries_already_in_history():
@@ -244,53 +252,22 @@ def test_expand_dedupes_queries_already_in_history():
         grounded_evidence="seed evidence",
     )
     config = genread_config(max_depth=1)
-    built, provider = build_genread(plan, config)
-    run = SearchRun(config, provider)
-    _, grounded = run.initialize_beam("who did it?")
-    children = run.expand_state(grounded)
-    assert [c.asked_queries[-1] for c in children] == ["a fresh follow-up?"]
-
-
-def test_expand_with_dedupe_disabled_keeps_duplicates():
-    dup = ChildPlan(
-        query="who did it?",
-        evidence="dup evidence",
-        state=StatePlan(answer="x", score="0.5"),
-    )
-    plan = SeedPlan(
-        question="who did it?",
-        direct=StatePlan(answer="a", score="0.1"),
-        grounded=StatePlan(answer="b", score="0.2", children=[dup]),
-        grounded_evidence="seed evidence",
-    )
-    config = genread_config(max_depth=1, dedupe_queries=False)
-    built, provider = build_genread(plan, config)
-    run = SearchRun(config, provider)
-    _, grounded = run.initialize_beam("who did it?")
-    children = run.expand_state(grounded)
-    assert [c.asked_queries[-1] for c in children] == ["who did it?"]
+    _, provider = build_genread(plan, config)
+    result = run_search("who did it?", config, provider)
+    grounded = [e.payload for e in result.trace if e.kind == "expanded"][1]
+    assert grounded["parent_id"] == 1
+    assert len(grounded["raw_queries"]) == 2
+    assert grounded["kept_queries"] == ["a fresh follow-up?"]
+    assert [c["query"] for c in grounded["children"]] == ["a fresh follow-up?"]
+    assert result.final_state.asked_queries == ("who did it?", "a fresh follow-up?")
 
 
 def test_expand_with_no_usable_queries_returns_empty():
-    plan = SeedPlan(
-        question="who?",
-        direct=StatePlan(answer="a", score="0.1"),
-        grounded=StatePlan(answer="b", score="0.2"),
-        grounded_evidence="seed evidence",
-    )
-    config = genread_config(max_depth=1)
-    built, provider = build_genread(plan, config)
-    run = SearchRun(config, provider)
-    direct, _ = run.initialize_beam("who?")
-    assert run.expand_state(direct) == []
-
-
-def test_expand_rejects_parent_at_max_depth():
-    built, index, config = harpers_script()
-    run = SearchRun(config, ScriptedProvider(built.rules), index=index)
-    parent = state(0.5, 0, depth=config.max_depth)
-    with pytest.raises(ValueError):
-        run.expand_state(parent)
+    result = seeds_only_result("0.1", "0.2")
+    expanded = [e.payload for e in result.trace if e.kind == "expanded"]
+    assert [(p["kept_queries"], p["children"]) for p in expanded] == [([], [])] * 2
+    assert not any(e.kind == "pruned" for e in result.trace)
+    assert result.final_state.depth == 0
 
 
 # --- full searches ----------------------------------------------------
@@ -842,17 +819,19 @@ def test_a_failed_run_leaves_no_worker_running(counted_pools):
     assert_no_worker_alive(threads)
 
 
-def test_public_steps_leave_no_worker_running(counted_pools):
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_reused_run_repeats_a_fresh_runs_trace_and_ledger(counted_pools, workers):
     pools, threads = counted_pools
+    _, fresh = harpers_result()
     built, index, config = harpers_script()
-    run = SearchRun(config, ScriptedProvider(built.rules), index=index, workers=4)
-    direct, _ = run.initialize_beam(built.question)
-    assert len(pools) == 1
-    assert_no_worker_alive(threads)
-    threads.clear()
-    assert len(run.expand_state(direct)) == 2
-    assert len(pools) == 2
-    assert_no_worker_alive(threads)
+    rules = [replace(rule, repeat=True) for rule in built.rules]
+    run = SearchRun(config, ScriptedProvider(rules), index=index, workers=workers)
+    for _ in range(2):
+        result = run.run_search(built.question)
+        assert result.trace_lines() == fresh.trace_lines()
+        assert result.ledger == fresh.ledger
+    assert len(pools) == (2 if workers > 1 else 0)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def test_worker_counts_produce_byte_identical_traces():
