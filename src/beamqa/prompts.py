@@ -135,8 +135,14 @@ _SCORE = re.compile(
 )
 
 
-def parse_score(text: str) -> float:
-    """First number in the text, scaled and clamped into [0, 1].
+def clamp_score(value: float) -> float:
+    """A parsed score clamped into [0, 1], as the paper's scorer does."""
+    return min(1.0, max(0.0, value))
+
+
+def parse_score(text: str, clamp: bool = True) -> float:
+    """First number in the text, scaled and, unless ``clamp`` is false,
+    clamped into [0, 1] with ``clamp_score``.
 
     The scoring prompt asks for a bare number, so the first number wins over
     any later ones a chatty completion may add. A percentage ("85%") or a
@@ -153,4 +159,4 @@ def parse_score(text: str) -> float:
         if scale <= 0:
             raise ScoreParseError(f"non-positive score scale in completion: {text[:80]!r}")
         value /= scale
-    return min(1.0, max(0.0, value))
+    return clamp_score(value) if clamp else value

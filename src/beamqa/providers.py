@@ -92,7 +92,8 @@ class ScriptRule:
     (1-based) carrying the rule's tag. Rules are consumed on first use unless
     ``repeat`` is set. Explicit token counts, ints >= 0, mark the response
     as service-reported usage; otherwise usage falls back to the character
-    estimate.
+    estimate. A matcher of the wrong type is rejected when the rule is
+    built, so a loaded script never holds a rule that cannot match.
     """
 
     response: str
@@ -107,12 +108,18 @@ class ScriptRule:
     def __post_init__(self):
         if not isinstance(self.response, str):
             raise ValueError(f"rule response must be a string, got {self.response!r}")
-        if isinstance(self.contains, str):
-            self.contains = (self.contains,)
-        elif self.contains is not None:
-            self.contains = tuple(self.contains)
-        if self.ordinal is not None and self.tag is None:
-            raise ValueError("ordinal rules need a tag to count against")
+        if self.exact is not None and not isinstance(self.exact, str):
+            raise ValueError(f"rule exact must be a string, got {self.exact!r}")
+        contains = (self.contains,) if isinstance(self.contains, str) else self.contains
+        if contains is not None:
+            if not isinstance(contains, (list, tuple)) or not all(isinstance(s, str) for s in contains):
+                raise ValueError(f"rule contains must be strings, got {self.contains!r}")
+            self.contains = tuple(contains)
+        if self.ordinal is not None:
+            if not (type(self.ordinal) is int and self.ordinal >= 1):
+                raise ValueError(f"rule ordinal must be an int >= 1, got {self.ordinal!r}")
+            if self.tag is None:
+                raise ValueError("ordinal rules need a tag to count against")
         if self.tag is not None and self.tag not in REQUEST_TAGS:
             raise ValueError(f"unknown rule tag {self.tag!r}")
         for name in ("prompt_tokens", "completion_tokens"):

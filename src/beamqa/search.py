@@ -10,15 +10,20 @@ confidence threshold.
 
 ``SearchRun.run_search`` is the one way in. With ``workers`` above one, all
 of a search's calls go through one thread pool, which ``run_search`` builds
-once the question is checked and shuts down when it returns or raises. A
-parent's children start as soon as that parent's ask returns, without
-waiting for the other parents' asks; pruning still waits for the whole
-level, because it needs every score. Only the search's thread waits on a
-task, so no worker count can deadlock. With one worker no thread starts:
-each task runs on the calling thread when its result is read, which is the
-seeds, then the level's asks in parent order, then its children in (parent
-order, query order). Ids and trace events are assigned after collection in
-that same order, so the trace never depends on completion order.
+once the question is checked and shuts down when it returns or raises. An
+ask reads only the question and a state's (query, evidence) history, and
+seeds are never pruned, so each seed's ask is sent as soon as its history
+exists: the direct seed's once both seeds are submitted, the grounded seed's
+once its evidence is gathered, before either seed is answered or scored. A
+search without an early exit is then 1 + 4 x levels calls deep (9 at the
+defaults). A parent's children start as soon as its ask returns; pruning
+waits for the whole level, because it needs every score, and the asks of
+depth 2 and below go out after it. Only the search's thread waits on a task,
+so no worker count can deadlock. With one worker no thread starts: each task
+runs on the calling thread when its result is read, which is the seeds, then
+the level's asks in parent order, then its children in (parent order, query
+order). Ids and trace events are assigned after collection in that same
+order, so the trace never depends on completion order.
 
 Every provider call, evidence calls included, goes through one function,
 ``SearchRun._complete``: it sends the request, retries a retryable failure
@@ -37,6 +42,7 @@ from typing import Callable, Sequence
 from .accounting import CostLedger
 from .prompts import (
     ScoreParseError,
+    clamp_score,
     parse_questions,
     parse_score,
     render_answer_prompt,
@@ -210,7 +216,6 @@ class _Deferred:
 class _AskOutcome:
     """A parent's ask, and one submitted evaluation per kept query."""
 
-    parent: SearchState
     raw_queries: list[str] = field(default_factory=list)
     kept_queries: list[str] = field(default_factory=list)
     error: str | None = None
@@ -220,18 +225,19 @@ class _AskOutcome:
 
 @dataclass
 class _Outcome:
-    """One evaluated state before it has an id: its history, answer and score,
-    or the provider error that stopped it, plus the calls it cost."""
+    """One evaluated state before it has an id: its history, answer and raw
+    score or the error that stopped it, its calls and, for a seed, its ask."""
 
     query: str | None
     queries: tuple[str, ...]
     evidences: tuple[Evidence, ...]
     answer: str = ""
-    score: float = 0.0
+    raw_score: float = 0.0
     parse_error: str | None = None
     error: ProviderError | None = None
     ledger: CostLedger = field(default_factory=CostLedger)
     api_before_score: int = 0
+    ask: Future | _Deferred | None = None
 
 
 class SearchRun:
@@ -306,10 +312,12 @@ class SearchRun:
         queries: tuple[str, ...],
         evidences: tuple[Evidence, ...],
         query: str | None,
+        ask: bool = False,
     ) -> _Outcome:
         """Extend the history with evidence gathered for ``query`` (if one is
-        given), answer over it and score the answer. May run in a worker; a
-        provider failure ends the state and is kept in the outcome."""
+        given), submit the state's ask if ``ask`` is set, then answer over
+        the history and score the answer. May run in a worker; a provider
+        failure ends the state and is kept in the outcome."""
         outcome = _Outcome(query, queries, evidences)
         ledger = outcome.ledger
         try:
@@ -318,6 +326,10 @@ class SearchRun:
                 evidence = gather_evidence(question, query, self.config, complete, self.index, ledger)
                 outcome.queries += (query,)
                 outcome.evidences += (evidence,)
+            if ask:
+                outcome.ask = self._submit(
+                    self._ask_parent, question, outcome.queries, outcome.evidences
+                )
             history = _history_pairs(outcome.queries, outcome.evidences)
             prompt = render_answer_prompt(question, history)
             answer = self._complete(prompt, TAG_ANSWER, ledger).strip()
@@ -331,7 +343,7 @@ class SearchRun:
             outcome.error = err
             return outcome
         try:
-            outcome.score = parse_score(text)
+            outcome.raw_score = parse_score(text, clamp=False)
         except ScoreParseError as err:
             # Tolerated: an unscorable answer competes with confidence zero.
             outcome.parse_error = str(err)
@@ -354,7 +366,7 @@ class SearchRun:
             outcome.queries,
             outcome.evidences,
             outcome.answer,
-            outcome.score,
+            clamp_score(outcome.raw_score),
             depth,
             self._next_id,
         )
@@ -372,17 +384,25 @@ class SearchRun:
         }
         if outcome.parse_error is not None:
             payload["parse_error"] = outcome.parse_error
+        if state.score != outcome.raw_score:
+            payload["clamped"] = outcome.raw_score
         self._emit("scored", payload)
 
     # -- seeding ---------------------------------------------------------------
 
-    def _seed_level(self, question: str) -> Beam:
+    def _seed_level(self, question: str) -> tuple[Beam, list]:
         """Evaluate the two depth-0 seeds as one level: a direct answer over an
         empty history, and an answer over evidence gathered for the question
-        itself. No threshold check happens here. A failed seed raises its
-        provider error once both seeds' events and calls are recorded."""
-        tasks = [self._submit(self._evaluate, question, (), (), query) for query in (None, question)]
-        outcomes = [task.result() for task in tasks]
+        itself. Returns the beam and the seeds' asks: the direct seed's is
+        submitted here once both seeds are, the grounded seed submits its own
+        once its evidence is gathered. No threshold check happens here. A
+        failed seed raises its provider error once both seeds' events and
+        calls are recorded, and, with a pool, the asks' and children's."""
+        direct = self._submit(self._evaluate, question, (), (), None)
+        grounded = self._submit(self._evaluate, question, (), (), question, True)
+        direct_ask = self._submit(self._ask_parent, question, (), ())
+        outcomes = [direct.result(), grounded.result()]
+        outcomes[0].ask = direct_ask
         beam: Beam = []
         for variant, outcome in zip(("direct", "evidence"), outcomes):
             payload = {"depth": 0, "variant": variant}
@@ -395,57 +415,65 @@ class SearchRun:
                 beam.append(state)
         failures = [outcome.error for outcome in outcomes if outcome.error is not None]
         if failures:
+            # Pooled asks and their children are sent already (deferred ones
+            # never are): count them.
+            for ask in [o.ask.result() for o in outcomes if o.ask and self._pool is not None]:
+                self.ledger += sum((child.result().ledger for child in ask.children), ask.ledger)
             raise failures[0]
-        return beam
+        return beam, [outcome.ask for outcome in outcomes]
 
     # -- expansion ---------------------------------------------------------------
 
-    def _ask_parent(self, parent: SearchState) -> _AskOutcome:
-        """Ask ``parent`` for follow-up queries and submit one child
-        evaluation per kept query, without waiting for any of them."""
-        outcome = _AskOutcome(parent=parent)
-        history = _history_pairs(parent.asked_queries, parent.evidences)
-        prompt = render_ask_prompt(parent.original_query, history, self.config.max_queries)
+    def _ask_parent(
+        self, question: str, queries: tuple[str, ...], evidences: tuple[Evidence, ...]
+    ) -> _AskOutcome:
+        """Ask for follow-up queries on this history and submit one child
+        evaluation per kept query, without waiting for any of them. Needs no
+        answer or score, so it may run before its parent has an id."""
+        outcome = _AskOutcome()
+        prompt = render_ask_prompt(question, _history_pairs(queries, evidences), self.config.max_queries)
         try:
             text = self._complete(prompt, TAG_ASK, outcome.ledger)
         except ProviderError as err:
             outcome.error = str(err)
             return outcome
         outcome.raw_queries = parse_questions(text, self.config.max_queries)
-        seen = {_normalize_query(q) for q in parent.asked_queries}
+        seen = {_normalize_query(q) for q in queries}
         outcome.kept_queries = [q for q in outcome.raw_queries if _normalize_query(q) not in seen]
         outcome.children = [
-            self._submit(
-                self._evaluate, parent.original_query, parent.asked_queries, parent.evidences, query
-            )
+            self._submit(self._evaluate, question, queries, evidences, query)
             for query in outcome.kept_queries
         ]
         return outcome
 
-    def _expand_level(self, parents: Sequence[SearchState], depth: int) -> Beam:
+    def _expand_level(self, parents: Sequence[SearchState], depth: int, asks=None) -> Beam:
         """Expand every parent once; emits events, returns unpruned candidates.
 
-        Each parent's children start as soon as its own ask returns; the
-        caller prunes once the whole level is collected. Ids are assigned and
-        events emitted after collection in (parent order, query order), so the
-        trace never depends on completion order. With one worker, reading the
+        ``asks`` holds the parents' submitted asks by position: the seeds' at
+        depth 1. Without it, each parent is asked now, after pruning. Each
+        parent's children start as soon as its own ask returns; the caller
+        prunes once the whole level is collected. Ids are assigned and events
+        emitted after collection in (parent order, query order), so the trace
+        never depends on completion order. With one worker, reading the
         results in that order sends every ask before any child.
         """
-        tasks = [self._submit(self._ask_parent, parent) for parent in parents]
-        asks = [task.result() for task in tasks]
+        if asks is None:
+            submit_ask = partial(self._submit, self._ask_parent)
+            asks = [submit_ask(p.original_query, p.asked_queries, p.evidences) for p in parents]
+        asks = [task.result() for task in asks]
         scored: list[tuple[SearchState, _Outcome]] = []
-        for ask in asks:
+        for parent, ask in zip(parents, asks):
             entries = []
             for query, child in zip(ask.kept_queries, ask.children):
                 outcome = child.result()
                 entry = {"query": query}
-                state = self._admit(ask.parent.original_query, outcome, depth, entry)
+                state = self._admit(parent.original_query, outcome, depth, entry)
                 entries.append(entry)
                 if state is not None:
                     scored.append((state, outcome))
             self.ledger += ask.ledger
             payload = {
-                "parent_id": ask.parent.state_id,
+                "parent_id": parent.state_id,
                 "depth": depth,
                 "raw_queries": ask.raw_queries,
                 "kept_queries": ask.kept_queries,
@@ -472,45 +500,30 @@ class SearchRun:
         self._next_id = 0
         self._pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         try:
-            beam = self._seed_level(question)
+            beam, seed_asks = self._seed_level(question)
             final_beam = beam
             reason = EXIT_MAX_DEPTH
             for depth in range(1, self.config.max_depth + 1):
-                candidates = self._expand_level(beam, depth)
+                candidates = self._expand_level(beam, depth, seed_asks if depth == 1 else None)
                 if not candidates:
                     # Nothing survived this depth; finalize on the previous beam.
                     reason = EXIT_NO_CANDIDATES
                     break
                 beam = prune_beam(candidates, self.config.beam_size)
                 kept_ids = {s.state_id for s in beam}
-                self._emit(
-                    "pruned",
-                    {
-                        "depth": depth,
-                        "kept": [[s.state_id, s.score] for s in beam],
-                        "dropped": sorted(
-                            c.state_id for c in candidates if c.state_id not in kept_ids
-                        ),
-                    },
-                )
+                kept = [[s.state_id, s.score] for s in beam]
+                dropped = sorted(c.state_id for c in candidates if c.state_id not in kept_ids)
+                self._emit("pruned", {"depth": depth, "kept": kept, "dropped": dropped})
                 final_beam = beam
                 if should_terminate(beam, self.config.score_threshold):
                     best = select_answer(beam)
-                    self._emit(
-                        "early_exit",
-                        {
-                            "depth": depth,
-                            "state_id": best.state_id,
-                            "score": best.score,
-                            "threshold": self.config.score_threshold,
-                        },
-                    )
+                    payload = {"depth": depth, "state_id": best.state_id, "score": best.score}
+                    payload["threshold"] = self.config.score_threshold
+                    self._emit("early_exit", payload)
                     reason = EXIT_EARLY
                     break
         except ProviderError as err:
-            raise SearchError(
-                f"search aborted: {err}", tuple(self.trace), self.ledger
-            ) from err
+            raise SearchError(f"search aborted: {err}", tuple(self.trace), self.ledger) from err
         finally:
             if self._pool is not None:
                 self._pool.shutdown(cancel_futures=True)

@@ -351,6 +351,28 @@ def test_ask_script_with_a_bad_token_count_fails_before_any_call(tmp_path, capsy
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "matcher", [{"contains": 5}, {"exact": 5}, {"tag": "answer", "ordinal": True}]
+)
+def test_ask_script_with_a_mistyped_matcher_fails_before_any_call(
+    tmp_path, capsys, no_search, matcher
+):
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps({"rules": [{"response": "x", **matcher}]}), encoding="utf-8")
+    code = main(
+        [
+            "ask", "who?",
+            "--provider", "scripted", "--script", str(script_path),
+            "--evidence-mode", "generate_background",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: rule ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_ask_without_index_in_retrieval_mode_fails(harpers_cli, capsys):
     built, _, script_path = harpers_cli
     code = main(

@@ -409,3 +409,21 @@ def test_script_rule_token_counts_must_be_ints_at_least_zero(field, count):
     counts = {"prompt_tokens": 1, "completion_tokens": 1, field: count}
     with pytest.raises(ValueError, match=field):
         ScriptRule(response="x", repeat=True, **counts)
+
+
+@pytest.mark.parametrize(
+    "matcher, message",
+    [
+        ({"contains": 5}, "rule contains"),
+        ({"contains": ["alpha", 5]}, "rule contains"),
+        ({"exact": 5}, "rule exact"),
+        ({"exact": ["the prompt"]}, "rule exact"),
+        ({"tag": "score", "ordinal": "1"}, "rule ordinal"),
+        ({"tag": "score", "ordinal": 0}, "rule ordinal"),
+        ({"tag": "score", "ordinal": 1.0}, "rule ordinal"),
+        ({"tag": "score", "ordinal": True}, "rule ordinal"),
+    ],
+)
+def test_rule_with_a_mistyped_matcher_is_rejected_when_built(matcher, message):
+    with pytest.raises(ValueError, match=message):
+        ScriptRule.from_dict({"response": "x", **matcher})

@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 import beamqa.search
-from beamqa.prompts import render_answer_prompt, render_ask_prompt, render_summarize_prompt
+from beamqa.prompts import (
+    render_answer_prompt,
+    render_ask_prompt,
+    render_score_prompt,
+    render_summarize_prompt,
+)
 from beamqa.providers import (
     CompletionResponse,
     ProviderError,
@@ -367,6 +372,35 @@ def test_unparseable_score_becomes_zero_with_trace_warning():
     assert result.final_answer == "other"
 
 
+def test_a_clamped_score_is_flagged_in_its_scored_event():
+    plan = SeedPlan(
+        question="who?",
+        direct=StatePlan(
+            answer="guess",
+            score="0.3",
+            children=[
+                ChildPlan("who exactly?", "more text", StatePlan(answer="sure", score="1.5")),
+                ChildPlan("who really?", "other text", StatePlan(answer="unsure", score="-25%")),
+            ],
+        ),
+        grounded=StatePlan(answer="other guess", score="0.4"),
+        grounded_evidence="seed evidence",
+    )
+    config = genread_config()
+    built, provider = build_genread(plan, config)
+    result = run_search("who?", config, provider)
+    scored = [e.payload for e in result.trace if e.kind == "scored"]
+    # The paper's clamp still decides the score, and so the early exit.
+    assert [(p["state_id"], p["score"], p.get("clamped")) for p in scored] == [
+        (0, 0.3, None),
+        (1, 0.4, None),
+        (2, 1.0, 1.5),
+        (3, 0.0, -0.25),
+    ]
+    assert result.trace[-1].payload["reason"] == "early_exit"
+    assert result.final_answer == "sure"
+
+
 def without_prompt(rules, prompt):
     return [r for r in rules if r.exact != prompt]
 
@@ -377,6 +411,12 @@ def failed_child_rules(built):
     return without_prompt(
         built.rules, render_answer_prompt(built.question, [(child.query, child.evidence)])
     )
+
+
+def failed_seed_rules(built):
+    """The golden script minus the grounded seed's answer."""
+    grounded = [(built.question, harpers_plan().grounded_evidence)]
+    return without_prompt(built.rules, render_answer_prompt(built.question, grounded))
 
 
 def failed_ask_rules(built):
@@ -691,21 +731,41 @@ def test_default_run_reproduces_the_golden_trace(workers):
     assert result.ledger == harpers_result(workers=1)[1].ledger
 
 
+FAILURES = {
+    "failed_child": failed_child_rules,
+    "ask_error": failed_ask_rules,
+    "failed_seed": failed_seed_rules,
+}
+
+
 @pytest.mark.parametrize("workers", WORKER_SWEEP[1:])
-@pytest.mark.parametrize("scenario", ["failed_child", "ask_error"])
+@pytest.mark.parametrize("scenario", list(FAILURES))
 def test_failures_repeat_exactly_across_worker_counts(scenario, workers):
     built, index, config = harpers_script()
-    rules = {"failed_child": failed_child_rules, "ask_error": failed_ask_rules}[scenario](built)
+    rules = FAILURES[scenario](built)
 
     def search(workers):
-        return run_search(built.question, config, ScriptedProvider(rules), index=index, workers=workers)
+        provider = ScriptedProvider(rules)
+        if scenario != "failed_seed":
+            return run_search(built.question, config, provider, index=index, workers=workers)
+        with pytest.raises(SearchError) as err:
+            run_search(built.question, config, provider, index=index, workers=workers)
+        return err.value
 
     serial, pooled = search(1), search(workers)
+    trace_lines = [event.to_json_line() for event in serial.trace]
+    assert [event.to_json_line() for event in pooled.trace] == trace_lines
+    if scenario == "failed_seed":
+        # One worker sent nothing past the seeds: the direct seed's answer and
+        # score and the grounded seed's summarize. A pool had also sent both
+        # seeds' asks and the four children (summarize, answer, score each).
+        assert (serial.ledger.api_times, serial.ledger.retrieval_times) == (3, 1)
+        assert (pooled.ledger.api_times, pooled.ledger.retrieval_times) == (17, 5)
+        return
     expanded = [e.payload for e in serial.trace if e.kind == "expanded"]
     child_errors = [c for p in expanded for c in p["children"] if "error" in c]
     ask_errors = [p for p in expanded if "ask_error" in p]
     assert len(child_errors if scenario == "failed_child" else ask_errors) == 1
-    assert pooled.trace_lines() == serial.trace_lines()
     assert pooled.ledger == serial.ledger
 
 
@@ -740,6 +800,25 @@ def test_a_parents_children_start_while_another_parent_still_asks():
     first_child_request = ("summarize", render_summarize_prompt(built.question, _docs_block(hits)))
     provider = GatedProvider(ScriptedProvider(built.rules), second_ask, first_child_request)
     result = run_search(built.question, config, provider, index=index, workers=4)
+    assert provider.opened_in_time is True
+    assert result.trace_lines() == harpers_result(workers=1)[1].trace_lines()
+
+
+def test_a_seeds_ask_goes_out_before_the_seed_is_scored():
+    built, index, config = harpers_script()
+    plan = harpers_plan()
+    grounded_history = [(built.question, plan.grounded_evidence)]
+    seed_score = (
+        "score", render_score_prompt(built.question, grounded_history, plan.grounded.answer)
+    )
+    first_child_query = plan.grounded.children[0].query
+    hits = retrieve(index, first_child_query, config.retrieval_docs)
+    first_child_request = ("summarize", render_summarize_prompt(built.question, _docs_block(hits)))
+    provider = GatedProvider(
+        ScriptedProvider(built.rules), seed_score, first_child_request, timeout=2.0
+    )
+    result = run_search(built.question, config, provider, index=index, workers=4)
+    # The grounded seed's ask, and so its first child, did not wait for its score.
     assert provider.opened_in_time is True
     assert result.trace_lines() == harpers_result(workers=1)[1].trace_lines()
 
