@@ -23,15 +23,15 @@ class CostLedger:
     completion_tokens: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
             if value < 0:
-                raise ValueError(f"{f.name} must be non-negative, got {value}")
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     def __add__(self, other: CostLedger) -> CostLedger:
         if not isinstance(other, CostLedger):
             return NotImplemented
-        return CostLedger(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+        return CostLedger(*(getattr(self, name) + getattr(other, name) for name in _FIELD_NAMES))
 
     def record_api_call(self, prompt_tokens: int, completion_tokens: int) -> None:
         """Count one completed provider call and its token usage."""
@@ -50,10 +50,14 @@ class CostLedger:
         return self.prompt_tokens + self.completion_tokens
 
     def snapshot(self) -> dict[str, int]:
-        return asdict(self)
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     def report(self) -> CostReport:
         return CostReport.from_ledger(self)
+
+
+# The counters in declaration order, read once rather than on every + or check.
+_FIELD_NAMES = tuple(f.name for f in fields(CostLedger))
 
 
 @dataclass(frozen=True)

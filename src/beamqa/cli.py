@@ -329,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ask = sub.add_parser("ask", help="answer a single question")
     p_ask.add_argument("question")
     _add_search_flags(
-        p_ask, "size of the search's thread pool; 1 sends every call serially, with no pool"
+        p_ask,
+        "most provider calls the search has in flight, from a pool of 2 x N threads; "
+        "1 sends every call serially, with no pool",
     )
     p_ask.add_argument("--trace", help="write the search trace (one JSON event per line)")
     p_ask.add_argument("--output", help="write a JSON result with the run manifest")

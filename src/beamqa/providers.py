@@ -92,8 +92,9 @@ class ScriptRule:
     (1-based) carrying the rule's tag. Rules are consumed on first use unless
     ``repeat`` is set. Explicit token counts, ints >= 0, mark the response
     as service-reported usage; otherwise usage falls back to the character
-    estimate. A matcher of the wrong type is rejected when the rule is
-    built, so a loaded script never holds a rule that cannot match.
+    estimate. A matcher or ``repeat`` of the wrong type is rejected when
+    the rule is built, so a loaded script never holds a rule that cannot
+    match or that repeats by accident.
     """
 
     response: str
@@ -122,6 +123,8 @@ class ScriptRule:
                 raise ValueError("ordinal rules need a tag to count against")
         if self.tag is not None and self.tag not in REQUEST_TAGS:
             raise ValueError(f"unknown rule tag {self.tag!r}")
+        if type(self.repeat) is not bool:
+            raise ValueError(f"rule repeat must be true or false, got {self.repeat!r}")
         for name in ("prompt_tokens", "completion_tokens"):
             count = getattr(self, name)
             if count is not None and not (type(count) is int and count >= 0):

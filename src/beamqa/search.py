@@ -9,21 +9,29 @@ the beam width, and stops early as soon as a kept state reaches the
 confidence threshold.
 
 ``SearchRun.run_search`` is the one way in. With ``workers`` above one, all
-of a search's calls go through one thread pool, which ``run_search`` builds
-once the question is checked and shuts down when it returns or raises. An
-ask reads only the question and a state's (query, evidence) history, and
+of a search's tasks go through one thread pool, which ``run_search`` builds
+once the question is checked and shuts down when it returns or raises.
+``workers`` caps the provider calls the search has in flight, not its
+threads: each call takes one of ``workers`` slots of a call gate, and a
+waiting call gets the next free slot by rank, then by arrival. The seeds'
+answer and score calls rank last, since nothing needs them before depth-1
+pruning; every other call ranks first. The pool has 2 x ``workers`` threads
+whatever the beam size or query count; at ``workers=4`` that covers the at
+most 8 tasks live at depth 1 at the defaults.
+An ask reads only the question and a state's (query, evidence) history, and
 seeds are never pruned, so each seed's ask is sent as soon as its history
-exists: the direct seed's once both seeds are submitted, the grounded seed's
-once its evidence is gathered, before either seed is answered or scored. A
-search without an early exit is then 1 + 4 x levels calls deep (9 at the
-defaults). A parent's children start as soon as its ask returns; pruning
-waits for the whole level, because it needs every score, and the asks of
-depth 2 and below go out after it. Only the search's thread waits on a task,
-so no worker count can deadlock. With one worker no thread starts: each task
-runs on the calling thread when its result is read, which is the seeds, then
-the level's asks in parent order, then its children in (parent order, query
-order). Ids and trace events are assigned after collection in that same
-order, so the trace never depends on completion order.
+exists: the direct seed's at once, the grounded seed's once its evidence is
+gathered, before either seed is answered or scored. A search without an
+early exit is then 1 + 4 x levels calls deep (9 at the defaults). A
+parent's children start as soon as its ask returns; pruning waits for the
+whole level, because it needs every score, and the asks of depth 2 and
+below go out after it. Only the search's thread waits on a task, and a
+task waits only for a slot that a call in flight frees, so no worker count
+can deadlock. With one worker there is no gate and no thread starts: each
+task runs on the calling thread when its result is read, which is the
+seeds, then the level's asks in parent order, then its children in (parent
+order, query order). Ids and trace events are assigned after collection in
+that same order, so the trace never depends on completion order.
 
 Every provider call, evidence calls included, goes through one function,
 ``SearchRun._complete``: it sends the request, retries a retryable failure
@@ -32,9 +40,13 @@ in the same thread, and counts the call. That is the only retry layer.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -73,6 +85,10 @@ EXIT_NO_CANDIDATES = "no_candidates"
 
 # Seconds before a request's second retry; see SearchRun._complete.
 RETRY_BACKOFF_S = 0.5
+
+# Pool threads per call slot. At workers=4 the 8 threads hold every task live
+# at depth 1 at the defaults, so a task waits for a slot, not for a thread.
+THREADS_PER_SLOT = 2
 
 
 class SearchError(Exception):
@@ -212,6 +228,38 @@ class _Deferred:
         return self._fn(*self._args)
 
 
+class _CallGate:
+    """At most ``slots`` calls in flight. A call that finds no free slot waits
+    and is handed the next freed one by rank (lower first), then by arrival.
+    Nobody waits while a slot is free."""
+
+    def __init__(self, slots: int):
+        self._free = slots
+        self._waiting: list[tuple[int, int, threading.Event]] = []
+        self._arrivals = itertools.count()
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def slot(self, rank: int):
+        with self._lock:
+            turn = None
+            if self._free:
+                self._free -= 1
+            else:
+                turn = threading.Event()
+                heapq.heappush(self._waiting, (rank, next(self._arrivals), turn))
+        if turn is not None:
+            turn.wait()
+        try:
+            yield
+        finally:
+            with self._lock:
+                if self._waiting:
+                    heapq.heappop(self._waiting)[2].set()
+                else:
+                    self._free += 1
+
+
 @dataclass
 class _AskOutcome:
     """A parent's ask, and one submitted evaluation per kept query."""
@@ -271,21 +319,25 @@ class SearchRun:
         self.index = index
         self.workers = workers
         self.retries = retries
+        self._gate: _CallGate | None = None
 
     # -- provider plumbing ---------------------------------------------------
 
-    def _complete(self, prompt: str, tag: str, ledger: CostLedger) -> str:
+    def _complete(self, prompt: str, tag: str, ledger: CostLedger, last: bool = False) -> str:
         """Send one request and count it into ``ledger``. A retryable failure
         is sent again in the same thread, up to ``retries`` times: the first
         retry at once, retry k >= 2 after ``RETRY_BACKOFF_S * 2 ** (k - 2)``
         seconds. Any other failure, such as a scripted mismatch, is raised
-        at once."""
+        at once. During a pooled search each attempt holds a call slot, not
+        the backoff sleep, and a ``last`` request waits behind every other;
+        otherwise the request goes out inline."""
         request = CompletionRequest(prompt=prompt, tag=tag)
         for retry in range(self.retries + 1):
             if retry > 1:
                 time.sleep(RETRY_BACKOFF_S * 2 ** (retry - 2))
             try:
-                resp = self.provider.complete(request)
+                with self._gate.slot(int(last)) if self._gate else nullcontext():
+                    resp = self.provider.complete(request)
             except ProviderError as err:
                 if err.retryable and retry < self.retries:
                     continue
@@ -312,12 +364,13 @@ class SearchRun:
         queries: tuple[str, ...],
         evidences: tuple[Evidence, ...],
         query: str | None,
-        ask: bool = False,
+        seed: bool = False,
     ) -> _Outcome:
         """Extend the history with evidence gathered for ``query`` (if one is
-        given), submit the state's ask if ``ask`` is set, then answer over
-        the history and score the answer. May run in a worker; a provider
-        failure ends the state and is kept in the outcome."""
+        given), then answer over the history and score the answer. A seed
+        submits its ask once its history exists, and its answer and score
+        go out last. May run in a worker; a provider failure ends the state
+        and is kept in the outcome."""
         outcome = _Outcome(query, queries, evidences)
         ledger = outcome.ledger
         try:
@@ -326,19 +379,19 @@ class SearchRun:
                 evidence = gather_evidence(question, query, self.config, complete, self.index, ledger)
                 outcome.queries += (query,)
                 outcome.evidences += (evidence,)
-            if ask:
+            if seed:
                 outcome.ask = self._submit(
                     self._ask_parent, question, outcome.queries, outcome.evidences
                 )
             history = _history_pairs(outcome.queries, outcome.evidences)
             prompt = render_answer_prompt(question, history)
-            answer = self._complete(prompt, TAG_ANSWER, ledger).strip()
+            answer = self._complete(prompt, TAG_ANSWER, ledger, seed).strip()
             if not answer:
                 # Contract violation: an unanswerable state cannot be scored.
                 raise ProviderError("provider returned an empty answer")
             outcome.answer, outcome.api_before_score = answer, ledger.api_times
             prompt = render_score_prompt(question, history, answer)
-            text = self._complete(prompt, TAG_SCORE, ledger)
+            text = self._complete(prompt, TAG_SCORE, ledger, seed)
         except ProviderError as err:
             outcome.error = err
             return outcome
@@ -393,16 +446,13 @@ class SearchRun:
     def _seed_level(self, question: str) -> tuple[Beam, list]:
         """Evaluate the two depth-0 seeds as one level: a direct answer over an
         empty history, and an answer over evidence gathered for the question
-        itself. Returns the beam and the seeds' asks: the direct seed's is
-        submitted here once both seeds are, the grounded seed submits its own
-        once its evidence is gathered. No threshold check happens here. A
-        failed seed raises its provider error once both seeds' events and
-        calls are recorded, and, with a pool, the asks' and children's."""
-        direct = self._submit(self._evaluate, question, (), (), None)
+        itself. Returns the beam and the asks each seed submitted. No
+        threshold check happens here. A failed seed raises its provider
+        error once both seeds' events and calls are recorded, and, with a
+        pool, the asks' and children's."""
+        direct = self._submit(self._evaluate, question, (), (), None, True)
         grounded = self._submit(self._evaluate, question, (), (), question, True)
-        direct_ask = self._submit(self._ask_parent, question, (), ())
         outcomes = [direct.result(), grounded.result()]
-        outcomes[0].ask = direct_ask
         beam: Beam = []
         for variant, outcome in zip(("direct", "evidence"), outcomes):
             payload = {"depth": 0, "variant": variant}
@@ -498,7 +548,10 @@ class SearchRun:
         self.trace: list[TraceEvent] = []
         self.ledger = CostLedger()
         self._next_id = 0
-        self._pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
+        self._pool = None
+        if self.workers > 1:
+            self._gate = _CallGate(self.workers)
+            self._pool = ThreadPoolExecutor(max_workers=THREADS_PER_SLOT * self.workers)
         try:
             beam, seed_asks = self._seed_level(question)
             final_beam = beam
@@ -527,6 +580,7 @@ class SearchRun:
         finally:
             if self._pool is not None:
                 self._pool.shutdown(cancel_futures=True)
+            self._gate = None
         winner = select_answer(final_beam)
         self._emit(
             "finished",

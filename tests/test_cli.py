@@ -373,6 +373,24 @@ def test_ask_script_with_a_mistyped_matcher_fails_before_any_call(
     assert captured.out == ""
 
 
+def test_ask_script_with_a_string_repeat_fails_before_any_call(tmp_path, capsys, no_search):
+    script_path = tmp_path / "script.json"
+    rule = {"response": "x", "tag": "answer", "repeat": "false"}
+    script_path.write_text(json.dumps({"rules": [rule]}), encoding="utf-8")
+    code = main(
+        [
+            "ask", "who?",
+            "--provider", "scripted", "--script", str(script_path),
+            "--evidence-mode", "generate_background",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: rule repeat")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_ask_without_index_in_retrieval_mode_fails(harpers_cli, capsys):
     built, _, script_path = harpers_cli
     code = main(

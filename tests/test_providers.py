@@ -422,6 +422,9 @@ def test_script_rule_token_counts_must_be_ints_at_least_zero(field, count):
         ({"tag": "score", "ordinal": 0}, "rule ordinal"),
         ({"tag": "score", "ordinal": 1.0}, "rule ordinal"),
         ({"tag": "score", "ordinal": True}, "rule ordinal"),
+        # A truthy string would otherwise answer every request of its tag.
+        ({"tag": "answer", "repeat": "false"}, "rule repeat"),
+        ({"tag": "answer", "repeat": 1}, "rule repeat"),
     ],
 )
 def test_rule_with_a_mistyped_matcher_is_rejected_when_built(matcher, message):

@@ -1,12 +1,17 @@
+import hashlib
 import json
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import beamqa.search
+from beamqa.accounting import CostLedger
 from beamqa.prompts import (
     render_answer_prompt,
     render_ask_prompt,
@@ -23,6 +28,7 @@ from beamqa.providers import (
 )
 from beamqa.retrieval import GENERATE_BACKGROUND, _docs_block, index_corpus, retrieve
 from beamqa.search import (
+    THREADS_PER_SLOT,
     SearchConfig,
     SearchError,
     SearchRun,
@@ -605,21 +611,18 @@ def test_failed_grounded_seed_keeps_its_calls_in_the_partial_ledger():
 
 
 class MeetingProvider:
-    """Delegates to a scripted provider; each of the first two calls waits
-    for the other, so both pass only when they are in flight together."""
+    """Delegates to a scripted provider; each of the two ``meeting`` requests
+    waits for the other, so both pass only when they are in flight together."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, meeting):
         self.inner = inner
+        self.meeting = set(meeting)
         self.barrier = threading.Barrier(2, timeout=2)
         self.lock = threading.Lock()
-        self.calls = 0
         self.met = []
 
     def complete(self, request):
-        with self.lock:
-            self.calls += 1
-            first_two = self.calls <= 2
-        if first_two:
+        if (request.tag, request.prompt) in self.meeting:
             try:
                 self.barrier.wait()
                 with self.lock:
@@ -631,7 +634,10 @@ class MeetingProvider:
 
 def test_seeds_run_concurrently_with_two_workers():
     built, index, config = harpers_script()
-    provider = MeetingProvider(ScriptedProvider(built.rules))
+    hits = retrieve(index, built.question, config.retrieval_docs)
+    direct_answer = ("answer", render_answer_prompt(built.question, []))
+    grounded_summarize = ("summarize", render_summarize_prompt(built.question, _docs_block(hits)))
+    provider = MeetingProvider(ScriptedProvider(built.rules), [direct_answer, grounded_summarize])
     result = run_search(built.question, config, provider, index=index, workers=2)
     # The direct seed's answer and the grounded seed's summarize met at the barrier.
     assert sorted(provider.met) == ["answer", "summarize"]
@@ -851,15 +857,235 @@ def test_one_worker_sends_every_request_inline_in_serial_order():
     assert provider.requests == [(rule.tag, rule.exact) for rule in built.rules]
 
 
+# --- the call gate ------------------------------------------------------------
+
+
+class StaggeredProvider:
+    """Delegates to a scripted provider after a delay of one to one and a half
+    ``unit_s``, drawn from a hash of the salted prompt, and records the most
+    calls it ever had in flight at once."""
+
+    def __init__(self, inner, salt, unit_s=0.02):
+        self.inner = inner
+        self.salt = salt
+        self.unit_s = unit_s
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+
+    def delay_s(self, request):
+        key = f"{self.salt}|{request.tag}|{request.prompt}".encode()
+        draw = int.from_bytes(hashlib.sha1(key).digest()[:8], "big") / 2**64
+        return self.unit_s * (1 + draw / 2)
+
+    def complete(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay_s(request))
+            return self.inner.complete(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(workers=st.integers(2, 8), salt=st.integers(0, 2**32))
+def test_calls_in_flight_never_exceed_workers_and_fill_them(workers, salt):
+    built, index, config = harpers_script()
+    _, serial = harpers_result(workers=1)
+    provider = StaggeredProvider(ScriptedProvider(built.rules), salt)
+    result = run_search(built.question, config, provider, index=index, workers=workers)
+    assert provider.peak <= workers
+    # Once the direct seed's ask and the grounded seed's evidence have both
+    # returned, two children, the grounded ask and the grounded answer want
+    # a slot together; delays within 1.5x of each other make them overlap.
+    if workers <= 4:
+        assert provider.peak == workers
+    assert result.trace_lines() == serial.trace_lines()
+    assert result.ledger == serial.ledger
+
+
+class HoldingProvider:
+    """Delegates to a scripted provider, but holds each request until the
+    test releases it (or opens the provider); records arrival order."""
+
+    def __init__(self, inner, timeout=5.0):
+        self.inner = inner
+        self.timeout = timeout
+        self.cond = threading.Condition()
+        self.arrived = []
+        self.released = set()
+        self.opened = False
+
+    def complete(self, request):
+        key = (request.tag, request.prompt)
+        with self.cond:
+            self.arrived.append(key)
+            self.cond.wait_for(lambda: self.opened or key in self.released, self.timeout)
+        return self.inner.complete(request)
+
+    def held(self):
+        with self.cond:
+            return [key for key in self.arrived if key not in self.released]
+
+    def release(self, key):
+        with self.cond:
+            self.released.add(key)
+            self.cond.notify_all()
+
+    def open(self):
+        with self.cond:
+            self.opened = True
+            self.cond.notify_all()
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def test_waiting_asks_and_children_go_out_before_an_older_waiting_seed_answer():
+    built, index, config = harpers_script()
+    question, plan = built.question, harpers_plan()
+    hits = retrieve(index, question, config.retrieval_docs)
+    grounded_summarize = ("summarize", render_summarize_prompt(question, _docs_block(hits)))
+    direct_ask = ("ask", render_ask_prompt(question, [], config.max_queries))
+    grounded_history = [(question, plan.grounded_evidence)]
+    grounded_ask = ("ask", render_ask_prompt(question, grounded_history, config.max_queries))
+    grounded_answer = ("answer", render_answer_prompt(question, grounded_history))
+    provider = HoldingProvider(ScriptedProvider(built.rules))
+    run = SearchRun(config, provider, index=index, workers=2)
+    results = []
+    search = threading.Thread(target=lambda: results.append(run.run_search(question)))
+    search.start()
+
+    def waiting():
+        gate = run._gate
+        return 0 if gate is None else len(gate._waiting)
+
+    def release_and_see_next(key):
+        sent = len(provider.arrived)
+        provider.release(key)
+        wait_until(lambda: len(provider.arrived) > sent)
+        return provider.arrived[sent]
+
+    try:
+        # The direct seed's answer and ask and the grounded seed's summarize:
+        # two hold the two slots, one waits. Let the direct seed's answer
+        # through if it holds a slot, so that the slots hold the two calls
+        # that feed children and one direct seed call waits.
+        wait_until(lambda: len(provider.held()) == 2 and waiting() == 1)
+        for key in provider.held():
+            if key[0] == "answer":
+                provider.release(key)
+        wait_until(
+            lambda: set(provider.held()) == {grounded_summarize, direct_ask} and waiting() == 1
+        )
+        # The waiting seed call takes the summarize's slot; the grounded
+        # seed's answer and ask then both wait.
+        provider.release(grounded_summarize)
+        wait_until(lambda: len(provider.held()) == 2 and waiting() == 2)
+        (seed_call,) = [key for key in provider.held() if key != direct_ask]
+        assert release_and_see_next(direct_ask) == grounded_ask
+        # The direct seed's first child now waits behind the grounded seed's
+        # answer, which has waited longer, and still goes out first.
+        wait_until(lambda: waiting() == 2)
+        assert release_and_see_next(seed_call)[0] == "summarize"
+        assert grounded_answer not in provider.arrived
+    finally:
+        provider.open()
+        search.join(timeout=10)
+    assert not search.is_alive()
+    assert results[0].trace_lines() == harpers_result(workers=1)[1].trace_lines()
+
+
+def test_the_gate_keeps_its_slot_count_under_thread_churn():
+    gate = beamqa.search._CallGate(3)
+    lock = threading.Lock()
+    counts = {"in_flight": 0, "peak": 0, "done": 0}
+
+    def calls(rank):
+        for _ in range(200):
+            with gate.slot(rank):
+                with lock:
+                    counts["in_flight"] += 1
+                    counts["peak"] = max(counts["peak"], counts["in_flight"])
+                time.sleep(0)
+                with lock:
+                    counts["in_flight"] -= 1
+                    counts["done"] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=calls, args=(i % 2,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert counts["done"] == 8 * 200
+    assert counts["peak"] <= 3
+    # A lost hand-off or a slot freed twice would leave the count off.
+    assert (gate._free, gate._waiting) == (3, [])
+
+
+def test_a_retry_backoff_holds_no_call_slot(monkeypatch):
+    built, index, config = harpers_script()
+    provider = FlakyOnce(ScriptedProvider(built.rules), failures=2)
+    run = SearchRun(config, provider, index=index, retries=2)
+    run._gate = beamqa.search._CallGate(1)
+    slot_free_in_backoff = []
+
+    def sleep(seconds):
+        # Another call takes the gate's one slot while this request backs off.
+        taken = threading.Event()
+
+        def take():
+            with run._gate.slot(0):
+                taken.set()
+
+        threading.Thread(target=take, daemon=True).start()
+        slot_free_in_backoff.append(taken.wait(2))
+
+    monkeypatch.setattr(beamqa.search.time, "sleep", sleep)
+    rule = built.rules[0]
+    assert run._complete(rule.exact, rule.tag, CostLedger()) == rule.response
+    assert provider.attempts == 3
+    assert slot_free_in_backoff == [True]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_complete_outside_a_run_sends_inline(workers):
+    built, index, config = harpers_script()
+    rules = [replace(rule, repeat=True) for rule in built.rules]
+    run = SearchRun(config, ScriptedProvider(rules), index=index, workers=workers)
+    rule = built.rules[0]
+    for _ in range(2):
+        # Before any run and after one, the request is sent on this thread.
+        run.provider = RecordingProvider(ScriptedProvider(rules))
+        ledger = CostLedger()
+        assert run._complete(rule.exact, rule.tag, ledger) == rule.response
+        assert run.provider.threads == [threading.current_thread()]
+        assert ledger.api_times == 1
+        run.run_search(built.question)
+
+
 @pytest.fixture
 def counted_pools(monkeypatch):
-    """Swaps the engine's pool for one that records each pool it builds and
-    each thread that runs one of its tasks."""
+    """Swaps the engine's pool for one that records each pool it builds, the
+    thread cap it was given, and each thread that runs one of its tasks."""
     pools, threads = [], set()
 
     class CountingPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.max_workers = max_workers
             pools.append(self)
 
         def submit(self, fn, /, *args, **kwargs):
@@ -911,6 +1137,43 @@ def test_a_reused_run_repeats_a_fresh_runs_trace_and_ledger(counted_pools, worke
         assert result.ledger == fresh.ledger
     assert len(pools) == (2 if workers > 1 else 0)
     assert not any(thread.is_alive() for thread in threads)
+
+
+class FanoutProvider:
+    """Asks return ``max_queries`` questions named after the prompt, scores
+    are 0.5 and everything else is a fixed text; records each call's thread."""
+
+    def __init__(self, max_queries):
+        self.max_queries = max_queries
+        self.lock = threading.Lock()
+        self.threads = set()
+
+    def complete(self, request):
+        with self.lock:
+            self.threads.add(threading.current_thread())
+        if request.tag == "ask":
+            name = hashlib.sha1(request.prompt.encode()).hexdigest()[:8]
+            text = "\n".join(f"{i}. what about {name} {i}?" for i in range(1, self.max_queries + 1))
+        else:
+            text = "0.5" if request.tag == "score" else "some text"
+        return CompletionResponse(text, 10, 1, True)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("width", [2, 4])
+def test_every_call_runs_on_the_swapped_pool_within_the_thread_bound(counted_pools, workers, width):
+    pools, threads = counted_pools
+    config = genread_config(beam_size=width, max_queries=width)
+    provider = FanoutProvider(width)
+    result = run_search("who?", config, provider, workers=workers)
+    # Five seed calls, then per level each parent asks once and each child makes three.
+    assert result.ledger.api_times == 5 + (2 + width) * (1 + 3 * width)
+    assert len(pools) == 1
+    # The cap follows workers alone, however many tasks a level holds.
+    assert pools[0].max_workers == THREADS_PER_SLOT * workers
+    assert provider.threads <= threads
+    assert len(threads) <= THREADS_PER_SLOT * workers
+    assert_no_worker_alive(threads)
 
 
 def test_worker_counts_produce_byte_identical_traces():
