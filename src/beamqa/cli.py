@@ -4,13 +4,15 @@ and batch evaluation."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-from .accounting import CostReport, format_cost_table
+from .accounting import CostLedger, CostReport, format_cost_table
 from .evaluation import (
     DatasetFormatError,
     QAExample,
@@ -32,7 +34,7 @@ from .retrieval import (
     load_index,
     save_index,
 )
-from .search import SearchConfig, SearchError, SearchRun
+from .search import SearchConfig, SearchError, SearchResult, SearchRun
 
 DETERMINISM_NOTE = (
     "no random seed: runs are fully determined by the provider, corpus, and config"
@@ -183,11 +185,19 @@ def cmd_index(args: argparse.Namespace) -> int:
     except (CorpusFormatError, DuplicateDocumentError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    # Write beside the target, then rename over it: a failed write leaves
+    # any previous index whole.
+    out = Path(args.out)
+    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
     try:
-        save_index(index, args.out)
+        save_index(index, tmp)
+        os.replace(tmp, out)
     except OSError as err:
-        print(f"error: cannot write the index: {err}", file=sys.stderr)
+        print(f"error: cannot write the index {args.out}: {err}", file=sys.stderr)
         return 1
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
     print(f"indexed {len(index)} documents -> {args.out}")
     return 0
 
@@ -255,63 +265,95 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    def run_one(example: QAExample):
-        return SearchRun(config, provider, index=index, retries=args.retries).run_search(
-            example.question
-        )
+    def run_one(example: QAExample) -> SearchResult | SearchError:
+        try:
+            return SearchRun(config, provider, index=index, retries=args.retries).run_search(
+                example.question
+            )
+        except SearchError as err:  # becomes the question's error row
+            return err
 
     try:
         if args.workers == 1:
-            results = [run_one(ex) for ex in examples]
+            outcomes = [run_one(ex) for ex in examples]
         else:
             # Questions run in parallel; output keeps dataset order.
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(run_one, examples))
-    except (ProviderError, SearchError, ValueError) as err:
+                outcomes = list(pool.map(run_one, examples))
+    except (ProviderError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    report = evaluate(results, examples)
-    rows = []
-    for result, example in zip(results, examples):
-        rows.append(
-            {
-                "question": example.question,
-                "gold_answers": list(example.gold_answers),
-                "answer": result.final_answer,
-                "score": result.final_state.score,
-                "em": exact_match(result.final_answer, example.gold_answers),
-                "f1": f1_score(result.final_answer, example.gold_answers),
-                "hit": hit_rate(
-                    [e.text for e in result.final_state.evidences], example.gold_answers
-                ),
-                "ledger": result.ledger.snapshot(),
-                "cost_report": result.ledger.report().as_dict(),
-            }
-        )
-    per_question = CostReport.from_ledger(report.cost, report.n_examples)
+    total = sum((outcome.ledger for outcome in outcomes), CostLedger())
+    per_question = CostReport.from_ledger(total, len(examples))
+    summary = {
+        **_eval_summary(outcomes, examples),
+        "cost": total.snapshot(),
+        "cost_report_per_question": per_question.as_dict(),
+    }
     if args.output:
         try:
             _write_json(
                 args.output,
                 {
                     "manifest": _manifest(args, config, provider, dataset_path=args.dataset),
-                    "summary": {
-                        **report.as_dict(),
-                        "cost_report_per_question": per_question.as_dict(),
-                    },
-                    "questions": rows,
+                    "summary": summary,
+                    "questions": [_eval_row(o, ex) for o, ex in zip(outcomes, examples)],
                 },
             )
         except OSError as err:
             print(f"error: cannot write the report: {err}", file=sys.stderr)
             return 1
-    print(
-        f"n={report.n_examples} em={report.em_mean:.4f} f1={report.f1_mean:.4f} "
-        f"hit_rate={report.hit_rate:.4f}"
+    for i, outcome in enumerate(outcomes, start=1):
+        if isinstance(outcome, SearchError):
+            print(f"error: question {i} failed: {outcome}", file=sys.stderr)
+    means = " ".join(
+        f"{label}={'n/a' if summary[key] is None else format(summary[key], '.4f')}"
+        for label, key in (("em", "em_mean"), ("f1", "f1_mean"), ("hit_rate", "hit_rate"))
     )
-    print(format_cost_table({"totals": report.cost.report(), "per-question": per_question}))
-    return 0
+    print(f"n={len(examples)} completed={summary['completed']} failed={summary['failed']} {means}")
+    print(format_cost_table({"totals": total.report(), "per-question": per_question}))
+    return 2 if summary["failed"] else 0
+
+
+def _eval_summary(outcomes: list[SearchResult | SearchError], examples: list[QAExample]) -> dict:
+    """Question counts, EM, F1 and hit-rate means over the completed
+    questions (None when none completed), and the clamped scores of every
+    question, a failed one's partial trace included."""
+    done = [(o, ex) for o, ex in zip(outcomes, examples) if isinstance(o, SearchResult)]
+    means = {"em_mean": None, "f1_mean": None, "hit_rate": None}
+    if done:
+        report = evaluate([o for o, _ in done], [ex for _, ex in done])
+        means = {"em_mean": report.em_mean, "f1_mean": report.f1_mean, "hit_rate": report.hit_rate}
+    return {
+        "n_examples": len(examples),
+        "completed": len(done),
+        "failed": len(examples) - len(done),
+        **means,
+        "clamped_scores": sum(
+            event.kind == "scored" and "clamped" in event.payload
+            for outcome in outcomes
+            for event in outcome.trace
+        ),
+    }
+
+
+def _eval_row(outcome: SearchResult | SearchError, example: QAExample) -> dict:
+    row: dict = {"question": example.question, "gold_answers": list(example.gold_answers)}
+    if isinstance(outcome, SearchError):
+        row["error"] = str(outcome)
+    else:
+        answer = outcome.final_answer
+        row.update(
+            answer=answer,
+            score=outcome.final_state.score,
+            em=exact_match(answer, example.gold_answers),
+            f1=f1_score(answer, example.gold_answers),
+            hit=hit_rate([e.text for e in outcome.final_state.evidences], example.gold_answers),
+        )
+    row["ledger"] = outcome.ledger.snapshot()
+    row["cost_report"] = outcome.ledger.report().as_dict()
+    return row
 
 
 def build_parser() -> argparse.ArgumentParser:

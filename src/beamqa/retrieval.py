@@ -16,6 +16,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -41,7 +42,7 @@ BM25_B = 0.75
 _PRUNE_MARGIN = 1e-9
 
 INDEX_FORMAT = "beamqa-lexical-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 _TOKEN = re.compile(r"[^\W_]+")
 
@@ -98,22 +99,30 @@ class Evidence:
 
 
 class LexicalIndex:
-    """Immutable BM25 index: postings in CSR form with precomputed weights.
+    """Immutable BM25 index: postings in CSR form with precomputed weights,
+    and the documents' text as one UTF-8 block.
 
-    The postings of ``term`` are ``positions[start:end]`` (document
-    positions, strictly ascending) and ``weights[start:end]`` (that
-    document's BM25 term weight), where ``(start, end) = spans[term]``. The
-    spans tile both arrays in the dict's order, which is what ``save_index``
-    writes out. ``retrieve`` finds a document in a term's postings by binary
-    search, so it relies on the order; ``load_index`` trusts a file's
-    positions to be in that order, as it trusts its weights and lengths.
+    The postings of the ``k``-th term, ``k = term_ids[term]``, are
+    ``positions[start:end]`` (document positions, strictly ascending) and
+    ``weights[start:end]`` (that document's BM25 term weight), where
+    ``start, end = offsets[k], offsets[k + 1]``; ``save_index`` writes the
+    arrays out as they are. ``retrieve`` finds a document in a term's
+    postings by binary search, so it relies on the order; ``load_index``
+    trusts a file's positions to be in that order, as it trusts its weights
+    and lengths.
+
+    Document ``i`` is ``ids[i]``, with title ``text[off[2i]:off[2i+1]]`` and
+    body ``text[off[2i+1]:off[2i+2]]`` of the UTF-8 ``text``, where ``off``
+    is ``text_offsets``. A built and a loaded index hold the same form, and
+    a ``Document`` is decoded only when asked for: for a hit, or by
+    ``documents``. Nothing is cached, so an index can be shared by threads.
     """
 
     def __init__(self, docs: Iterable[Document]):
-        self._docs = _unique(docs)
+        docs = _unique(docs)
         self._doc_len = array("i")
         doc_terms: dict[str, array] = {}  # term -> [pos, tf, pos, tf, ...]
-        for i, doc in enumerate(self._docs):
+        for i, doc in enumerate(docs):
             tokens = tokenize(f"{doc.title} {doc.body}")
             self._doc_len.append(len(tokens))
             for term, tf in Counter(tokens).items():
@@ -123,7 +132,7 @@ class LexicalIndex:
                 else:
                     posting.append(i)
                     posting.append(tf)
-        self.avg_doc_len = sum(self._doc_len) / len(self._docs)
+        self.avg_doc_len = sum(self._doc_len) / len(docs)
         # Each weight is idf * tf * (k1 + 1) / (tf + norm[pos]), evaluated in
         # the formula's order so that scores are the same to the last bit;
         # tf == 1, most postings, takes the same operations precomputed.
@@ -131,44 +140,73 @@ class LexicalIndex:
             BM25_K1 * (1 - BM25_B + BM25_B * dl / self.avg_doc_len) for dl in self._doc_len
         ]
         norm_tf1 = [1 + x for x in norm]
-        n = len(self._docs)
+        n = len(docs)
         k1_plus_1 = BM25_K1 + 1
-        self._spans: dict[str, tuple[int, int]] = {}
+        self._offsets = array("i", [0])
         self._positions = array("i")
         self._weights = array("d")
-        for term, posting in doc_terms.items():
+        for posting in doc_terms.values():
             positions = posting[0::2]
             df = len(positions)
             idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
             num_tf1 = idf * 1 * k1_plus_1
-            start = len(self._positions)
-            self._spans[term] = (start, start + df)
             self._positions.extend(positions)
+            self._offsets.append(len(self._positions))
             self._weights.fromlist([
                 num_tf1 / norm_tf1[pos] if tf == 1 else idf * tf * k1_plus_1 / (tf + norm[pos])
                 for pos, tf in zip(positions, posting[1::2])
             ])
+        self._term_ids = dict(zip(doc_terms, range(len(doc_terms))))
+        # Join the text once the per-term lists are gone, so that the two
+        # never take memory at the same time.
+        del doc_terms
+        self._ids = tuple(doc.doc_id for doc in docs)
+        self._text, self._text_offsets = _text_block(docs)
 
     @classmethod
     def _from_arrays(
-        cls, docs: Sequence[Document], doc_len: array, terms: Sequence[str],
-        offsets: array, positions: array, weights: array,
+        cls, ids: Sequence[str], text: bytes, text_offsets: array, doc_len: array,
+        terms: Sequence[str], offsets: array, positions: array, weights: array,
     ) -> "LexicalIndex":
         index = cls.__new__(cls)
-        index._docs = _unique(docs)
+        index._ids = tuple(ids)
+        index._text = text
+        index._text_offsets = text_offsets
         index._doc_len = doc_len
-        index.avg_doc_len = sum(doc_len) / len(docs)
-        index._spans = dict(zip(terms, zip(offsets, offsets[1:])))
+        index.avg_doc_len = sum(doc_len) / len(ids)
+        index._term_ids = dict(zip(terms, range(len(terms))))
+        index._offsets = offsets
         index._positions = positions
         index._weights = weights
         return index
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._ids)
 
     @property
     def documents(self) -> tuple[Document, ...]:
-        return self._docs
+        """Every document, in index order, decoded anew on each access."""
+        return tuple(map(self._document, range(len(self._ids))))
+
+    def _document(self, pos: int) -> Document:
+        text, off = self._text, self._text_offsets
+        title, body, end = off[2 * pos], off[2 * pos + 1], off[2 * pos + 2]
+        return Document(self._ids[pos], text[title:body].decode("utf-8"), text[body:end].decode("utf-8"))
+
+
+def _text_block(docs: Sequence[Document]) -> tuple[bytes, array]:
+    """Every title and body as one UTF-8 block, and the 2n + 1 offsets that
+    cut it back into them."""
+    parts = []
+    offsets = array("q", [0])
+    size = 0
+    for doc in docs:
+        for field in (doc.title, doc.body):
+            raw = field.encode("utf-8")
+            parts.append(raw)
+            size += len(raw)
+            offsets.append(size)
+    return b"".join(parts), offsets
 
 
 def _unique(docs: Iterable[Document]) -> tuple[Document, ...]:
@@ -219,11 +257,16 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    spans, positions, weights = index._spans, index._positions, index._weights
-    query_spans = [spans[term] for term in tokenize(query) if term in spans]
+    term_ids, offsets = index._term_ids, index._offsets
+    positions, weights = index._positions, index._weights
+    query_spans = []
+    for term in tokenize(query):
+        k = term_ids.get(term)
+        if k is not None:
+            query_spans.append((offsets[k], offsets[k + 1]))
     # No weight reaches idf * (k1 + 1), since tf / (tf + norm) < 1, so a term
     # repeated m times adds less than m * idf * (k1 + 1) to any score.
-    n_docs, k1_plus_1 = len(index._docs), BM25_K1 + 1
+    n_docs, k1_plus_1 = len(index), BM25_K1 + 1
     terms = []
     for (start, end), mult in Counter(query_spans).items():
         df = end - start
@@ -277,7 +320,6 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
     if len(partial) > n:
         floor = heapq.nlargest(n, partial.values())[-1] * (1 - _PRUNE_MARGIN)
         partial = {pos: score for pos, score in partial.items() if score >= floor}
-    docs = index._docs
     matches = []
     for pos in partial:
         score = 0.0
@@ -289,8 +331,9 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
     if len(matches) > n:
         cutoff = heapq.nlargest(n, [score for _, score in matches])[-1]
         matches = [match for match in matches if match[1] >= cutoff]
-    matches.sort(key=lambda kv: (-kv[1], docs[kv[0]].doc_id))
-    return [(docs[pos], score) for pos, score in matches[:n]]
+    ids = index._ids
+    matches.sort(key=lambda kv: (-kv[1], ids[kv[0]]))
+    return [(index._document(pos), score) for pos, score in matches[:n]]
 
 
 def _one_pass_touches_fewer(length: int, survivors: int) -> bool:
@@ -371,69 +414,58 @@ def load_corpus(path: str | Path) -> list[Document]:
     return docs
 
 
-# The arrays of a v2 index file, in file order, with their array typecodes.
-_ARRAYS = (("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d"))
-_DOCS_PER_CHUNK = 1024
+# The arrays of an index file, in file order, with their array typecodes;
+# the text block follows them.
+_ARRAYS = (
+    ("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d"), ("text_offsets", "q"),
+)
 
 
 def save_index(index: LexicalIndex, path: str | Path) -> None:
-    """Write a v2 index file: one JSON header line, then the raw arrays.
+    """Write a v3 index file: one JSON header line, the raw arrays, then the text.
 
-    The header holds the documents, the terms in posting order, each
-    array's length, the item sizes and the byte order; the arrays follow in
-    ``_ARRAYS`` order. Term ``k``'s postings are ``offsets[k]:offsets[k+1]``
-    of ``positions`` and ``weights``, so loading never re-tokenizes.
+    The header holds the terms in posting order, the document ids, each
+    array's length and the text's, the item sizes and the byte order; the
+    arrays follow in ``_ARRAYS`` order, then the documents' text as one
+    UTF-8 block. Term ``k``'s postings are ``offsets[k]:offsets[k+1]`` of
+    ``positions`` and ``weights``, so loading never re-tokenizes.
     """
-    offsets = array("i", [0])
-    offsets.extend(end for _, end in index._spans.values())
     arrays = {
         "doc_len": index._doc_len,
-        "offsets": offsets,
+        "offsets": index._offsets,
         "positions": index._positions,
         "weights": index._weights,
+        "text_offsets": index._text_offsets,
     }
     header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "byteorder": sys.byteorder,
         "itemsize": {code: array(code).itemsize for _, code in _ARRAYS},
-        "lengths": {name: len(arr) for name, arr in arrays.items()},
-        "terms": list(index._spans),
+        "lengths": {**{name: len(arr) for name, arr in arrays.items()}, "text": len(index._text)},
+        "terms": list(index._term_ids),
+        "ids": list(index._ids),
     }
-    # The documents, the header's last and largest field, go out in chunks so
-    # that no copy of the whole header is held; the bytes are still those of
-    # json.dumps of the full header.
-    docs = index.documents
     with open(path, "wb") as handle:
-        head = json.dumps(header, ensure_ascii=False)[:-1]
-        handle.write(f'{head}, "documents": ['.encode("utf-8"))
-        for i in range(0, len(docs), _DOCS_PER_CHUNK):
-            chunk = [[d.doc_id, d.title, d.body] for d in docs[i:i + _DOCS_PER_CHUNK]]
-            text = json.dumps(chunk, ensure_ascii=False)[1:-1]
-            handle.write(f"{', ' if i else ''}{text}".encode("utf-8"))
-        handle.write(b"]}\n")
+        handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
         for name, _ in _ARRAYS:
             arrays[name].tofile(handle)
+        handle.write(index._text)
 
 
 def load_index(path: str | Path) -> LexicalIndex:
-    """Read a v2 index file, or rebuild the postings of a v1 file."""
+    """Read a v3 index file; an older version asks for the index to be rebuilt."""
     with open(path, "rb") as handle:
         header = _json_object(handle.readline())
-        if header is None:  # a v1 file may spread its JSON over several lines
-            handle.seek(0)
-            header = _json_object(handle.read())
         if header is None or header.get("format") != INDEX_FORMAT:
             raise ValueError(f"{path} is not a lexical index file")
         version = header.get("version")
-        if version == 1:
-            if handle.read().strip():
-                raise ValueError(f"{path}: malformed index file: data after the v1 payload")
-            docs = [Document(d["id"], d.get("title", ""), d["text"]) for d in header["documents"]]
-            return index_corpus(docs)
         if version != INDEX_VERSION:
-            raise ValueError(f"unsupported index version {version!r}")
-        return _read_v2(header, handle, path)
+            raise ValueError(
+                f"{path}: index format version {version!r} is not read by this beamqa, "
+                f"which reads version {INDEX_VERSION}; re-run `beamqa index` to rebuild it"
+            )
+        return _read_v3(header, handle, path)
 
 
 def _json_object(raw: bytes) -> dict | None:
@@ -444,7 +476,7 @@ def _json_object(raw: bytes) -> dict | None:
     return value if isinstance(value, dict) else None
 
 
-def _read_v2(header: dict, handle, path: str | Path) -> LexicalIndex:
+def _read_v3(header: dict, handle, path: str | Path) -> LexicalIndex:
     def check(ok: bool, what: str) -> None:
         if not ok:
             raise ValueError(f"{path}: malformed index file: {what}")
@@ -453,33 +485,54 @@ def _read_v2(header: dict, handle, path: str | Path) -> LexicalIndex:
     check(header.get("byteorder") in ("little", "big"), "unknown byte order")
     check(isinstance(lengths, dict) and isinstance(itemsize, dict), "no array lengths")
     arrays = {name: array(code) for name, code in _ARRAYS}
-    size = 0
+    text_size = lengths.get("text")
+    check(type(text_size) is int and text_size >= 0, "bad length for 'text'")
+    size = text_size
     for name, arr in arrays.items():
         count = lengths.get(name)
         check(itemsize.get(arr.typecode) == arr.itemsize, f"item size of {name!r} differs from this platform's")
         check(type(count) is int and count >= 0, f"bad length for {name!r}")
         size += count * arr.itemsize
     remaining = os.fstat(handle.fileno()).st_size - handle.tell()
-    check(size == remaining, f"the header's arrays take {size} bytes, the file holds {remaining}")
+    check(size == remaining, f"the header's arrays and text take {size} bytes, the file holds {remaining}")
     for name, arr in arrays.items():
         arr.fromfile(handle, lengths[name])
         if header["byteorder"] != sys.byteorder:
             arr.byteswap()
+    text = handle.read(text_size)
 
-    raw_docs, terms = header.get("documents"), header.get("terms")
-    check(isinstance(raw_docs, list) and isinstance(terms, list), "no documents or terms")
-    check(all(isinstance(term, str) for term in terms), "a term is not a string")
-    try:
-        docs = [Document(doc_id, title, body) for doc_id, title, body in raw_docs]
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: malformed index file: bad document ({err})") from None
+    ids, terms = header.get("ids"), header.get("terms")
+    check(isinstance(ids, list) and isinstance(terms, list), "no ids or terms")
+    check(all(map(isinstance, terms, repeat(str))), "a term is not a string")
+    check(all(map(isinstance, ids, repeat(str))) and all(ids), "a document id is empty or not a string")
+    check(len(ids) > 0 and len(set(ids)) == len(ids), "the document ids are missing or repeat")
     doc_len, offsets, positions = arrays["doc_len"], arrays["offsets"], arrays["positions"]
-    check(len(doc_len) == len(docs), "doc_len does not match the documents")
+    check(len(doc_len) == len(ids), "doc_len does not match the documents")
     check(len(offsets) == len(terms) + 1 and len(set(terms)) == len(terms), "offsets do not match the terms")
     check(offsets[0] == 0 and offsets[-1] == len(positions) == len(arrays["weights"]),
           "offsets do not match the postings")
-    check(all(a <= b for a, b in zip(offsets, offsets[1:])), "offsets are not ascending")
+    check(all(map(int.__le__, offsets, offsets[1:])), "offsets are not ascending")
     # Read as unsigned, a negative position is 2**31 or more: one max() bounds both ends.
     with memoryview(positions).cast("B").cast("I") as unsigned:
-        check(not unsigned or max(unsigned) < len(docs), "a posting names no document")
-    return LexicalIndex._from_arrays(docs, doc_len, terms, offsets, positions, arrays["weights"])
+        check(not unsigned or max(unsigned) < len(ids), "a posting names no document")
+    _check_text(text, arrays["text_offsets"], len(ids), check)
+    return LexicalIndex._from_arrays(
+        ids, text, arrays["text_offsets"], doc_len, terms, offsets, positions, arrays["weights"]
+    )
+
+
+def _check_text(text: bytes, off: array, n_docs: int, check: Callable[[bool, str], None]) -> None:
+    """Check that ``off`` cuts ``text`` into ``n_docs`` titles and non-empty
+    bodies of whole UTF-8 characters, so that any hit decodes."""
+    check(len(off) == 2 * n_docs + 1 and off[0] == 0 and off[-1] == len(text),
+          "text offsets do not match the documents and the text")
+    check(all(map(int.__le__, off, off[1:])), "text offsets are not ascending")
+    check(all(map(int.__lt__, off[1::2], off[2::2])), "a document has an empty body")
+    try:
+        text.decode("utf-8")  # only to validate: a str may take four bytes a character
+    except UnicodeDecodeError as err:
+        check(False, f"the text is not UTF-8 ({err.reason} at byte {err.start})")
+    # In valid UTF-8, a cut before any byte but a continuation byte (10xxxxxx)
+    # falls between two characters.
+    check(text.isascii() or all(text[i] & 0xC0 != 0x80 for i in off[:-1] if i < len(text)),
+          "a text offset splits a character")

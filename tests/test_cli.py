@@ -428,7 +428,14 @@ def test_ask_generate_background_needs_no_index(tmp_path, capsys):
 FACT_HITS = {0, 2, 3}
 
 
-def eval_fixture(tmp_path):
+FACT_ANSWERS = [fact_gold(0), "wrong thing", f"the {fact_gold(2)}", "secret token"]
+
+
+def eval_fixture(tmp_path, failing=(), grounded_scores=None):
+    """Index, script and dataset files for four fact questions. The grounded
+    seed of each question in ``failing`` finds no scripted answer, so that
+    question's search fails; ``grounded_scores`` overrides the grounded
+    seeds' score completions by question."""
     n = 4
     config = SearchConfig(beam_size=1, max_depth=1, max_queries=1)
     corpus = fact_corpus(n, FACT_HITS)
@@ -440,11 +447,16 @@ def eval_fixture(tmp_path):
     from beamqa.retrieval import index_corpus
 
     index = index_corpus(corpus)
-    answers = [fact_gold(0), "wrong thing", f"the {fact_gold(2)}", "secret token"]
     rules = []
     for i in range(n):
-        built = ScriptBuilder(config, index).build(fact_plan(i, i in FACT_HITS, answers[i]))
-        rules.extend(built.rules)
+        plan = fact_plan(i, i in FACT_HITS, FACT_ANSWERS[i])
+        if grounded_scores and i in grounded_scores:
+            plan.grounded.score = grounded_scores[i]
+        built = ScriptBuilder(config, index).build(plan)
+        rules.extend(
+            rule for rule in built.rules
+            if not (i in failing and rule.tag == "answer" and rule.response == FACT_ANSWERS[i])
+        )
     script_path = tmp_path / "facts-script.json"
     save_script(rules, script_path)
 
@@ -629,3 +641,95 @@ def test_eval_malformed_dataset_reports_line(tmp_path, capsys):
     code = main(["eval", "--dataset", str(dataset), "--provider", "scripted", "--script", "x"])
     assert code != 0
     assert ":2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_eval_keeps_going_when_a_question_fails(tmp_path, capsys, workers):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    baseline = tmp_path / "baseline.json"
+    assert main(eval_args(index_path, script_path, dataset_path, baseline)) == 0
+    index_path, script_path, dataset_path = eval_fixture(tmp_path, failing={1})
+    output = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main(eval_args(index_path, script_path, dataset_path, output) + ["--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: question 2 failed: search aborted")
+    assert "n=4 completed=3 failed=1 em=0.6667" in captured.out
+
+    report = json.loads(output.read_text(encoding="utf-8"))
+    summary, rows = report["summary"], report["questions"]
+    assert (summary["n_examples"], summary["completed"], summary["failed"]) == (4, 3, 1)
+    # Means over questions 0, 2 and 3 only.
+    assert summary["em_mean"] == pytest.approx(2 / 3)
+    assert summary["f1_mean"] == pytest.approx((1.0 + 1.0 + 0.8) / 3)
+    assert summary["hit_rate"] == pytest.approx(1.0)
+    # The completed questions' rows are those of a run where none failed.
+    expected = json.loads(baseline.read_text(encoding="utf-8"))["questions"]
+    assert [rows[i] for i in (0, 2, 3)] == [expected[i] for i in (0, 2, 3)]
+    failed = rows[1]
+    assert failed["question"] == fact_question(1) and failed["error"].startswith("search aborted")
+    assert "answer" not in failed and "em" not in failed
+    # The partial ledger counts the grounded seed's retrieval and summary,
+    # and the totals count it too.
+    assert failed["ledger"]["retrieval_times"] == 1 and failed["ledger"]["api_times"] >= 1
+    for key, total in summary["cost"].items():
+        assert total == sum(row["ledger"][key] for row in rows)
+
+
+def test_eval_where_every_question_fails_reports_no_means(tmp_path, capsys):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path, failing={0, 1, 2, 3})
+    output = tmp_path / "report.json"
+    assert main(eval_args(index_path, script_path, dataset_path, output)) == 2
+    assert "n=4 completed=0 failed=4 em=n/a f1=n/a hit_rate=n/a" in capsys.readouterr().out
+    summary = json.loads(output.read_text(encoding="utf-8"))["summary"]
+    assert (summary["completed"], summary["em_mean"], summary["hit_rate"]) == (0, None, None)
+
+
+def test_eval_counts_clamped_scores(tmp_path, capsys):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    plain = tmp_path / "plain.json"
+    assert main(eval_args(index_path, script_path, dataset_path, plain)) == 0
+    assert json.loads(plain.read_text(encoding="utf-8"))["summary"]["clamped_scores"] == 0
+    index_path, script_path, dataset_path = eval_fixture(
+        tmp_path, grounded_scores={0: "1.7", 2: "-0.5"}
+    )
+    output = tmp_path / "report.json"
+    assert main(eval_args(index_path, script_path, dataset_path, output)) == 0
+    summary = json.loads(output.read_text(encoding="utf-8"))["summary"]
+    assert summary["clamped_scores"] == 2
+    assert set(summary["cost"]) == {"retrieval_times", "api_times", "prompt_tokens", "completion_tokens"}
+
+
+def test_index_write_that_fails_halfway_leaves_the_old_index_whole(tmp_path, monkeypatch, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus_path, fact_corpus(3, {0}))
+    out = tmp_path / "i.idx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(out)]) == 0
+    before = out.read_bytes()
+    save_index = beamqa.cli.save_index
+
+    def half_then_fail(index, path):
+        save_index(index, path)
+        with open(path, "r+b") as handle:
+            handle.truncate(len(before) // 2)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(beamqa.cli, "save_index", half_then_fail)
+    write_corpus(corpus_path, fact_corpus(4, {1}))
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(out)]) == 1
+    assert "error: cannot write the index" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "i.idx"]
+
+
+def test_index_replaces_the_old_file_and_leaves_no_temp_file(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    out = tmp_path / "i.idx"
+    for n in (3, 4):
+        write_corpus(corpus_path, fact_corpus(n, {0}))
+        assert main(["index", "--corpus", str(corpus_path), "--out", str(out)]) == 0
+    from beamqa.retrieval import load_index
+
+    assert len(load_index(out)) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "i.idx"]

@@ -9,6 +9,7 @@ from functools import partial
 from itertools import compress
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamqa.accounting import CostLedger
 from beamqa.providers import ScriptRule, ScriptedProvider
@@ -156,13 +157,20 @@ def test_retrieval_prefix_monotonicity():
             assert retrieve(index, query, n) == full[:n]
 
 
+def spans(index):
+    """Each term's (start, end) in the postings arrays."""
+    offsets = index._offsets
+    return {term: (offsets[k], offsets[k + 1]) for term, k in index._term_ids.items()}
+
+
 def full_scan_retrieve(index, query, n):
     """The reference: sum every posting of every query token, keep the top n."""
     scores = {}
+    term_spans = spans(index)
     for term in tokenize(query):
-        if term not in index._spans:
+        if term not in term_spans:
             continue
-        start, end = index._spans[term]
+        start, end = term_spans[term]
         for pos, weight in zip(index._positions[start:end], index._weights[start:end]):
             scores[pos] = scores.get(pos, 0.0) + weight
     if len(scores) > n:
@@ -171,9 +179,8 @@ def full_scan_retrieve(index, query, n):
         matches = [(pos, scores[pos]) for pos in kept]
     else:
         matches = list(scores.items())
-    docs = index._docs
-    matches.sort(key=lambda kv: (-kv[1], docs[kv[0]].doc_id))
-    return [(docs[pos], score) for pos, score in matches[:n]]
+    matches.sort(key=lambda kv: (-kv[1], index._ids[kv[0]]))
+    return [(index._document(pos), score) for pos, score in matches[:n]]
 
 
 def skewed_corpus(rng, n_docs=400):
@@ -225,7 +232,7 @@ def test_max_score_never_reads_a_list_that_cannot_reach_the_top_n():
     index._positions.read = []
     hits = retrieve(index, "common needle", 2)
     assert [d.doc_id for d, _ in hits] == ["d042", "d099"]
-    assert index._positions.read == [index._spans["needle"]]
+    assert index._positions.read == [spans(index)["needle"]]
     assert hits == full_scan_retrieve(index, "common needle", 2)
 
 
@@ -402,33 +409,70 @@ def test_load_index_rejects_other_files(tmp_path):
         load_index(path)
 
 
-# --- index file format v2 ---------------------------------------------------
+# --- index file format v3 ---------------------------------------------------
+#
+# Several tests below keep "v2" in their names from the format they were
+# first written for; each now checks a v3 file, whose layout keeps every
+# part they check.
 
 
-def write_v1(index, path):
-    payload = {
-        "format": "beamqa-lexical-index",
-        "version": 1,
-        "documents": [{"id": d.doc_id, "title": d.title, "text": d.body} for d in index.documents],
-    }
-    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+# A v1 file as ``save_index`` once wrote it, and an empty v2 file.
+V1_FILE = json.dumps({
+    "format": "beamqa-lexical-index",
+    "version": 1,
+    "documents": [{"id": "d1", "title": "Cats", "text": "the quick cat sat on the mat"}],
+}).encode() + b"\n"
+V2_FILE = json.dumps({
+    "format": "beamqa-lexical-index",
+    "version": 2,
+    "byteorder": sys.byteorder,
+    "itemsize": {"i": 4, "d": 8},
+    "lengths": {"doc_len": 0, "offsets": 1, "positions": 0, "weights": 0},
+    "terms": [],
+    "documents": [],
+}).encode() + b"\n\0\0\0\0"
 
 
-def test_v2_round_trip_equals_fresh_build_and_v1_load(tmp_path):
-    rng = random.Random(11)
-    docs, vocab = random_corpus(rng, n_docs=300, vocab_size=400)
+@pytest.mark.parametrize("data", [V1_FILE, V2_FILE], ids=["v1", "v2"])
+def test_an_older_index_file_is_rejected_with_a_rebuild_message(tmp_path, data):
+    path = tmp_path / "old-index"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=r"version \d is not read .* re-run `beamqa index`"):
+        load_index(path)
+
+
+def assert_same_index(loaded, fresh, queries):
+    assert len(loaded) == len(fresh)
+    assert loaded.documents == fresh.documents
+    assert repr(loaded.avg_doc_len) == repr(fresh.avg_doc_len)
+    for query in queries:
+        for n in (1, 2, 10):
+            expected = [(d, repr(s)) for d, s in retrieve(fresh, query, n)]
+            assert [(d, repr(s)) for d, s in retrieve(loaded, query, n)] == expected, (query, n)
+
+
+_FIELD_TEXT = st.text(
+    alphabet=st.sampled_from('ab cd\n\t"\\/é中ж \U0001F600\U00010348_.'), max_size=12
+)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    fields=st.lists(
+        st.tuples(st.text(min_size=1, max_size=6), _FIELD_TEXT, _FIELD_TEXT),
+        min_size=1, max_size=12, unique_by=lambda f: f[0],
+    ),
+    query_words=st.lists(st.sampled_from(["ab", "cd", "é", "中", "ж", "zz", "\U00010348"]), max_size=4),
+)
+def test_v3_round_trip_equals_a_fresh_build_bit_for_bit(tmp_path_factory, fields, query_words):
+    # Each body starts with a word, so no body is empty; titles may be.
+    docs = [Document(doc_id, title, f"w{i} {body}") for i, (doc_id, title, body) in enumerate(fields)]
     fresh = index_corpus(docs)
-    save_index(fresh, tmp_path / "v2.idx")
-    write_v1(fresh, tmp_path / "v1.json")
-    from_v2 = load_index(tmp_path / "v2.idx")
-    from_v1 = load_index(tmp_path / "v1.json")
-    assert from_v2.avg_doc_len == fresh.avg_doc_len
-    for _ in range(60):
-        query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5)))
-        for n in (1, 3, 10):
-            expected = retrieve(fresh, query, n)
-            assert retrieve(from_v2, query, n) == expected
-            assert retrieve(from_v1, query, n) == expected
+    path = tmp_path_factory.mktemp("v3") / "index"
+    save_index(fresh, path)
+    queries = [" ".join(query_words), "w0", docs[-1].body, docs[0].title]
+    assert fresh.documents == tuple(docs)
+    assert_same_index(load_index(path), fresh, queries)
 
 
 def test_positions_ascend_strictly_within_each_term_after_build_and_reload(tmp_path):
@@ -437,14 +481,23 @@ def test_positions_ascend_strictly_within_each_term_after_build_and_reload(tmp_p
     built = index_corpus(docs)
     save_index(built, tmp_path / "index")
     for index in (built, load_index(tmp_path / "index")):
-        for start, end in index._spans.values():
+        for start, end in spans(index).values():
             span = index._positions[start:end]
             assert all(a < b for a, b in zip(span, span[1:]))
 
 
+def test_round_trip_equals_fresh_build_on_a_larger_corpus(tmp_path):
+    rng = random.Random(11)
+    docs, vocab = random_corpus(rng, n_docs=300, vocab_size=400)
+    fresh = index_corpus(docs)
+    save_index(fresh, tmp_path / "index")
+    queries = [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 5))) for _ in range(60)]
+    assert_same_index(load_index(tmp_path / "index"), fresh, queries)
+
+
 def test_v2_file_is_the_json_header_then_the_arrays_byte_for_byte(tmp_path):
     rng = random.Random(29)
-    alphabet = 'ab "\\\n\t/é中ж\u2028😀'
+    alphabet = 'ab "\\\n\t/é中ж 😀'
     docs = [
         Document(
             f"id-{i}-{rng.choice(alphabet)}",
@@ -455,24 +508,32 @@ def test_v2_file_is_the_json_header_then_the_arrays_byte_for_byte(tmp_path):
     ]
     index = index_corpus(docs)
     save_index(index, tmp_path / "index")
-    offsets = array("i", [0] + [end for _, end in index._spans.values()])
+    offsets = array("i", [0] + [end for _, end in spans(index).values()])
+    text_offsets, text = array("q", [0]), b""
+    for doc in docs:
+        for field in (doc.title, doc.body):
+            text += field.encode("utf-8")
+            text_offsets.append(len(text))
     header = {
         "format": "beamqa-lexical-index",
-        "version": 2,
+        "version": 3,
         "byteorder": sys.byteorder,
-        "itemsize": {"i": array("i").itemsize, "d": array("d").itemsize},
+        "itemsize": {"i": array("i").itemsize, "d": array("d").itemsize, "q": array("q").itemsize},
         "lengths": {
             "doc_len": len(docs),
             "offsets": len(offsets),
             "positions": len(index._positions),
             "weights": len(index._weights),
+            "text_offsets": 2 * len(docs) + 1,
+            "text": len(text),
         },
-        "terms": list(index._spans),
-        "documents": [[d.doc_id, d.title, d.body] for d in docs],
+        "terms": list(spans(index)),
+        "ids": [d.doc_id for d in docs],
     }
     expected = json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n"
-    for arr in (index._doc_len, offsets, index._positions, index._weights):
+    for arr in (index._doc_len, offsets, index._positions, index._weights, text_offsets):
         expected += arr.tobytes()
+    expected += text
     assert (tmp_path / "index").read_bytes() == expected
     assert load_index(tmp_path / "index").documents == tuple(docs)
 
@@ -480,9 +541,11 @@ def test_v2_file_is_the_json_header_then_the_arrays_byte_for_byte(tmp_path):
 def test_v2_file_starts_with_a_json_header_line(tmp_path):
     save_index(index_corpus(docs3()), tmp_path / "index")
     header = json.loads((tmp_path / "index").read_bytes().split(b"\n", 1)[0])
-    assert (header["format"], header["version"]) == ("beamqa-lexical-index", 2)
-    assert header["documents"][0] == ["d1", "Cats", "the quick cat sat on the mat"]
+    assert (header["format"], header["version"]) == ("beamqa-lexical-index", 3)
+    assert set(header) == {"format", "version", "byteorder", "itemsize", "lengths", "terms", "ids"}
+    assert header["ids"] == ["d1", "d2", "d3"]
     assert header["lengths"]["doc_len"] == 3
+    assert header["lengths"]["text_offsets"] == 7
 
 
 def test_repeated_query_term_counts_twice():
@@ -520,22 +583,27 @@ def test_loading_a_v2_file_never_tokenizes(tmp_path, monkeypatch):
     assert retrieve(loaded, "the cat", 3) == expected
 
 
-@pytest.mark.parametrize("indent", [None, 2])
-def test_hand_written_v1_file_still_loads(tmp_path, indent):
-    payload = {
-        "format": "beamqa-lexical-index",
-        "version": 1,
-        "documents": [
-            {"id": "d1", "title": "Cats", "text": "the quick cat sat on the mat"},
-            {"id": "d2", "text": "a loud dog barked at the cat"},
-        ],
-    }
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(payload, indent=indent) + "\n", encoding="utf-8")
-    loaded = load_index(path)
-    assert [d.doc_id for d in loaded.documents] == ["d1", "d2"]
-    assert loaded.documents[1].title == ""
-    assert retrieve(loaded, "cat", 2) == retrieve(index_corpus(loaded.documents), "cat", 2)
+def test_loading_builds_no_document_and_retrieve_builds_one_per_hit(tmp_path, monkeypatch):
+    rng = random.Random(31)
+    docs, vocab = random_corpus(rng, n_docs=200, vocab_size=30)
+    save_index(index_corpus(docs), tmp_path / "index")
+    built = []
+    check_document = Document.__post_init__
+
+    def counting(doc):
+        built.append(doc.doc_id)
+        check_document(doc)
+
+    def no_tokenize(text):
+        raise AssertionError("load_index tokenized a document")
+
+    monkeypatch.setattr(Document, "__post_init__", counting)
+    monkeypatch.setattr("beamqa.retrieval.tokenize", no_tokenize)
+    loaded = load_index(tmp_path / "index")
+    assert built == []
+    monkeypatch.setattr("beamqa.retrieval.tokenize", tokenize)
+    hits = retrieve(loaded, " ".join(vocab[:6]), 2)
+    assert built == [doc.doc_id for doc, _ in hits] and len(hits) == 2
 
 
 def saved_v2(tmp_path):
@@ -549,20 +617,38 @@ def with_header(path, header, body):
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
-def test_v2_file_in_the_other_byte_order_loads(tmp_path):
-    index = index_corpus(docs3())
-    path, header, body = saved_v2(tmp_path)
-    swapped = b""
-    for name, code in (("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d")):
+ARRAYS = (("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d"), ("text_offsets", "q"))
+
+
+def split_body(header, body):
+    """The arrays of a file's body, by name, and the text block after them."""
+    arrays = {}
+    for name, code in ARRAYS:
         arr = array(code)
         size = header["lengths"][name] * arr.itemsize
         arr.frombytes(body[:size])
-        body = body[size:]
+        arrays[name], body = arr, body[size:]
+    return arrays, body
+
+
+def join_body(arrays, text):
+    return b"".join(arrays[name].tobytes() for name, _ in ARRAYS) + text
+
+
+def test_v2_file_in_the_other_byte_order_loads(tmp_path):
+    index = index_corpus([*docs3(), Document("d4", "Ωmega", "cat ж 😀 naïve")])
+    path = tmp_path / "index"
+    save_index(index, path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    arrays, text = split_body(header, body)
+    for arr in arrays.values():
         arr.byteswap()
-        swapped += arr.tobytes()
     header["byteorder"] = {"little": "big", "big": "little"}[header["byteorder"]]
-    with_header(path, header, swapped)
-    assert retrieve(load_index(path), "the cat", 3) == retrieve(index, "the cat", 3)
+    with_header(path, header, join_body(arrays, text))
+    loaded = load_index(path)
+    assert retrieve(loaded, "the cat", 4) == retrieve(index, "the cat", 4)
+    assert loaded.documents == index.documents
 
 
 @pytest.mark.parametrize("keep", [0.3, 0.9, -1, -9])
@@ -583,7 +669,11 @@ def test_v2_file_with_trailing_bytes_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, delta", [("doc_len", -1), ("offsets", 1), ("positions", -1), ("weights", 1), ("weights", -1)]
+    "name, delta",
+    [
+        ("doc_len", -1), ("offsets", 1), ("positions", -1), ("weights", 1), ("weights", -1),
+        ("text_offsets", -1), ("text", 1), ("text", -1),
+    ],
 )
 def test_v2_lengths_that_disagree_with_the_arrays_are_rejected(tmp_path, name, delta):
     path, header, body = saved_v2(tmp_path)
@@ -596,7 +686,7 @@ def test_v2_lengths_that_disagree_with_the_arrays_are_rejected(tmp_path, name, d
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda h: h["documents"].pop(),
+        lambda h: h["ids"].pop(),
         lambda h: h["terms"].pop(),
         lambda h: h["terms"].__setitem__(1, h["terms"][0]),
         lambda h: h["itemsize"].__setitem__("d", 4),
@@ -604,10 +694,17 @@ def test_v2_lengths_that_disagree_with_the_arrays_are_rejected(tmp_path, name, d
         lambda h: h["lengths"].__setitem__("weights", -1),
         lambda h: h["terms"].__setitem__(0, ["cat"]),
         lambda h: h["terms"].__setitem__(0, 7),
+        lambda h: h["ids"].__setitem__(1, h["ids"][0]),
+        lambda h: h["ids"].__setitem__(1, ""),
+        lambda h: h["ids"].__setitem__(1, 2),
+        lambda h: h.pop("ids"),
+        lambda h: h["itemsize"].__setitem__("q", 4),
+        lambda h: h["lengths"].__setitem__("text", "9"),
     ],
     ids=[
         "documents", "terms", "duplicate-term", "itemsize", "byteorder", "negative-length",
-        "list-term", "int-term",
+        "list-term", "int-term", "duplicate-id", "empty-id", "int-id", "no-ids",
+        "offset-itemsize", "text-length",
     ],
 )
 def test_v2_header_that_disagrees_with_the_arrays_is_rejected(tmp_path, edit):
@@ -621,12 +718,56 @@ def test_v2_header_that_disagrees_with_the_arrays_is_rejected(tmp_path, edit):
 @pytest.mark.parametrize("bad", ["past-the-end", "negative"])
 def test_v2_posting_that_names_no_document_is_rejected(tmp_path, bad):
     path, header, body = saved_v2(tmp_path)
-    lengths, size = header["lengths"], array("i").itemsize
-    start = size * (lengths["doc_len"] + lengths["offsets"])
-    end = start + size * lengths["positions"]
-    positions = array("i", body[start:end])
-    positions[0] = len(header["documents"]) if bad == "past-the-end" else -1
-    body = body[:start] + positions.tobytes() + body[end:]
-    with_header(path, header, body)
+    arrays, text = split_body(header, body)
+    arrays["positions"][0] = len(header["ids"]) if bad == "past-the-end" else -1
+    with_header(path, header, join_body(arrays, text))
     with pytest.raises(ValueError, match="names no document"):
+        load_index(path)
+
+
+def descend(off, text):
+    off[2] = off[3] + 1  # the second title ends after its body starts
+    return text
+
+
+def end_short(off, text):
+    off[-1] -= 1
+    return text
+
+
+def empty_body(off, text):
+    off[3] = off[4]
+    return text
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (descend, "not ascending"),
+        (end_short, "do not match"),
+        (empty_body, "empty body"),
+        (lambda off, text: text.replace(b"quick", b"qu\xffck"), "not UTF-8"),
+        (lambda off, text: text.replace(b"Cats", b"Cat\xc3"), "not UTF-8"),
+    ],
+    ids=["descending", "ends-short", "empty-body", "bad-byte", "cut-sequence"],
+)
+def test_text_that_disagrees_with_its_offsets_is_rejected(tmp_path, edit, message):
+    path, header, body = saved_v2(tmp_path)
+    arrays, text = split_body(header, body)
+    text = edit(arrays["text_offsets"], text)
+    header["lengths"]["text"] = len(text)
+    with_header(path, header, join_body(arrays, text))
+    with pytest.raises(ValueError, match=f"malformed index file: .*{message}"):
+        load_index(path)
+
+
+def test_a_text_offset_inside_a_character_is_rejected(tmp_path):
+    path = tmp_path / "index"
+    save_index(index_corpus([Document("d1", "é", "naïve cat")]), path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    arrays, text = split_body(header, body)
+    arrays["text_offsets"][1] = 1  # the title "é" is two bytes
+    with_header(path, header, join_body(arrays, text))
+    with pytest.raises(ValueError, match="splits a character"):
         load_index(path)
