@@ -10,7 +10,6 @@ import heapq
 import json
 import math
 import os
-import re
 import sys
 from array import array
 from bisect import bisect_left
@@ -44,7 +43,18 @@ _PRUNE_MARGIN = 1e-9
 INDEX_FORMAT = "beamqa-lexical-index"
 INDEX_VERSION = 3
 
-_TOKEN = re.compile(r"[^\W_]+")
+
+class _Separators(dict):
+    """A ``str.translate`` table that keeps alphanumeric characters and maps
+    every other one to a space; each character's entry is made on first
+    sight. Threads may fill it at once: every one writes the same value."""
+
+    def __missing__(self, code: int) -> int:
+        value = self[code] = code if chr(code).isalnum() else 32
+        return value
+
+
+_SEPARATORS = _Separators()
 
 
 class DuplicateDocumentError(ValueError):
@@ -60,8 +70,13 @@ class CorpusFormatError(ValueError):
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, drop empties."""
-    return _TOKEN.findall(text.lower())
+    """The runs of ``str.isalnum()`` characters in ``text.lower()``.
+
+    Every other character, ``_`` included, separates tokens. The
+    translation table behind it grows by one entry per distinct character
+    it has seen.
+    """
+    return text.lower().translate(_SEPARATORS).split()
 
 
 @dataclass(frozen=True)
@@ -132,7 +147,10 @@ class LexicalIndex:
                 else:
                     posting.append(i)
                     posting.append(tf)
-        self.avg_doc_len = sum(self._doc_len) / len(docs)
+        total_len = sum(self._doc_len)
+        if not total_len:
+            raise ValueError("no document has a token")
+        self.avg_doc_len = total_len / len(docs)
         # Each weight is idf * tf * (k1 + 1) / (tf + norm[pos]), evaluated in
         # the formula's order so that scores are the same to the last bit;
         # tf == 1, most postings, takes the same operations precomputed.
@@ -223,7 +241,8 @@ def _unique(docs: Iterable[Document]) -> tuple[Document, ...]:
 
 
 def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
-    """Build an immutable index; duplicate ids and empty corpora are rejected."""
+    """Build an immutable index; duplicate ids, empty corpora and corpora
+    without a single token are rejected."""
     return LexicalIndex(docs)
 
 

@@ -7,13 +7,14 @@ fixtures independent of request arrival order, so the same script works for
 any worker count. Background-generation prompts are all identical by
 construction, so those use per-tag ordinal rules and need serial execution.
 
-Also here: a naive per-document BM25 oracle (no inverted index) and the canned
-corpora the golden-run tests use.
+Also here: a naive per-document BM25 oracle (no inverted index, and its own
+regex tokenizer) and the canned corpora the golden-run tests use.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from beamqa.prompts import (
@@ -39,7 +40,6 @@ from beamqa.retrieval import (
     LexicalIndex,
     _docs_block,
     retrieve,
-    tokenize,
 )
 from beamqa.search import SearchConfig
 
@@ -320,12 +320,19 @@ def recount_trace_costs(trace) -> tuple[int, int]:
 # --- independent BM25 oracle --------------------------------------------------
 
 
+def reference_tokenize(text: str) -> list[str]:
+    """The tokenizer's rule as a regex: runs of word characters other than
+    ``_`` in the lowercased text. ``\\w`` is ``str.isalnum()`` plus ``_``."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
 def naive_bm25(docs: list[Document], query: str, k1: float = 1.2, b: float = 0.75) -> dict[str, float]:
-    """Per-document BM25, straight from the formula, no inverted index."""
-    doc_tokens = [tokenize(f"{d.title} {d.body}") for d in docs]
+    """Per-document BM25, straight from the formula, no inverted index, and
+    tokenized by ``reference_tokenize``, not by the package."""
+    doc_tokens = [reference_tokenize(f"{d.title} {d.body}") for d in docs]
     n = len(docs)
     avgdl = sum(len(t) for t in doc_tokens) / n
-    query_terms = tokenize(query)
+    query_terms = reference_tokenize(query)
     scores: dict[str, float] = {}
     for doc, tokens in zip(docs, doc_tokens):
         total = 0.0

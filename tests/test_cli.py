@@ -85,6 +85,15 @@ def test_index_duplicate_id_fails_naming_it(tmp_path, capsys):
     assert "dup-doc" in capsys.readouterr().err
 
 
+def test_index_corpus_without_a_token_fails(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text('{"id": "a", "text": "..."}\n{"id": "b", "text": "!!"}\n', encoding="utf-8")
+    code = main(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "i.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no document has a token\n"
+    assert not (tmp_path / "i.json").exists()
+
+
 def test_index_malformed_record_reports_line(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text('{"id": "a", "text": "ok"}\n{broken\n', encoding="utf-8")

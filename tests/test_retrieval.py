@@ -3,6 +3,7 @@ import json
 import random
 import re
 import sys
+import threading
 from array import array
 from bisect import bisect_left
 from functools import partial
@@ -19,6 +20,7 @@ from beamqa.retrieval import (
     DuplicateDocumentError,
     Evidence,
     GENERATE_BACKGROUND,
+    _Separators,
     _one_pass_touches_fewer,
     gather_evidence,
     index_corpus,
@@ -30,7 +32,7 @@ from beamqa.retrieval import (
 )
 from beamqa.search import SearchConfig, SearchRun
 
-from support import naive_bm25
+from support import naive_bm25, reference_tokenize
 
 
 def docs3():
@@ -70,6 +72,54 @@ def test_tokenize_equals_splitting_on_non_alphanumeric_runs():
         assert tokenize(text) == [t for t in split.split(text.lower()) if t]
 
 
+def test_separators_keep_exactly_the_regex_word_characters_but_underscore():
+    # Every code point, surrogates included, through a fresh table, a block
+    # at a time so that no table holds all of them.
+    word = re.compile(r"[^\W_]")
+    for start in range(0, 0x110000, 0x10000):
+        chars = "".join(map(chr, range(start, start + 0x10000)))
+        expected = "".join(c if word.fullmatch(c) else " " for c in chars)
+        assert chars.translate(_Separators()) == expected
+
+
+@settings(max_examples=300)
+@given(st.text(st.characters(exclude_categories=())))
+def test_tokenize_equals_the_regex_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+def test_tokenize_equals_the_reference_under_the_one_code_point_lower_expands():
+    # "İ".lower() is "i" and a combining dot, which is not alphanumeric.
+    assert tokenize("İstanbul xİy") == reference_tokenize("İstanbul xİy") == ["i", "stanbul", "xi", "y"]
+
+
+def test_tokenize_fills_one_table_from_many_threads(monkeypatch):
+    monkeypatch.setattr("beamqa.retrieval._SEPARATORS", _Separators())
+    rng = random.Random(15)
+    alphabet = [chr(c) for c in rng.sample(range(0x80, 0x30000), 4000)] + [" ", "_", "-"]
+    texts = ["".join(rng.choice(alphabet) for _ in range(20_000)) for _ in range(8)]
+    start = threading.Barrier(len(texts), timeout=10)
+    results = [None] * len(texts)
+
+    def worker(i):
+        start.wait()
+        results[i] = tokenize(texts[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(texts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for text, tokens in zip(texts, results):
+        assert tokens == reference_tokenize(text)
+
+
 # --- index construction ----------------------------------------------------
 
 
@@ -87,6 +137,25 @@ def test_duplicate_doc_id_rejected():
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
         index_corpus([])
+
+
+def test_corpus_without_a_token_rejected():
+    docs = [Document("d1", "", "..."), Document("d2", "", "!!")]
+    with pytest.raises(ValueError, match="no document has a token"):
+        index_corpus(docs)
+
+
+def test_index_file_is_the_same_with_the_regex_tokenizer(tmp_path, monkeypatch):
+    docs = [
+        Document("d1", "Ærø Ferry", "ærø ferry ferry_route 1859 1859 1859 naïve Ωmega"),
+        Document("d2", "", "straße STRASSE İstanbul 北京 北京 ٣٤ x²"),
+        Document("d3", "snake_case", "snake case snake_case__case"),
+        Document("d4", "Ferry", "the ferry left at 9:15 and the ferry came back"),
+    ]
+    save_index(index_corpus(docs), tmp_path / "translate")
+    monkeypatch.setattr("beamqa.retrieval.tokenize", reference_tokenize)
+    save_index(index_corpus(docs), tmp_path / "regex")
+    assert (tmp_path / "translate").read_bytes() == (tmp_path / "regex").read_bytes()
 
 
 def test_average_doc_length_matches_hand_count():
