@@ -261,15 +261,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         config = _config_from_args(args)
         provider = _provider_from_args(args)
         index = _index_from_args(args, config)
+        # One run answers every question, from one thread or several.
+        run = SearchRun(config, provider, index=index, retries=args.retries)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
     def run_one(example: QAExample) -> SearchResult | SearchError:
         try:
-            return SearchRun(config, provider, index=index, retries=args.retries).run_search(
-                example.question
-            )
+            return run.run_search(example.question)
         except SearchError as err:  # becomes the question's error row
             return err
 

@@ -128,7 +128,7 @@ def parse_questions(text: str, k: int) -> list[str]:
     return out
 
 
-_NUMBER = r"[-+]?(?:\d+(?:\.\d+)?|\.\d+)"
+_NUMBER = r"[-+]?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][-+]?\d+)?"
 _SCORE = re.compile(
     rf"(?P<value>{_NUMBER})(?:\s*(?P<percent>%)|\s*(?:/|out\s+of)\s*(?P<scale>{_NUMBER}))?",
     re.IGNORECASE,
@@ -146,7 +146,8 @@ def parse_score(text: str, clamp: bool = True) -> float:
 
     The scoring prompt asks for a bare number, so the first number wins over
     any later ones a chatty completion may add. A percentage ("85%") or a
-    fraction ("8/10", "7 out of 10") is read as its scaled value first.
+    fraction ("8/10", "7 out of 10") is read as its scaled value first, and
+    a number may carry an exponent ("5e-1").
     """
     m = _SCORE.search(text)
     if m is None:

@@ -275,7 +275,13 @@ class HttpChatProvider(CompletionProvider):
             resp = self.session.post(
                 self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
             )
-        except (requests.ConnectionError, requests.Timeout) as err:
+        except (
+            requests.ConnectionError,
+            requests.Timeout,
+            # A body cut off mid-transfer, or one that fails to decompress.
+            requests.exceptions.ChunkedEncodingError,
+            requests.exceptions.ContentDecodingError,
+        ) as err:
             raise TransportError(f"transport failure: {err}") from err
         if resp.status_code == 429 or resp.status_code >= 500:
             raise TransportError(f"HTTP {resp.status_code}")

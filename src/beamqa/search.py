@@ -1,37 +1,36 @@
 """Depth-bounded beam search over provider calls.
 
-Every state, seed or child, goes through one evaluation: gather evidence for
-its query (if it has one), answer over the accumulated history, and score the
-answer. The two seeds form the first level: the direct seed has no query, the
-grounded seed's query is the question itself. Each later level asks every
-beam state for follow-up queries, evaluates one child per query, prunes to
-the beam width, and stops early as soon as a kept state reaches the
-confidence threshold.
+The search repeats one level: ask each parent for queries, then evaluate one
+child per query: gather evidence for its query (if it has one), answer over
+the accumulated history, and score the answer. Depth 0 expands a root whose
+ask sends no request and yields the two seeds' queries: none for the direct
+seed, the question itself for the grounded one. Seeds are neither pruned nor
+checked against the threshold; every later level is pruned to the beam
+width, and the search stops early once a kept state reaches the threshold.
 
-``SearchRun.run_search`` is the one way in. With ``workers`` above one, all
-of a search's tasks go through one thread pool, which ``run_search`` builds
-once the question is checked and shuts down when it returns or raises.
-``workers`` caps the provider calls the search has in flight, not its
-threads: each call takes one of ``workers`` slots of a call gate, and a
-waiting call gets the next free slot by rank, then by arrival. The seeds'
-answer and score calls rank last, since nothing needs them before depth-1
-pruning; every other call ranks first. The pool has 2 x ``workers`` threads
-whatever the beam size or query count; at ``workers=4`` that covers the at
-most 8 tasks live at depth 1 at the defaults.
+``SearchRun.run_search`` is the one way in. Each call makes a ``_Search``
+that holds the question's trace, ledger and id counter and, with ``workers``
+above one, a thread pool and a call gate, built once the question is checked
+and shut down when the call returns or raises. ``workers`` caps the provider
+calls in flight, not the threads: each call takes one of ``workers`` slots of
+the gate, and a waiting call gets the next free slot by rank, then by
+arrival. A depth-0 state's answer and score rank last, since nothing needs
+them before depth-1 pruning; every other call ranks first. The pool has
+2 x ``workers`` threads whatever the beam size or query count; at
+``workers=4`` that covers the at most 8 tasks live at depth 1 at the defaults.
 An ask reads only the question and a state's (query, evidence) history, and
 seeds are never pruned, so each seed's ask is sent as soon as its history
 exists: the direct seed's at once, the grounded seed's once its evidence is
-gathered, before either seed is answered or scored. A search without an
-early exit is then 1 + 4 x levels calls deep (9 at the defaults). A
-parent's children start as soon as its ask returns; pruning waits for the
-whole level, because it needs every score, and the asks of depth 2 and
-below go out after it. Only the search's thread waits on a task, and a
-task waits only for a slot that a call in flight frees, so no worker count
-can deadlock. With one worker there is no gate and no thread starts: each
-task runs on the calling thread when its result is read, which is the
-seeds, then the level's asks in parent order, then its children in (parent
-order, query order). Ids and trace events are assigned after collection in
-that same order, so the trace never depends on completion order.
+gathered. A search without an early exit is then 1 + 4 x levels calls deep
+(9 at the defaults). A parent's children start as soon as its ask returns;
+pruning waits for the whole level, because it needs every score, and the
+asks of depth 2 and below go out after it. Only the search's thread waits on
+a task, and a task waits only for a slot that a call in flight frees, so no
+worker count can deadlock. With one worker there is no gate and no thread
+starts: each task runs on the calling thread when its result is read, which
+is the seeds, then the level's asks in parent order, then its children in
+(parent order, query order). Ids and trace events are assigned after
+collection in that same order, so the trace never depends on completion order.
 
 Every provider call, evidence calls included, goes through one function,
 ``SearchRun._complete``: it sends the request, retries a retryable failure
@@ -265,7 +264,7 @@ class _AskOutcome:
     """A parent's ask, and one submitted evaluation per kept query."""
 
     raw_queries: list[str] = field(default_factory=list)
-    kept_queries: list[str] = field(default_factory=list)
+    kept_queries: list[str | None] = field(default_factory=list)
     error: str | None = None
     ledger: CostLedger = field(default_factory=CostLedger)
     children: list = field(default_factory=list)
@@ -274,7 +273,7 @@ class _AskOutcome:
 @dataclass
 class _Outcome:
     """One evaluated state before it has an id: its history, answer and raw
-    score or the error that stopped it, its calls and, for a seed, its ask."""
+    score or the error that stopped it, its calls and, at depth 0, its ask."""
 
     query: str | None
     queries: tuple[str, ...]
@@ -289,15 +288,14 @@ class _Outcome:
 
 
 class SearchRun:
-    """Executes searches: holds the current search's trace, ledger, id counter
-    and pool.
+    """Executes searches with one config, provider and index.
 
-    Each ``run_search`` call starts from an empty trace, a zero ledger and id
-    0, so one run can answer several questions one after another, but not two
-    at the same time. The provider and index it borrows may be shared across
-    concurrent runs as long as they tolerate concurrent calls, which the
-    bundled ones do. ``retries`` is how many times one request is sent again
-    after a retryable ``ProviderError``.
+    Each ``run_search`` call answers its question on its own ``_Search``,
+    which starts from an empty trace, a zero ledger and id 0, so one run can
+    answer several questions one after another or from several threads at
+    once. The provider and index it borrows must then tolerate concurrent
+    calls, which the bundled ones do. ``retries`` is how many times one
+    request is sent again after a retryable ``ProviderError``.
     """
 
     def __init__(
@@ -319,24 +317,23 @@ class SearchRun:
         self.index = index
         self.workers = workers
         self.retries = retries
-        self._gate: _CallGate | None = None
 
-    # -- provider plumbing ---------------------------------------------------
-
-    def _complete(self, prompt: str, tag: str, ledger: CostLedger, last: bool = False) -> str:
+    def _complete(
+        self, prompt: str, tag: str, ledger: CostLedger, gate: _CallGate | None = None, last: bool = False
+    ) -> str:
         """Send one request and count it into ``ledger``. A retryable failure
         is sent again in the same thread, up to ``retries`` times: the first
         retry at once, retry k >= 2 after ``RETRY_BACKOFF_S * 2 ** (k - 2)``
         seconds. Any other failure, such as a scripted mismatch, is raised
-        at once. During a pooled search each attempt holds a call slot, not
-        the backoff sleep, and a ``last`` request waits behind every other;
-        otherwise the request goes out inline."""
+        at once. With a ``gate`` each attempt holds one of its call slots,
+        not the backoff sleep, and a ``last`` request waits behind every
+        other; without one the request goes out inline."""
         request = CompletionRequest(prompt=prompt, tag=tag)
         for retry in range(self.retries + 1):
             if retry > 1:
                 time.sleep(RETRY_BACKOFF_S * 2 ** (retry - 2))
             try:
-                with self._gate.slot(int(last)) if self._gate else nullcontext():
+                with gate.slot(int(last)) if gate else nullcontext():
                     resp = self.provider.complete(request)
             except ProviderError as err:
                 if err.retryable and retry < self.retries:
@@ -344,6 +341,32 @@ class SearchRun:
                 raise
             ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
             return resp.text
+
+    def run_search(self, question: str) -> SearchResult:
+        """Run the levels, pruning, and final selection for one question,
+        from an empty trace, a zero ledger and id 0."""
+        question = question.strip()
+        if not question:
+            raise ValueError("question must be non-empty")
+        return _Search(self, question).run()
+
+
+class _Search:
+    """One question's search: its trace, ledger and id counter and, while it
+    runs with more than one worker, its pool and call gate. It borrows the
+    settings, provider and index of the ``SearchRun`` that made it."""
+
+    def __init__(self, owner: SearchRun, question: str):
+        self.owner, self.config, self.index = owner, owner.config, owner.index
+        self.question = question
+        self.trace: list[TraceEvent] = []
+        self.ledger = CostLedger()
+        self._next_id = 0
+        self._pool: ThreadPoolExecutor | None = None
+        self._gate: _CallGate | None = None
+
+    def _complete(self, prompt: str, tag: str, ledger: CostLedger, last: bool = False) -> str:
+        return self.owner._complete(prompt, tag, ledger, self._gate, last)
 
     def _submit(self, fn: Callable, *args) -> Future | _Deferred:
         """Start ``fn(*args)`` on the search's pool; with one worker, defer it
@@ -356,41 +379,60 @@ class SearchRun:
     def _emit(self, kind: str, payload: dict) -> None:
         self.trace.append(TraceEvent(kind=kind, payload=payload))
 
-    # -- one state: gather, answer, score ---------------------------------------
+    # -- one parent: ask; one child: gather, answer, score -----------------------
+
+    def _ask(
+        self, queries: tuple[str, ...], evidences: tuple[Evidence, ...], depth: int
+    ) -> _AskOutcome:
+        """Ask for the queries of this history's children at ``depth`` and
+        submit one child evaluation per kept query, without waiting for any
+        of them. At depth 0 the parent is the root, whose queries are the
+        seeds', none and the question itself, with no provider call. Needs
+        no answer or score, so it may run before its parent has an id."""
+        outcome = _AskOutcome()
+        if depth == 0:
+            outcome.kept_queries = [None, self.question]
+        else:
+            history = _history_pairs(queries, evidences)
+            prompt = render_ask_prompt(self.question, history, self.config.max_queries)
+            try:
+                text = self._complete(prompt, TAG_ASK, outcome.ledger)
+            except ProviderError as err:
+                outcome.error = str(err)
+                return outcome
+            outcome.raw_queries = parse_questions(text, self.config.max_queries)
+            seen = {_normalize_query(q) for q in queries}
+            outcome.kept_queries = [q for q in outcome.raw_queries if _normalize_query(q) not in seen]
+        submit = partial(self._submit, self._evaluate, queries, evidences)
+        outcome.children = [submit(query, depth) for query in outcome.kept_queries]
+        return outcome
 
     def _evaluate(
-        self,
-        question: str,
-        queries: tuple[str, ...],
-        evidences: tuple[Evidence, ...],
-        query: str | None,
-        seed: bool = False,
+        self, queries: tuple[str, ...], evidences: tuple[Evidence, ...], query: str | None, depth: int
     ) -> _Outcome:
         """Extend the history with evidence gathered for ``query`` (if one is
-        given), then answer over the history and score the answer. A seed
-        submits its ask once its history exists, and its answer and score
-        go out last. May run in a worker; a provider failure ends the state
-        and is kept in the outcome."""
+        given), then answer over the history and score the answer. A depth-0
+        state submits its ask once its history exists, and its answer and
+        score go out last. May run in a worker; a provider failure ends the
+        state and is kept in the outcome."""
         outcome = _Outcome(query, queries, evidences)
-        ledger = outcome.ledger
+        ledger, seed = outcome.ledger, depth == 0
         try:
             if query is not None:
                 complete = partial(self._complete, ledger=ledger)
-                evidence = gather_evidence(question, query, self.config, complete, self.index, ledger)
+                evidence = gather_evidence(self.question, query, self.config, complete, self.index, ledger)
                 outcome.queries += (query,)
                 outcome.evidences += (evidence,)
             if seed:
-                outcome.ask = self._submit(
-                    self._ask_parent, question, outcome.queries, outcome.evidences
-                )
+                outcome.ask = self._submit(self._ask, outcome.queries, outcome.evidences, 1)
             history = _history_pairs(outcome.queries, outcome.evidences)
-            prompt = render_answer_prompt(question, history)
+            prompt = render_answer_prompt(self.question, history)
             answer = self._complete(prompt, TAG_ANSWER, ledger, seed).strip()
             if not answer:
                 # Contract violation: an unanswerable state cannot be scored.
                 raise ProviderError("provider returned an empty answer")
             outcome.answer, outcome.api_before_score = answer, ledger.api_times
-            prompt = render_score_prompt(question, history, answer)
+            prompt = render_score_prompt(self.question, history, answer)
             text = self._complete(prompt, TAG_SCORE, ledger, seed)
         except ProviderError as err:
             outcome.error = err
@@ -402,11 +444,11 @@ class SearchRun:
             outcome.parse_error = str(err)
         return outcome
 
-    def _admit(
-        self, question: str, outcome: _Outcome, depth: int, entry: dict
-    ) -> SearchState | None:
-        """Count an outcome's calls into the run and complete its trace entry;
-        a successful outcome becomes a state under the next id."""
+    # -- one level: collect, admit, emit --------------------------------------------
+
+    def _admit(self, outcome: _Outcome, depth: int, entry: dict) -> SearchState | None:
+        """Count an outcome's calls into the search and complete its trace
+        entry; a successful outcome becomes a state under the next id."""
         self.ledger += outcome.ledger
         entry["retrievals"] = outcome.ledger.retrieval_times
         if outcome.error is not None:
@@ -415,7 +457,7 @@ class SearchRun:
             )
             return None
         state = SearchState(
-            question,
+            self.question,
             outcome.queries,
             outcome.evidences,
             outcome.answer,
@@ -427,6 +469,8 @@ class SearchRun:
         entry.update(state_id=state.state_id, answer=state.answer, api_calls=outcome.api_before_score)
         if outcome.query is not None:
             entry["provenance"] = state.evidences[-1].provenance
+            if depth == 0:
+                entry["n_docs"] = len(state.evidences[-1].doc_ids)
         return state
 
     def _emit_scored(self, state: SearchState, outcome: _Outcome) -> None:
@@ -441,156 +485,105 @@ class SearchRun:
             payload["clamped"] = outcome.raw_score
         self._emit("scored", payload)
 
-    # -- seeding ---------------------------------------------------------------
-
-    def _seed_level(self, question: str) -> tuple[Beam, list]:
-        """Evaluate the two depth-0 seeds as one level: a direct answer over an
-        empty history, and an answer over evidence gathered for the question
-        itself. Returns the beam and the asks each seed submitted. No
-        threshold check happens here. A failed seed raises its provider
-        error once both seeds' events and calls are recorded, and, with a
-        pool, the asks' and children's."""
-        direct = self._submit(self._evaluate, question, (), (), None, True)
-        grounded = self._submit(self._evaluate, question, (), (), question, True)
-        outcomes = [direct.result(), grounded.result()]
-        beam: Beam = []
-        for variant, outcome in zip(("direct", "evidence"), outcomes):
-            payload = {"depth": 0, "variant": variant}
-            state = self._admit(question, outcome, 0, payload)
-            if state is not None and outcome.query is not None:
-                payload["n_docs"] = len(state.evidences[-1].doc_ids)
-            self._emit("seeded", payload)
+    def _level(
+        self, parents: list[tuple[SearchState | None, Future | _Deferred | None]], depth: int
+    ) -> list[tuple[SearchState | None, _Outcome]]:
+        """Collect one level and return each child's state (None if it
+        failed) and outcome. ``parents`` pairs each parent with its submitted
+        ask, or with None to ask it now. Each parent's children start as soon
+        as its own ask returns. Ids and events follow (parent order, query
+        order), whatever the completion order: each seed gets a ``seeded``
+        event and then its ``scored`` one; below depth 0 each parent gets an
+        ``expanded`` event, and the level's ``scored`` events follow."""
+        submit_ask = partial(self._submit, self._ask)
+        asks = [ask or submit_ask(p.asked_queries, p.evidences, depth) for p, ask in parents]
+        asks = [task.result() for task in asks]
+        children = []
+        for (parent, _), ask in zip(parents, asks):
+            first = len(children)
+            for query, task in zip(ask.kept_queries, ask.children):
+                outcome = task.result()
+                if depth == 0:
+                    entry = {"depth": 0, "variant": "direct" if query is None else "evidence"}
+                else:
+                    entry = {"query": query}
+                children.append((entry, self._admit(outcome, depth, entry), outcome))
+            self.ledger += ask.ledger
+            if depth > 0:
+                payload = {
+                    "parent_id": parent.state_id,
+                    "depth": depth,
+                    "raw_queries": ask.raw_queries,
+                    "kept_queries": ask.kept_queries,
+                    "api_calls": ask.ledger.api_times,
+                    "children": [entry for entry, _, _ in children[first:]],
+                }
+                if ask.error is not None:
+                    payload["ask_error"] = ask.error
+                self._emit("expanded", payload)
+        for entry, state, outcome in children:
+            if depth == 0:
+                self._emit("seeded", entry)
             if state is not None:
                 self._emit_scored(state, outcome)
-                beam.append(state)
-        failures = [outcome.error for outcome in outcomes if outcome.error is not None]
-        if failures:
-            # Pooled asks and their children are sent already (deferred ones
-            # never are): count them.
-            for ask in [o.ask.result() for o in outcomes if o.ask and self._pool is not None]:
-                self.ledger += sum((child.result().ledger for child in ask.children), ask.ledger)
-            raise failures[0]
-        return beam, [outcome.ask for outcome in outcomes]
-
-    # -- expansion ---------------------------------------------------------------
-
-    def _ask_parent(
-        self, question: str, queries: tuple[str, ...], evidences: tuple[Evidence, ...]
-    ) -> _AskOutcome:
-        """Ask for follow-up queries on this history and submit one child
-        evaluation per kept query, without waiting for any of them. Needs no
-        answer or score, so it may run before its parent has an id."""
-        outcome = _AskOutcome()
-        prompt = render_ask_prompt(question, _history_pairs(queries, evidences), self.config.max_queries)
-        try:
-            text = self._complete(prompt, TAG_ASK, outcome.ledger)
-        except ProviderError as err:
-            outcome.error = str(err)
-            return outcome
-        outcome.raw_queries = parse_questions(text, self.config.max_queries)
-        seen = {_normalize_query(q) for q in queries}
-        outcome.kept_queries = [q for q in outcome.raw_queries if _normalize_query(q) not in seen]
-        outcome.children = [
-            self._submit(self._evaluate, question, queries, evidences, query)
-            for query in outcome.kept_queries
-        ]
-        return outcome
-
-    def _expand_level(self, parents: Sequence[SearchState], depth: int, asks=None) -> Beam:
-        """Expand every parent once; emits events, returns unpruned candidates.
-
-        ``asks`` holds the parents' submitted asks by position: the seeds' at
-        depth 1. Without it, each parent is asked now, after pruning. Each
-        parent's children start as soon as its own ask returns; the caller
-        prunes once the whole level is collected. Ids are assigned and events
-        emitted after collection in (parent order, query order), so the trace
-        never depends on completion order. With one worker, reading the
-        results in that order sends every ask before any child.
-        """
-        if asks is None:
-            submit_ask = partial(self._submit, self._ask_parent)
-            asks = [submit_ask(p.original_query, p.asked_queries, p.evidences) for p in parents]
-        asks = [task.result() for task in asks]
-        scored: list[tuple[SearchState, _Outcome]] = []
-        for parent, ask in zip(parents, asks):
-            entries = []
-            for query, child in zip(ask.kept_queries, ask.children):
-                outcome = child.result()
-                entry = {"query": query}
-                state = self._admit(parent.original_query, outcome, depth, entry)
-                entries.append(entry)
-                if state is not None:
-                    scored.append((state, outcome))
-            self.ledger += ask.ledger
-            payload = {
-                "parent_id": parent.state_id,
-                "depth": depth,
-                "raw_queries": ask.raw_queries,
-                "kept_queries": ask.kept_queries,
-                "api_calls": ask.ledger.api_times,
-                "children": entries,
-            }
-            if ask.error is not None:
-                payload["ask_error"] = ask.error
-            self._emit("expanded", payload)
-        for state, outcome in scored:
-            self._emit_scored(state, outcome)
-        return [state for state, _ in scored]
+        return [(state, outcome) for _, state, outcome in children]
 
     # -- the full loop --------------------------------------------------------------
 
-    def run_search(self, question: str) -> SearchResult:
-        """Run seeding, depth-bounded expansion, pruning, and final selection,
-        from an empty trace, a zero ledger and id 0."""
-        question = question.strip()
-        if not question:
-            raise ValueError("question must be non-empty")
-        self.trace: list[TraceEvent] = []
-        self.ledger = CostLedger()
-        self._next_id = 0
-        self._pool = None
-        if self.workers > 1:
-            self._gate = _CallGate(self.workers)
-            self._pool = ThreadPoolExecutor(max_workers=THREADS_PER_SLOT * self.workers)
+    def run(self) -> SearchResult:
+        """Expand the root into the seeds, then each beam level by level;
+        prune, stop early, and select the final answer."""
+        config, workers = self.config, self.owner.workers
+        if workers > 1:
+            self._gate = _CallGate(workers)
+            self._pool = ThreadPoolExecutor(max_workers=THREADS_PER_SLOT * workers)
+        parents = [(None, _Deferred(self._ask, ((), (), 0)))]
+        beam: Beam = []
+        reason = EXIT_MAX_DEPTH
         try:
-            beam, seed_asks = self._seed_level(question)
-            final_beam = beam
-            reason = EXIT_MAX_DEPTH
-            for depth in range(1, self.config.max_depth + 1):
-                candidates = self._expand_level(beam, depth, seed_asks if depth == 1 else None)
-                if not candidates:
+            for depth in range(config.max_depth + 1):
+                children = self._level(parents, depth)
+                candidates = [state for state, _ in children if state is not None]
+                if depth == 0:
+                    failures = [o.error for _, o in children if o.error is not None]
+                    if failures:
+                        # Pooled asks and their children are sent already
+                        # (deferred ones never are): count them.
+                        pooled = self._pool is not None
+                        for ask in [o.ask.result() for _, o in children if o.ask and pooled]:
+                            self.ledger += sum((c.result().ledger for c in ask.children), ask.ledger)
+                        raise failures[0]
+                    # Seeds are neither pruned nor checked against the threshold.
+                    beam = candidates
+                elif not candidates:
                     # Nothing survived this depth; finalize on the previous beam.
                     reason = EXIT_NO_CANDIDATES
                     break
-                beam = prune_beam(candidates, self.config.beam_size)
-                kept_ids = {s.state_id for s in beam}
-                kept = [[s.state_id, s.score] for s in beam]
-                dropped = sorted(c.state_id for c in candidates if c.state_id not in kept_ids)
-                self._emit("pruned", {"depth": depth, "kept": kept, "dropped": dropped})
-                final_beam = beam
-                if should_terminate(beam, self.config.score_threshold):
-                    best = select_answer(beam)
-                    payload = {"depth": depth, "state_id": best.state_id, "score": best.score}
-                    payload["threshold"] = self.config.score_threshold
-                    self._emit("early_exit", payload)
-                    reason = EXIT_EARLY
-                    break
+                else:
+                    beam = prune_beam(candidates, config.beam_size)
+                    kept_ids = {s.state_id for s in beam}
+                    kept = [[s.state_id, s.score] for s in beam]
+                    dropped = sorted(c.state_id for c in candidates if c.state_id not in kept_ids)
+                    self._emit("pruned", {"depth": depth, "kept": kept, "dropped": dropped})
+                    if should_terminate(beam, config.score_threshold):
+                        best = select_answer(beam)
+                        payload = {"depth": depth, "state_id": best.state_id, "score": best.score}
+                        self._emit("early_exit", {**payload, "threshold": config.score_threshold})
+                        reason = EXIT_EARLY
+                        break
+                if depth < config.max_depth:
+                    # A seed's ask went out with its history; the next level
+                    # asks every other parent.
+                    sent = {s.state_id: o.ask for s, o in children if o.ask}
+                    parents = [(p, sent.get(p.state_id)) for p in beam]
         except ProviderError as err:
             raise SearchError(f"search aborted: {err}", tuple(self.trace), self.ledger) from err
         finally:
             if self._pool is not None:
                 self._pool.shutdown(cancel_futures=True)
-            self._gate = None
-        winner = select_answer(final_beam)
-        self._emit(
-            "finished",
-            {
-                "state_id": winner.state_id,
-                "answer": winner.answer,
-                "score": winner.score,
-                "reason": reason,
-            },
-        )
+        winner = select_answer(beam)
+        payload = {"state_id": winner.state_id, "answer": winner.answer, "score": winner.score}
+        self._emit("finished", {**payload, "reason": reason})
         return SearchResult(winner.answer, winner, tuple(self.trace), self.ledger)
 
 

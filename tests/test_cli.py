@@ -180,7 +180,8 @@ def test_eval_retries_reach_the_engine(tmp_path, capsys, searched_retries):
     index_path, script_path, dataset_path = eval_fixture(tmp_path)
     output = tmp_path / "report.json"
     assert main(eval_args(index_path, script_path, dataset_path, output) + ["--retries", "4"]) == 0
-    assert searched_retries == [4] * 4
+    # One run answers all four questions.
+    assert searched_retries == [4]
 
 
 class ConstantSession:

@@ -244,7 +244,16 @@ def test_parse_score_takes_first_number():
 
 @pytest.mark.parametrize(
     "text, expected",
-    [("85%", 0.85), ("8/10", 0.8), ("7 out of 10", 0.7), ("Score: 3 / 4", 0.75), ("120%", 1.0)],
+    [
+        ("85%", 0.85),
+        ("8/10", 0.8),
+        ("7 out of 10", 0.7),
+        ("Score: 3 / 4", 0.75),
+        ("120%", 1.0),
+        ("5e-1", 0.5),
+        ("1e-3", 0.001),
+        ("2.5E-1", 0.25),
+    ],
 )
 def test_parse_score_reads_percentages_and_fractions_as_scaled_values(text, expected):
     assert parse_score(text) == pytest.approx(expected)

@@ -290,8 +290,10 @@ def test_http_malformed_usage_falls_back_to_estimate(usage):
         FakeResponse(status_code=429),
         requests.ConnectionError("boom"),
         requests.Timeout("slow"),
+        requests.exceptions.ChunkedEncodingError("cut off"),
+        requests.exceptions.ContentDecodingError("garbled"),
     ],
-    ids=["500", "503", "429", "connection", "timeout"],
+    ids=["500", "503", "429", "connection", "timeout", "chunked", "decoding"],
 )
 def test_http_transient_failure_is_one_post_raising_transport_error(outcome):
     provider, session = http_provider([outcome, FakeResponse(payload=chat_payload("ok"))])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 import threading
 import time
@@ -47,6 +48,7 @@ from support import (
     StatePlan,
     harpers_plan,
     harpers_script,
+    random_tree_plan,
     recount_trace_costs,
 )
 
@@ -947,7 +949,7 @@ def wait_until(predicate, timeout=5.0):
         time.sleep(0.001)
 
 
-def test_waiting_asks_and_children_go_out_before_an_older_waiting_seed_answer():
+def test_waiting_asks_and_children_go_out_before_an_older_waiting_seed_answer(monkeypatch):
     built, index, config = harpers_script()
     question, plan = built.question, harpers_plan()
     hits = retrieve(index, question, config.retrieval_docs)
@@ -958,12 +960,20 @@ def test_waiting_asks_and_children_go_out_before_an_older_waiting_seed_answer():
     grounded_answer = ("answer", render_answer_prompt(question, grounded_history))
     provider = HoldingProvider(ScriptedProvider(built.rules))
     run = SearchRun(config, provider, index=index, workers=2)
+    searches = []
+
+    class RecordedSearch(beamqa.search._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(beamqa.search, "_Search", RecordedSearch)
     results = []
     search = threading.Thread(target=lambda: results.append(run.run_search(question)))
     search.start()
 
     def waiting():
-        gate = run._gate
+        gate = searches[0]._gate if searches else None
         return 0 if gate is None else len(gate._waiting)
 
     def release_and_see_next(key):
@@ -1039,7 +1049,8 @@ def test_a_retry_backoff_holds_no_call_slot(monkeypatch):
     built, index, config = harpers_script()
     provider = FlakyOnce(ScriptedProvider(built.rules), failures=2)
     run = SearchRun(config, provider, index=index, retries=2)
-    run._gate = beamqa.search._CallGate(1)
+    search = beamqa.search._Search(run, built.question)
+    search._gate = beamqa.search._CallGate(1)
     slot_free_in_backoff = []
 
     def sleep(seconds):
@@ -1047,7 +1058,7 @@ def test_a_retry_backoff_holds_no_call_slot(monkeypatch):
         taken = threading.Event()
 
         def take():
-            with run._gate.slot(0):
+            with search._gate.slot(0):
                 taken.set()
 
         threading.Thread(target=take, daemon=True).start()
@@ -1055,7 +1066,7 @@ def test_a_retry_backoff_holds_no_call_slot(monkeypatch):
 
     monkeypatch.setattr(beamqa.search.time, "sleep", sleep)
     rule = built.rules[0]
-    assert run._complete(rule.exact, rule.tag, CostLedger()) == rule.response
+    assert search._complete(rule.exact, rule.tag, CostLedger()) == rule.response
     assert provider.attempts == 3
     assert slot_free_in_backoff == [True]
 
@@ -1070,7 +1081,8 @@ def test_complete_outside_a_run_sends_inline(workers):
         # Before any run and after one, the request is sent on this thread.
         run.provider = RecordingProvider(ScriptedProvider(rules))
         ledger = CostLedger()
-        assert run._complete(rule.exact, rule.tag, ledger) == rule.response
+        search = beamqa.search._Search(run, built.question)
+        assert search._complete(rule.exact, rule.tag, ledger) == rule.response
         assert run.provider.threads == [threading.current_thread()]
         assert ledger.api_times == 1
         run.run_search(built.question)
@@ -1137,6 +1149,35 @@ def test_a_reused_run_repeats_a_fresh_runs_trace_and_ledger(counted_pools, worke
         assert result.ledger == fresh.ledger
     assert len(pools) == (2 if workers > 1 else 0)
     assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_one_run_answers_two_questions_at_once(workers):
+    built, index, config = harpers_script()
+    plan, _ = random_tree_plan(random.Random(3), "Which tree answer scores best?")
+    other = ScriptBuilder(config, index).build(plan)
+    rules = [replace(rule, repeat=True) for rule in built.rules + other.rules]
+    questions = [built.question, other.question]
+    fresh = [run_search(q, config, ScriptedProvider(rules), index=index) for q in questions]
+    # Each search's direct seed answer waits for the other's, so the two overlap.
+    direct_answers = [("answer", render_answer_prompt(q, [])) for q in questions]
+    provider = MeetingProvider(ScriptedProvider(rules), direct_answers)
+    run = SearchRun(config, provider, index=index, workers=workers)
+    results = {}
+
+    def answer(i):
+        results[i] = run.run_search(questions[i])
+
+    threads = [threading.Thread(target=answer, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert provider.met == ["answer", "answer"]
+    for i, expected in enumerate(fresh):
+        assert results[i].trace_lines() == expected.trace_lines()
+        assert results[i].ledger == expected.ledger
 
 
 class FanoutProvider:
