@@ -31,12 +31,18 @@ class ProviderError(Exception):
     """A completion could not be produced."""
 
     retryable = False
+    # Seconds the service asked the caller to wait before sending it again.
+    retry_after: float | None = None
 
 
 class TransportError(ProviderError):
     """Transient transport failure (connection, timeout, 429/5xx); worth retrying."""
 
     retryable = True
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ScriptError(ProviderError):
@@ -227,8 +233,10 @@ class HttpChatProvider(CompletionProvider):
     BEAMQA_MODEL / BEAMQA_TIMEOUT environment variables, then to the
     defaults; an explicit value always wins. Each call is one POST: a
     connection error, a timeout, a 429 or a 5xx status raises the retryable
-    ``TransportError``, any other failure a plain ``ProviderError``. Retrying
-    is the caller's decision (``SearchRun(retries=...)``).
+    ``TransportError``, any other failure a plain ``ProviderError``. On a 429
+    or a 503 the error carries the ``Retry-After`` delay, when the service
+    gives one in seconds. Retrying is the caller's decision
+    (``SearchRun(retries=...)``).
     """
 
     endpoint: str | None = None
@@ -283,7 +291,9 @@ class HttpChatProvider(CompletionProvider):
             requests.exceptions.ContentDecodingError,
         ) as err:
             raise TransportError(f"transport failure: {err}") from err
-        if resp.status_code == 429 or resp.status_code >= 500:
+        if resp.status_code in (429, 503):
+            raise TransportError(f"HTTP {resp.status_code}", _retry_after(resp.headers.get("Retry-After")))
+        if resp.status_code >= 500:
             raise TransportError(f"HTTP {resp.status_code}")
         if resp.status_code != 200:
             raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}")
@@ -310,3 +320,11 @@ class HttpChatProvider(CompletionProvider):
             estimate_tokens(text),
             usage_reported=False,
         )
+
+
+def _retry_after(value: str | None) -> float | None:
+    """The seconds of a ``Retry-After`` header in its delay-seconds form, a
+    run of ASCII digits (RFC 9110, section 10.2.3). The HTTP-date form and
+    anything malformed give ``None``."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None

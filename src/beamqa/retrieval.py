@@ -43,6 +43,11 @@ _PRUNE_MARGIN = 1e-9
 INDEX_FORMAT = "beamqa-lexical-index"
 INDEX_VERSION = 3
 
+# Postings that ``_all_in_range`` reads as one integer: enough that the
+# per-integer work vanishes, few enough that its integers take only a few
+# hundred KB.
+_LANE_CHUNK = 1 << 16
+
 
 class _Separators(dict):
     """A ``str.translate`` table that keeps alphanumeric characters and maps
@@ -514,11 +519,17 @@ def _read_v3(header: dict, handle, path: str | Path) -> LexicalIndex:
         size += count * arr.itemsize
     remaining = os.fstat(handle.fileno()).st_size - handle.tell()
     check(size == remaining, f"the header's arrays and text take {size} bytes, the file holds {remaining}")
-    for name, arr in arrays.items():
-        arr.fromfile(handle, lengths[name])
+    for name, code in _ARRAYS:
+        # Read straight into an array of the header's length: fromfile would
+        # read into a bytes object first and then copy it.
+        arr = arrays[name] = array(code, [0]) * lengths[name]
+        want = len(arr) * arr.itemsize
+        got = handle.readinto(arr)
+        check(got == want, f"{name!r} is truncated: {got} of {want} bytes")
         if header["byteorder"] != sys.byteorder:
             arr.byteswap()
     text = handle.read(text_size)
+    check(len(text) == text_size, f"the text is truncated: {len(text)} of {text_size} bytes")
 
     ids, terms = header.get("ids"), header.get("terms")
     check(isinstance(ids, list) and isinstance(terms, list), "no ids or terms")
@@ -531,13 +542,44 @@ def _read_v3(header: dict, handle, path: str | Path) -> LexicalIndex:
     check(offsets[0] == 0 and offsets[-1] == len(positions) == len(arrays["weights"]),
           "offsets do not match the postings")
     check(all(map(int.__le__, offsets, offsets[1:])), "offsets are not ascending")
-    # Read as unsigned, a negative position is 2**31 or more: one max() bounds both ends.
-    with memoryview(positions).cast("B").cast("I") as unsigned:
-        check(not unsigned or max(unsigned) < len(ids), "a posting names no document")
+    check(_all_in_range(positions, len(ids)), "a posting names no document")
     _check_text(text, arrays["text_offsets"], len(ids), check)
     return LexicalIndex._from_arrays(
         ids, text, arrays["text_offsets"], doc_len, terms, offsets, positions, arrays["weights"]
     )
+
+
+def _all_in_range(items: array, n: int) -> bool:
+    """Whether every item of the signed array ``items``, of ``w``-bit items,
+    is in ``range(n)``, n >= 1.
+
+    It reads each run of up to ``_LANE_CHUNK`` items as one integer ``x``
+    with one lane per item, the item's bits read as unsigned (SIMD within a
+    register: Lamport 1975, "Multiple byte processing with full-word
+    instructions"). A lane's top bit marks a negative item. Adding
+    ``2**(w-1) - n`` to a lane holding a non-negative item ``v`` sets the top
+    bit exactly when ``v >= n`` and carries nothing into the next lane, so
+    the lowest lane whose item is out of range sets its top bit in ``x`` or
+    in ``x + shift``, and no lane below it disturbs that.
+    """
+    size, order = items.itemsize, sys.byteorder
+    top_bit = 1 << (8 * size - 1)
+    lane_shift = top_bit - min(n, top_bit)  # an n >= 2**(w-1) bounds every non-negative item
+    masks: dict[int, tuple[int, int]] = {}  # chunk length in bytes -> (top, shift)
+    step = _LANE_CHUNK * size
+    with memoryview(items).cast("B") as raw:
+        for start in range(0, len(raw), step):
+            chunk = raw[start:start + step]
+            if len(chunk) not in masks:
+                masks[len(chunk)] = tuple(
+                    int.from_bytes(lane.to_bytes(size, order) * (len(chunk) // size), order)
+                    for lane in (top_bit, lane_shift)
+                )
+            top, shift = masks[len(chunk)]
+            x = int.from_bytes(chunk, order)
+            if (x | (x + shift)) & top:
+                return False
+    return True
 
 
 def _check_text(text: bytes, off: array, n_docs: int, check: Callable[[bool, str], None]) -> None:
@@ -547,11 +589,13 @@ def _check_text(text: bytes, off: array, n_docs: int, check: Callable[[bool, str
           "text offsets do not match the documents and the text")
     check(all(map(int.__le__, off, off[1:])), "text offsets are not ascending")
     check(all(map(int.__lt__, off[1::2], off[2::2])), "a document has an empty body")
-    try:
-        text.decode("utf-8")  # only to validate: a str may take four bytes a character
-    except UnicodeDecodeError as err:
-        check(False, f"the text is not UTF-8 ({err.reason} at byte {err.start})")
+    is_ascii = text.isascii()  # ASCII is valid UTF-8, and every cut falls between characters
+    if not is_ascii:
+        try:
+            text.decode("utf-8")  # only to validate: a str may take four bytes a character
+        except UnicodeDecodeError as err:
+            check(False, f"the text is not UTF-8 ({err.reason} at byte {err.start})")
     # In valid UTF-8, a cut before any byte but a continuation byte (10xxxxxx)
     # falls between two characters.
-    check(text.isascii() or all(text[i] & 0xC0 != 0x80 for i in off[:-1] if i < len(text)),
+    check(is_ascii or all(text[i] & 0xC0 != 0x80 for i in off[:-1] if i < len(text)),
           "a text offset splits a character")

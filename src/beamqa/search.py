@@ -84,6 +84,8 @@ EXIT_NO_CANDIDATES = "no_candidates"
 
 # Seconds before a request's second retry; see SearchRun._complete.
 RETRY_BACKOFF_S = 0.5
+# The longest wait a service's Retry-After can ask of one retry.
+MAX_RETRY_AFTER_S = 60.0
 
 # Pool threads per call slot. At workers=4 the 8 threads hold every task live
 # at depth 1 at the defaults, so a task waits for a slot, not for a thread.
@@ -324,21 +326,25 @@ class SearchRun:
         """Send one request and count it into ``ledger``. A retryable failure
         is sent again in the same thread, up to ``retries`` times: the first
         retry at once, retry k >= 2 after ``RETRY_BACKOFF_S * 2 ** (k - 2)``
-        seconds. Any other failure, such as a scripted mismatch, is raised
-        at once. With a ``gate`` each attempt holds one of its call slots,
-        not the backoff sleep, and a ``last`` request waits behind every
-        other; without one the request goes out inline."""
+        seconds, and any retry no sooner than the failure's ``retry_after``,
+        capped at ``MAX_RETRY_AFTER_S``. Any other failure, such as a
+        scripted mismatch, is raised at once. With a ``gate`` each attempt
+        holds one of its call slots, not the wait before it, and a ``last``
+        request waits behind every other; without one the request goes out
+        inline."""
         request = CompletionRequest(prompt=prompt, tag=tag)
         for retry in range(self.retries + 1):
-            if retry > 1:
-                time.sleep(RETRY_BACKOFF_S * 2 ** (retry - 2))
             try:
                 with gate.slot(int(last)) if gate else nullcontext():
                     resp = self.provider.complete(request)
             except ProviderError as err:
-                if err.retryable and retry < self.retries:
-                    continue
-                raise
+                if not (err.retryable and retry < self.retries):
+                    raise
+                backoff = RETRY_BACKOFF_S * 2 ** (retry - 1) if retry else 0.0
+                wait = max(backoff, min(err.retry_after or 0.0, MAX_RETRY_AFTER_S))
+                if wait:
+                    time.sleep(wait)
+                continue
             ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
             return resp.text
 

@@ -14,6 +14,7 @@ regex tokenizer) and the canned corpora the golden-run tests use.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -318,6 +319,19 @@ def recount_trace_costs(trace) -> tuple[int, int]:
 
 
 # --- independent BM25 oracle --------------------------------------------------
+
+
+def report_file_size(monkeypatch, size: int) -> None:
+    """Make ``load_index`` see a file of ``size`` bytes, as if the file
+    shrank after the loader took its size."""
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        stat = list(real_fstat(fd))
+        stat[6] = size  # st_size
+        return os.stat_result(stat)
+
+    monkeypatch.setattr("beamqa.retrieval.os.fstat", fstat)
 
 
 def reference_tokenize(text: str) -> list[str]:

@@ -16,6 +16,7 @@ from support import (
     fact_plan,
     fact_question,
     harpers_script,
+    report_file_size,
 )
 
 
@@ -408,6 +409,22 @@ def test_ask_without_index_in_retrieval_mode_fails(harpers_cli, capsys):
     )
     assert code != 0
     assert "--index" in capsys.readouterr().err
+
+
+def test_ask_with_an_index_that_shrinks_after_its_size_check_fails_cleanly(harpers_cli, monkeypatch, capsys):
+    built, index_path, script_path = harpers_cli
+    data = index_path.read_bytes()
+    # The file loses half of what follows its header after its size is taken.
+    header_end = data.index(b"\n") + 1
+    index_path.write_bytes(data[: header_end + (len(data) - header_end) // 2])
+    report_file_size(monkeypatch, len(data))
+    code = main(
+        ["ask", built.question, "--index", str(index_path), "--provider", "scripted", "--script", str(script_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "malformed index file" in err and "truncated" in err
+    assert "Traceback" not in err
 
 
 def test_ask_scripted_without_script_fails(capsys):

@@ -18,7 +18,14 @@ from beamqa.providers import (
     load_script,
     save_script,
 )
-from beamqa.search import SearchConfig, SearchError, run_search
+from beamqa.search import (
+    MAX_RETRY_AFTER_S,
+    RETRY_BACKOFF_S,
+    SearchConfig,
+    SearchError,
+    SearchRun,
+    run_search,
+)
 
 
 def req(prompt="hello there", tag="answer"):
@@ -203,10 +210,11 @@ def test_script_file_rejects_bad_shape(tmp_path):
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or (json.dumps(payload) if payload is not None else "")
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def json(self):
         if self._payload is None:
@@ -388,6 +396,56 @@ def test_search_resends_a_5xx_once_and_counts_one_call(monkeypatch):
     assert result.final_answer == "0.9"
     assert result.ledger.api_times == 7
     assert (len(session.calls), session.outcomes) == (8, [])
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize(
+    "value, seconds",
+    [
+        ("7", 7.0), ("0", 0.0), (" 12 ", 12.0), ("Wed, 21 Oct 2015 07:28:00 GMT", None),
+        ("1.5", None), ("-1", None), ("soon", None), ("", None), ("\u0663", None), (None, None),
+    ],
+    ids=["seconds", "zero", "padded", "http-date", "fraction", "negative", "word", "empty", "non-ascii-digit", "absent"],
+)
+def test_http_retry_after_seconds_ride_on_the_transport_error(status, value, seconds):
+    headers = {} if value is None else {"retry-after": value}
+    provider, _ = http_provider([FakeResponse(status_code=status, headers=headers)])
+    with pytest.raises(TransportError) as err:
+        provider.complete(req())
+    assert err.value.retry_after == seconds
+
+
+def test_http_retry_after_is_read_only_on_a_429_or_a_503():
+    provider, _ = http_provider([FakeResponse(status_code=500, headers={"Retry-After": "7"})])
+    with pytest.raises(TransportError) as err:
+        provider.complete(req())
+    assert err.value.retry_after is None
+
+
+def test_search_waits_out_a_retry_after_before_the_retry(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    ok = FakeResponse(payload=chat_payload("0.9"))
+    provider, session = http_provider([FakeResponse(status_code=429, headers={"Retry-After": "3"})] + [ok] * 7)
+    result = genread_search(provider)
+    assert sleeps == [3.0]
+    assert result.ledger.api_times == 7
+    assert (len(session.calls), session.outcomes) == (8, [])
+
+
+def test_a_retry_waits_the_longer_of_its_backoff_and_a_capped_retry_after(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    failures = [
+        FakeResponse(status_code=429, headers={"Retry-After": "2"}),  # retry 1: no backoff
+        FakeResponse(status_code=503, headers={"Retry-After": "0"}),  # retry 2: 0.5 s backoff
+        FakeResponse(status_code=429, headers={"Retry-After": "100000"}),
+    ]
+    provider, session = http_provider(failures + [FakeResponse(payload=chat_payload("0.9"))] * 7)
+    config = SearchConfig(evidence_mode="generate_background", max_depth=1, max_queries=1)
+    result = SearchRun(config, provider, retries=3).run_search("who?")
+    assert sleeps == [2.0, RETRY_BACKOFF_S, MAX_RETRY_AFTER_S]
+    assert (result.ledger.api_times, len(session.calls)) == (7, 10)
 
 
 def test_default_search_posts_each_failing_request_twice(monkeypatch):

@@ -12,6 +12,7 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beamqa import retrieval
 from beamqa.accounting import CostLedger
 from beamqa.providers import ScriptRule, ScriptedProvider
 from beamqa.retrieval import (
@@ -21,6 +22,7 @@ from beamqa.retrieval import (
     Evidence,
     GENERATE_BACKGROUND,
     _Separators,
+    _all_in_range,
     _one_pass_touches_fewer,
     gather_evidence,
     index_corpus,
@@ -32,7 +34,7 @@ from beamqa.retrieval import (
 )
 from beamqa.search import SearchConfig, SearchRun
 
-from support import naive_bm25, reference_tokenize
+from support import naive_bm25, reference_tokenize, report_file_size
 
 
 def docs3():
@@ -784,13 +786,89 @@ def test_v2_header_that_disagrees_with_the_arrays_is_rejected(tmp_path, edit):
         load_index(path)
 
 
+@pytest.mark.parametrize("where", [0, -1, 8], ids=["first", "last", "second-chunk"])
 @pytest.mark.parametrize("bad", ["past-the-end", "negative"])
-def test_v2_posting_that_names_no_document_is_rejected(tmp_path, bad):
+def test_v2_posting_that_names_no_document_is_rejected(tmp_path, monkeypatch, bad, where):
+    # Chunks of 8 postings: docs3 has 21, so item 8 starts the second chunk.
+    monkeypatch.setattr(retrieval, "_LANE_CHUNK", 8)
     path, header, body = saved_v2(tmp_path)
     arrays, text = split_body(header, body)
-    arrays["positions"][0] = len(header["ids"]) if bad == "past-the-end" else -1
+    arrays["positions"][where] = len(header["ids"]) if bad == "past-the-end" else -1
     with_header(path, header, join_body(arrays, text))
     with pytest.raises(ValueError, match="names no document"):
+        load_index(path)
+
+
+_INT32_EDGES = st.sampled_from([0, 1, -1, -2, -(2**31), 2**31 - 1, 2**31 - 2, 2**24, -(2**24)])
+
+
+@st.composite
+def lane_cases(draw):
+    """An int32 array, a count n and a chunk length; the items cluster at
+    n - 1, n and the int32 edges, n may exceed every int32, and the array's
+    length sits on either side of a multiple of the chunk length."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 2**31 - 1, 2**31]), st.integers(1, 2**32)))
+    chunk = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    length = max(0, chunk * draw(st.integers(0, 4)) + draw(st.integers(-1, 1)))
+    near_n = st.integers(min(n - 2, 2**31 - 2), min(n + 1, 2**31 - 1))
+    in_range = st.integers(0, min(n, 2**31) - 1)
+    item = st.one_of(_INT32_EDGES, near_n, in_range, st.integers(-(2**31), 2**31 - 1))
+    return array("i", draw(st.lists(item, min_size=length, max_size=length))), n, chunk
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(case=lane_cases())
+def test_the_lane_check_equals_an_item_by_item_range_check(case):
+    items, n, chunk = case
+    expected = all(0 <= p < n for p in items)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "_LANE_CHUNK", chunk)
+        assert _all_in_range(items, n) == expected
+    # Most draws hold an item out of range, so also check them made valid.
+    valid = array("i", [p % min(n, 2**31) for p in items])
+    assert _all_in_range(valid, n)
+
+
+@pytest.mark.parametrize("length", [65535, 65536, 65537, 2 * 65536 + 1])
+def test_the_lane_check_across_the_real_chunk_boundary(length):
+    assert retrieval._LANE_CHUNK == 65536
+    n = 1000
+    items = array("i", [n - 1]) * length
+    assert _all_in_range(items, n)
+    # The first item, the last of the first chunk, the first of the second, the last.
+    for where in (0, 65535, 65536, length - 1):
+        if where < length:
+            for bad in (n, -1, -(2**31)):
+                items[where] = bad
+                assert not _all_in_range(items, n), (where, bad)
+            items[where] = n - 1
+
+
+def test_a_past_the_end_posting_is_rejected_in_the_other_byte_order(tmp_path):
+    path, header, body = saved_v2(tmp_path)
+    arrays, text = split_body(header, body)
+    # 2**24 names no document of three, but its bytes swapped read 1: only a
+    # check made after the loader swaps the bytes back rejects it.
+    arrays["positions"][-1] = 1 << 24
+    for arr in arrays.values():
+        arr.byteswap()
+    header["byteorder"] = {"little": "big", "big": "little"}[header["byteorder"]]
+    with_header(path, header, join_body(arrays, text))
+    with pytest.raises(ValueError, match="names no document"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("cut", ["array", "text"])
+def test_a_file_that_shrinks_after_its_size_check_is_rejected(tmp_path, monkeypatch, cut):
+    path, header, body = saved_v2(tmp_path)
+    _, text = split_body(header, body)
+    full_size = path.stat().st_size
+    # The file loses its tail: into the last array, or only its text's last bytes.
+    keep = len(body) - len(text) - 3 if cut == "array" else len(body) - 3
+    path.write_bytes(path.read_bytes()[: full_size - len(body) + keep])
+    report_file_size(monkeypatch, full_size)  # the size the header's lengths match
+    message = "'text_offsets' is truncated" if cut == "array" else "the text is truncated"
+    with pytest.raises(ValueError, match=f"malformed index file: {message}"):
         load_index(path)
 
 

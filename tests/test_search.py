@@ -6,6 +6,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -1069,6 +1070,32 @@ def test_a_retry_backoff_holds_no_call_slot(monkeypatch):
     assert search._complete(rule.exact, rule.tag, CostLedger()) == rule.response
     assert provider.attempts == 3
     assert slot_free_in_backoff == [True]
+
+
+def test_a_retry_after_wait_holds_no_call_slot(monkeypatch):
+    built, index, config = harpers_script()
+    provider = FlakyOnce(ScriptedProvider(built.rules), error=partial(TransportError, retry_after=4.0))
+    run = SearchRun(config, provider, index=index)
+    search = beamqa.search._Search(run, built.question)
+    search._gate = beamqa.search._CallGate(1)
+    waits = []
+
+    def sleep(seconds):
+        # Another call takes the gate's one slot while this request waits.
+        taken = threading.Event()
+
+        def take():
+            with search._gate.slot(0):
+                taken.set()
+
+        threading.Thread(target=take, daemon=True).start()
+        waits.append((seconds, taken.wait(2)))
+
+    monkeypatch.setattr(beamqa.search.time, "sleep", sleep)
+    rule = built.rules[0]
+    assert search._complete(rule.exact, rule.tag, CostLedger()) == rule.response
+    assert provider.attempts == 2
+    assert waits == [(4.0, True)]
 
 
 @pytest.mark.parametrize("workers", [1, 4])
