@@ -12,16 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-from .accounting import CostLedger, CostReport, format_cost_table
-from .evaluation import (
-    DatasetFormatError,
-    QAExample,
-    evaluate,
-    exact_match,
-    f1_score,
-    hit_rate,
-    load_dataset,
-)
+from .accounting import CostReport, format_cost_table
+from .evaluation import DatasetFormatError, QAExample, evaluate, load_dataset
 from .prompts import set_template_dir
 from .providers import HttpChatProvider, ProviderError, load_script
 from .retrieval import (
@@ -111,8 +103,15 @@ def _add_search_flags(parser: argparse.ArgumentParser, workers_help: str) -> Non
     )
 
 
-def _config_from_args(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(
+def _start_run(args: argparse.Namespace, workers: int, *out_paths: str | None) -> SearchRun:
+    """Check that each output path's directory exists, read the templates,
+    and build the run's config, provider and index: everything that can
+    fail before the first call is paid for."""
+    for path in out_paths:
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
+    set_template_dir(args.template_dir)
+    config = SearchConfig(
         beam_size=args.beam_size,
         max_depth=args.max_depth,
         max_queries=args.max_queries,
@@ -120,38 +119,31 @@ def _config_from_args(args: argparse.Namespace) -> SearchConfig:
         score_threshold=args.threshold,
         evidence_mode=args.evidence_mode,
     )
-
-
-def _provider_from_args(args: argparse.Namespace):
     if args.provider == "scripted":
         if not args.script:
             raise ValueError("--provider scripted requires --script")
-        return load_script(args.script)
-    return HttpChatProvider(
-        endpoint=args.endpoint,
-        api_key=args.api_key,
-        model=args.model,
-        timeout=args.timeout,
-    )
+        provider = load_script(args.script)
+    else:
+        provider = HttpChatProvider(
+            endpoint=args.endpoint, api_key=args.api_key, model=args.model, timeout=args.timeout
+        )
+    index = None
+    if config.evidence_mode == RETRIEVE_SUMMARIZE:
+        if not args.index:
+            raise ValueError("evidence mode retrieve_summarize requires --index")
+        index = load_index(args.index)
+    return SearchRun(config, provider, index=index, workers=workers, retries=args.retries)
 
 
-def _index_from_args(args: argparse.Namespace, config: SearchConfig):
-    if config.evidence_mode != RETRIEVE_SUMMARIZE:
-        return None
-    if not args.index:
-        raise ValueError("evidence mode retrieve_summarize requires --index")
-    return load_index(args.index)
-
-
-def _manifest(args: argparse.Namespace, config: SearchConfig, provider, **extra) -> dict:
+def _manifest(args: argparse.Namespace, run: SearchRun, **extra) -> dict:
     source: dict = {"kind": args.provider}
     if args.provider == "scripted":
         source["script"] = args.script
     else:
-        source["endpoint"] = provider.endpoint
-        source["model"] = provider.model
+        source["endpoint"] = run.provider.endpoint
+        source["model"] = run.provider.model
     manifest = {
-        "config": asdict(config),
+        "config": asdict(run.config),
         "provider": source,
         "index_path": args.index,
         "template_dir": args.template_dir,
@@ -160,13 +152,6 @@ def _manifest(args: argparse.Namespace, config: SearchConfig, provider, **extra)
     }
     manifest.update(extra)
     return manifest
-
-
-def _check_out_dirs(*paths: str | None) -> None:
-    """Reject an output path whose directory does not exist, before any call is paid for."""
-    for path in paths:
-        if path and not Path(path).parent.is_dir():
-            raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -204,12 +189,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_ask(args: argparse.Namespace) -> int:
     try:
-        _check_out_dirs(args.trace, args.output)
-        set_template_dir(args.template_dir)
-        config = _config_from_args(args)
-        provider = _provider_from_args(args)
-        index = _index_from_args(args, config)
-        run = SearchRun(config, provider, index=index, workers=args.workers, retries=args.retries)
+        run = _start_run(args, args.workers, args.trace, args.output)
         result = run.run_search(args.question)
     except (ValueError, OSError, ProviderError, SearchError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -224,7 +204,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
             _write_json(
                 args.output,
                 {
-                    "manifest": _manifest(args, config, provider, question=args.question),
+                    "manifest": _manifest(args, run, question=args.question),
                     "answer": result.final_answer,
                     "score": result.final_state.score,
                     "ledger": ledger,
@@ -256,13 +236,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: dataset {args.dataset} contains no examples", file=sys.stderr)
         return 1
     try:
-        _check_out_dirs(args.output)
-        set_template_dir(args.template_dir)
-        config = _config_from_args(args)
-        provider = _provider_from_args(args)
-        index = _index_from_args(args, config)
         # One run answers every question, from one thread or several.
-        run = SearchRun(config, provider, index=index, retries=args.retries)
+        run = _start_run(args, 1, args.output)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -284,21 +259,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    total = sum((outcome.ledger for outcome in outcomes), CostLedger())
-    per_question = CostReport.from_ledger(total, len(examples))
-    summary = {
-        **_eval_summary(outcomes, examples),
-        "cost": total.snapshot(),
-        "cost_report_per_question": per_question.as_dict(),
-    }
+    report = evaluate(outcomes, examples)
+    per_question = CostReport.from_ledger(report.cost, report.n_examples)
+    summary = asdict(report)
+    questions = summary.pop("rows")
+    summary["cost_report_per_question"] = per_question.as_dict()
     if args.output:
         try:
             _write_json(
                 args.output,
                 {
-                    "manifest": _manifest(args, config, provider, dataset_path=args.dataset),
+                    "manifest": _manifest(args, run, dataset_path=args.dataset),
                     "summary": summary,
-                    "questions": [_eval_row(o, ex) for o, ex in zip(outcomes, examples)],
+                    "questions": questions,
                 },
             )
         except OSError as err:
@@ -311,49 +284,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"{label}={'n/a' if summary[key] is None else format(summary[key], '.4f')}"
         for label, key in (("em", "em_mean"), ("f1", "f1_mean"), ("hit_rate", "hit_rate"))
     )
-    print(f"n={len(examples)} completed={summary['completed']} failed={summary['failed']} {means}")
-    print(format_cost_table({"totals": total.report(), "per-question": per_question}))
-    return 2 if summary["failed"] else 0
-
-
-def _eval_summary(outcomes: list[SearchResult | SearchError], examples: list[QAExample]) -> dict:
-    """Question counts, EM, F1 and hit-rate means over the completed
-    questions (None when none completed), and the clamped scores of every
-    question, a failed one's partial trace included."""
-    done = [(o, ex) for o, ex in zip(outcomes, examples) if isinstance(o, SearchResult)]
-    means = {"em_mean": None, "f1_mean": None, "hit_rate": None}
-    if done:
-        report = evaluate([o for o, _ in done], [ex for _, ex in done])
-        means = {"em_mean": report.em_mean, "f1_mean": report.f1_mean, "hit_rate": report.hit_rate}
-    return {
-        "n_examples": len(examples),
-        "completed": len(done),
-        "failed": len(examples) - len(done),
-        **means,
-        "clamped_scores": sum(
-            event.kind == "scored" and "clamped" in event.payload
-            for outcome in outcomes
-            for event in outcome.trace
-        ),
-    }
-
-
-def _eval_row(outcome: SearchResult | SearchError, example: QAExample) -> dict:
-    row: dict = {"question": example.question, "gold_answers": list(example.gold_answers)}
-    if isinstance(outcome, SearchError):
-        row["error"] = str(outcome)
-    else:
-        answer = outcome.final_answer
-        row.update(
-            answer=answer,
-            score=outcome.final_state.score,
-            em=exact_match(answer, example.gold_answers),
-            f1=f1_score(answer, example.gold_answers),
-            hit=hit_rate([e.text for e in outcome.final_state.evidences], example.gold_answers),
-        )
-    row["ledger"] = outcome.ledger.snapshot()
-    row["cost_report"] = outcome.ledger.report().as_dict()
-    return row
+    print(f"n={report.n_examples} completed={report.completed} failed={report.failed} {means}")
+    print(format_cost_table({"totals": report.cost.report(), "per-question": per_question}))
+    return 2 if report.failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

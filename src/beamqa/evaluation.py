@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .accounting import CostLedger
-
-if TYPE_CHECKING:
-    from .search import SearchResult
+from .retrieval import read_json_lines
+from .search import SearchError, SearchResult
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 _PUNCT = set(string.punctuation)
@@ -99,64 +97,89 @@ def hit_rate(evidence_texts: Sequence[str], golds: Sequence[str]) -> int:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One evaluation: question counts, EM/F1/hit-rate means over the
+    completed questions (None when none completed), the clamped scores of
+    every trace, the summed cost of every ledger, a failed question's partial
+    one included, and one row per question as ``eval --output`` writes it."""
+
     n_examples: int
-    em_mean: float
-    f1_mean: float
+    completed: int
+    failed: int
+    em_mean: float | None
+    f1_mean: float | None
     hit_rate: float | None
+    clamped_scores: int
     cost: CostLedger
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    rows: list[dict]
 
 
-def evaluate(results: Sequence["SearchResult"], examples: Sequence[QAExample]) -> EvalReport:
-    """Aggregate EM/F1/hit-rate means and summed cost over aligned runs.
+def _row(outcome: SearchResult | SearchError, example: QAExample) -> dict:
+    """A question's record: its answer, score, EM, F1 and hit flag, or the
+    error that stopped it, then its ledger and cost row. The hit flag is
+    computed over the evidences in the winning state's history."""
+    golds = example.gold_answers
+    row: dict = {"question": example.question, "gold_answers": list(golds)}
+    if isinstance(outcome, SearchError):
+        row["error"] = str(outcome)
+    else:
+        answer = outcome.final_answer
+        row.update(
+            answer=answer,
+            score=outcome.final_state.score,
+            em=exact_match(answer, golds),
+            f1=f1_score(answer, golds),
+            hit=hit_rate([e.text for e in outcome.final_state.evidences], golds),
+        )
+    row["ledger"] = outcome.ledger.snapshot()
+    row["cost_report"] = outcome.ledger.report().as_dict()
+    return row
 
-    The hit flag of each example is computed over the evidences accumulated in
-    the winning state's history.
-    """
-    if len(results) != len(examples):
-        raise ValueError(f"got {len(results)} results for {len(examples)} examples")
+
+def evaluate(
+    outcomes: Sequence[SearchResult | SearchError], examples: Sequence[QAExample]
+) -> EvalReport:
+    """Score each example's search, a ``SearchResult`` or the ``SearchError``
+    that ended it, once, and sum the scores and costs over all of them."""
+    if len(outcomes) != len(examples):
+        raise ValueError(f"got {len(outcomes)} results for {len(examples)} examples")
     if not examples:
         raise ValueError("nothing to evaluate")
-    ems, f1s, hits = [], [], []
-    for result, example in zip(results, examples):
-        ems.append(exact_match(result.final_answer, example.gold_answers))
-        f1s.append(f1_score(result.final_answer, example.gold_answers))
-        evidence_texts = [e.text for e in result.final_state.evidences]
-        hits.append(hit_rate(evidence_texts, example.gold_answers))
-    n = len(examples)
+    rows = [_row(outcome, example) for outcome, example in zip(outcomes, examples)]
+    done = [row for row in rows if "error" not in row]
+
+    def mean(key: str) -> float | None:
+        return sum(row[key] for row in done) / len(done) if done else None
+
     return EvalReport(
-        n_examples=n,
-        em_mean=sum(ems) / n,
-        f1_mean=sum(f1s) / n,
-        hit_rate=sum(hits) / n,
-        cost=sum((r.ledger for r in results), CostLedger()),
+        n_examples=len(rows),
+        completed=len(done),
+        failed=len(rows) - len(done),
+        em_mean=mean("em"),
+        f1_mean=mean("f1"),
+        hit_rate=mean("hit"),
+        clamped_scores=sum(
+            event.kind == "scored" and "clamped" in event.payload
+            for outcome in outcomes
+            for event in outcome.trace
+        ),
+        cost=sum((outcome.ledger for outcome in outcomes), CostLedger()),
+        rows=rows,
     )
 
 
 def load_dataset(path: str | Path) -> list[QAExample]:
     """Read a line-delimited dataset of {question, answers} records."""
     examples: list[QAExample] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetFormatError(path, line_no, f"invalid JSON ({err.msg})") from err
-            if not isinstance(raw, dict):
-                raise DatasetFormatError(path, line_no, "record is not an object")
-            question = raw.get("question")
-            answers = raw.get("answers")
-            if not isinstance(question, str) or not question.strip():
-                raise DatasetFormatError(path, line_no, "missing or empty 'question'")
-            if (
-                not isinstance(answers, list)
-                or not answers
-                or not all(isinstance(a, str) for a in answers)
-            ):
-                raise DatasetFormatError(path, line_no, "'answers' must be a non-empty string list")
-            examples.append(QAExample(question=question, gold_answers=tuple(answers)))
+    for line_no, raw in read_json_lines(path, DatasetFormatError):
+        question = raw.get("question")
+        answers = raw.get("answers")
+        if not isinstance(question, str) or not question.strip():
+            raise DatasetFormatError(path, line_no, "missing or empty 'question'")
+        if (
+            not isinstance(answers, list)
+            or not answers
+            or not all(isinstance(a, str) for a in answers)
+        ):
+            raise DatasetFormatError(path, line_no, "'answers' must be a non-empty string list")
+        examples.append(QAExample(question=question, gold_answers=tuple(answers)))
     return examples

@@ -11,7 +11,14 @@ from typing import Sequence
 # (query, evidence_text) pairs; the reasoning history a prompt is built over.
 HistoryPairs = Sequence[tuple[str, str]]
 
-TEMPLATE_NAMES = ("answer", "ask", "summarize", "genread", "score")
+# Each template's name and the placeholders it may use.
+_TEMPLATE_FIELDS = {
+    "answer": ("history", "question"),
+    "ask": ("history", "k", "question"),
+    "summarize": ("document", "question"),
+    "genread": ("question",),
+    "score": ("answer", "history", "question"),
+}
 
 
 class ScoreParseError(ValueError):
@@ -21,11 +28,19 @@ class ScoreParseError(ValueError):
 def _read_templates(directory: Path | None) -> dict[str, str]:
     embedded = resources.files(__package__) / "templates"
     templates = {}
-    for name in TEMPLATE_NAMES:
+    for name, fields in _TEMPLATE_FIELDS.items():
         source = embedded / f"{name}.txt"
         if directory is not None and (directory / f"{name}.txt").exists():
             source = directory / f"{name}.txt"
-        templates[name] = source.read_text(encoding="utf-8").rstrip("\n")
+        text = source.read_text(encoding="utf-8").rstrip("\n")
+        # Render once, so a bad placeholder or brace fails before any call.
+        try:
+            text.format(**{key: 1 if key == "k" else key for key in fields})
+        except KeyError as err:
+            raise ValueError(f"template {source}: unknown placeholder {{{err.args[0]}}}") from err
+        except (AttributeError, IndexError, TypeError, ValueError) as err:
+            raise ValueError(f"template {source}: {err}") from err
+        templates[name] = text
     return templates
 
 
@@ -140,9 +155,9 @@ def clamp_score(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def parse_score(text: str, clamp: bool = True) -> float:
-    """First number in the text, scaled and, unless ``clamp`` is false,
-    clamped into [0, 1] with ``clamp_score``.
+def parse_score(text: str) -> float:
+    """First number in the text, scaled but not clamped: ``clamp_score``
+    brings it into [0, 1].
 
     The scoring prompt asks for a bare number, so the first number wins over
     any later ones a chatty completion may add. A percentage ("85%") or a
@@ -160,4 +175,4 @@ def parse_score(text: str, clamp: bool = True) -> float:
         if scale <= 0:
             raise ScoreParseError(f"non-positive score scale in completion: {text[:80]!r}")
         value /= scale
-    return clamp_score(value) if clamp else value
+    return value

@@ -222,6 +222,9 @@ def load_script(path: str | Path) -> ScriptedProvider:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict) or not isinstance(raw.get("rules"), list):
         raise ValueError(f"script file {path} must contain an object with a 'rules' list")
+    for position, rule in enumerate(raw["rules"]):
+        if not isinstance(rule, dict):
+            raise ValueError(f"script file {path}: rules[{position}] is not an object")
     return ScriptedProvider(ScriptRule.from_dict(r) for r in raw["rules"])
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .accounting import CostLedger
 from .prompts import render_genread_prompt, render_summarize_prompt
@@ -412,29 +412,45 @@ def gather_evidence(
     )
 
 
-def load_corpus(path: str | Path) -> list[Document]:
-    """Read a line-delimited corpus of {id, title, text} records."""
-    docs: list[Document] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+def read_json_lines(
+    path: str | Path, error: Callable[[str | Path, int, str], Exception]
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a
+    line-delimited JSON file. Each line is decoded as UTF-8 on its own; a
+    line that is not UTF-8, not JSON or not an object raises
+    ``error(path, line_no, reason)``."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                reason = f"not UTF-8 (byte {raw[err.start]:#04x} at offset {err.start})"
+                raise error(path, line_no, reason) from err
             if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as err:
-                raise CorpusFormatError(path, line_no, f"invalid JSON ({err.msg})") from err
-            if not isinstance(raw, dict):
-                raise CorpusFormatError(path, line_no, "record is not an object")
-            doc_id = raw.get("id")
-            text = raw.get("text")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise CorpusFormatError(path, line_no, "missing or empty 'id'")
-            if not isinstance(text, str) or not text:
-                raise CorpusFormatError(path, line_no, "missing or empty 'text'")
-            title = raw.get("title", "")
-            if not isinstance(title, str):
-                raise CorpusFormatError(path, line_no, "'title' must be a string")
-            docs.append(Document(doc_id=doc_id, title=title, body=text))
+                raise error(path, line_no, f"invalid JSON ({err.msg})") from err
+            if not isinstance(record, dict):
+                raise error(path, line_no, "record is not an object")
+            yield line_no, record
+
+
+def load_corpus(path: str | Path) -> list[Document]:
+    """Read a line-delimited corpus of {id, title, text} records."""
+    docs: list[Document] = []
+    for line_no, raw in read_json_lines(path, CorpusFormatError):
+        doc_id = raw.get("id")
+        text = raw.get("text")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusFormatError(path, line_no, "missing or empty 'id'")
+        if not isinstance(text, str) or not text:
+            raise CorpusFormatError(path, line_no, "missing or empty 'text'")
+        title = raw.get("title", "")
+        if not isinstance(title, str):
+            raise CorpusFormatError(path, line_no, "'title' must be a string")
+        docs.append(Document(doc_id=doc_id, title=title, body=text))
     return docs
 
 

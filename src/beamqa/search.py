@@ -33,7 +33,7 @@ is the seeds, then the level's asks in parent order, then its children in
 collection in that same order, so the trace never depends on completion order.
 
 Every provider call, evidence calls included, goes through one function,
-``SearchRun._complete``: it sends the request, retries a retryable failure
+``_Search._complete``: it sends the request, retries a retryable failure
 in the same thread, and counts the call. That is the only retry layer.
 """
 
@@ -82,7 +82,7 @@ EXIT_EARLY = "early_exit"
 EXIT_MAX_DEPTH = "max_depth"
 EXIT_NO_CANDIDATES = "no_candidates"
 
-# Seconds before a request's second retry; see SearchRun._complete.
+# Seconds before a request's second retry; see _Search._complete.
 RETRY_BACKOFF_S = 0.5
 # The longest wait a service's Retry-After can ask of one retry.
 MAX_RETRY_AFTER_S = 60.0
@@ -320,34 +320,6 @@ class SearchRun:
         self.workers = workers
         self.retries = retries
 
-    def _complete(
-        self, prompt: str, tag: str, ledger: CostLedger, gate: _CallGate | None = None, last: bool = False
-    ) -> str:
-        """Send one request and count it into ``ledger``. A retryable failure
-        is sent again in the same thread, up to ``retries`` times: the first
-        retry at once, retry k >= 2 after ``RETRY_BACKOFF_S * 2 ** (k - 2)``
-        seconds, and any retry no sooner than the failure's ``retry_after``,
-        capped at ``MAX_RETRY_AFTER_S``. Any other failure, such as a
-        scripted mismatch, is raised at once. With a ``gate`` each attempt
-        holds one of its call slots, not the wait before it, and a ``last``
-        request waits behind every other; without one the request goes out
-        inline."""
-        request = CompletionRequest(prompt=prompt, tag=tag)
-        for retry in range(self.retries + 1):
-            try:
-                with gate.slot(int(last)) if gate else nullcontext():
-                    resp = self.provider.complete(request)
-            except ProviderError as err:
-                if not (err.retryable and retry < self.retries):
-                    raise
-                backoff = RETRY_BACKOFF_S * 2 ** (retry - 1) if retry else 0.0
-                wait = max(backoff, min(err.retry_after or 0.0, MAX_RETRY_AFTER_S))
-                if wait:
-                    time.sleep(wait)
-                continue
-            ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
-            return resp.text
-
     def run_search(self, question: str) -> SearchResult:
         """Run the levels, pruning, and final selection for one question,
         from an empty trace, a zero ledger and id 0."""
@@ -372,7 +344,31 @@ class _Search:
         self._gate: _CallGate | None = None
 
     def _complete(self, prompt: str, tag: str, ledger: CostLedger, last: bool = False) -> str:
-        return self.owner._complete(prompt, tag, ledger, self._gate, last)
+        """Send one request and count it into ``ledger``. A retryable failure
+        is sent again in the same thread, up to the run's ``retries`` times:
+        the first retry at once, retry k >= 2 after
+        ``RETRY_BACKOFF_S * 2 ** (k - 2)`` seconds, and any retry no sooner
+        than the failure's ``retry_after``, capped at ``MAX_RETRY_AFTER_S``.
+        Any other failure, such as a scripted mismatch, is raised at once.
+        While the search has a call gate each attempt holds one of its
+        slots, not the wait before it, and a ``last`` request waits behind
+        every other; without one the request goes out inline."""
+        request = CompletionRequest(prompt=prompt, tag=tag)
+        provider, retries, gate = self.owner.provider, self.owner.retries, self._gate
+        for retry in range(retries + 1):
+            try:
+                with gate.slot(int(last)) if gate else nullcontext():
+                    resp = provider.complete(request)
+            except ProviderError as err:
+                if not (err.retryable and retry < retries):
+                    raise
+                backoff = RETRY_BACKOFF_S * 2 ** (retry - 1) if retry else 0.0
+                wait = max(backoff, min(err.retry_after or 0.0, MAX_RETRY_AFTER_S))
+                if wait:
+                    time.sleep(wait)
+                continue
+            ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
+            return resp.text
 
     def _submit(self, fn: Callable, *args) -> Future | _Deferred:
         """Start ``fn(*args)`` on the search's pool; with one worker, defer it
@@ -444,7 +440,7 @@ class _Search:
             outcome.error = err
             return outcome
         try:
-            outcome.raw_score = parse_score(text, clamp=False)
+            outcome.raw_score = parse_score(text)
         except ScoreParseError as err:
             # Tolerated: an unscorable answer competes with confidence zero.
             outcome.parse_error = str(err)

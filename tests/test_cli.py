@@ -291,6 +291,34 @@ def test_ask_missing_template_dir_fails_before_any_call(
     assert captured.out == ""
 
 
+BAD_TEMPLATES = [
+    ("answer.txt", "{histroy}\n{question}", "unknown placeholder {histroy}"),
+    ("summarize.txt", "{document} about {question", "expected '}' before end of string"),
+]
+
+
+@pytest.mark.parametrize("name, text, reason", BAD_TEMPLATES, ids=["typo", "unclosed"])
+def test_ask_template_with_a_bad_placeholder_fails_before_any_call(
+    harpers_cli, tmp_path, capsys, no_search, embedded_templates_after, name, text, reason
+):
+    built, index_path, script_path = harpers_cli
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / name).write_text(text, encoding="utf-8")
+    code = main(
+        [
+            "ask", built.question,
+            "--provider", "scripted", "--script", str(script_path),
+            "--index", str(index_path),
+            "--template-dir", str(templates),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: template {templates / name}: {reason}\n"
+    assert captured.out == ""
+
+
 @pytest.fixture()
 def no_search(monkeypatch):
     """Fail the test if the CLI starts a search, and so pays for a call."""
@@ -633,6 +661,45 @@ def test_eval_template_dir_falls_back_to_embedded_templates(
     b = json.loads(custom.read_text(encoding="utf-8"))
     assert (a["summary"], a["questions"]) == (b["summary"], b["questions"])
     assert b["manifest"]["template_dir"] == str(templates)
+
+
+@pytest.mark.parametrize("name, text, reason", BAD_TEMPLATES, ids=["typo", "unclosed"])
+def test_eval_template_with_a_bad_placeholder_fails_before_any_call(
+    tmp_path, capsys, no_search, embedded_templates_after, name, text, reason
+):
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    capsys.readouterr()
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / name).write_text(text, encoding="utf-8")
+    output = tmp_path / "report.json"
+    args = eval_args(index_path, script_path, dataset_path, output)
+    code = main(args + ["--template-dir", str(templates)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: template {templates / name}: {reason}\n"
+    assert captured.out == "" and not output.exists()
+
+
+def test_eval_dataset_line_that_is_not_utf8_fails(tmp_path, capsys):
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_bytes(b'{"question": "q", "answers": ["a"]}\n{"question": "\xff", "answers": ["b"]}\n')
+    code = main(["eval", "--dataset", str(dataset), "--provider", "scripted", "--script", "x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {dataset}:2: not UTF-8 (byte 0xff at offset 14)\n"
+    assert captured.out == ""
+
+
+def test_index_corpus_line_that_is_not_utf8_fails_naming_it(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b'{"id": "a", "text": "ok"}\n\n{"id": "b", "text": "\xff"}\n')
+    out = tmp_path / "i.idx"
+    code = main(["index", "--corpus", str(corpus), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {corpus}:3: not UTF-8 (byte 0xff at offset 21)\n"
+    assert not out.exists()
 
 
 def test_eval_empty_dataset_fails(tmp_path, capsys):

@@ -3,6 +3,7 @@ import string
 
 import pytest
 
+from beamqa.accounting import CostLedger
 from beamqa.evaluation import (
     DatasetFormatError,
     QAExample,
@@ -13,6 +14,7 @@ from beamqa.evaluation import (
     load_dataset,
     normalize_answer,
 )
+from beamqa.search import SearchError, TraceEvent
 
 
 def random_text(rng, max_len=40):
@@ -139,8 +141,9 @@ def test_hit_rate_requires_whole_gold_in_one_evidence():
 
 
 class FakeState:
-    def __init__(self, evidences):
+    def __init__(self, evidences, score):
         self.evidences = evidences
+        self.score = score
 
 
 class FakeEvidence:
@@ -149,12 +152,18 @@ class FakeEvidence:
 
 
 class FakeResult:
-    def __init__(self, answer, evidence_texts=(), ledger=None):
-        from beamqa.accounting import CostLedger
-
+    def __init__(self, answer, evidence_texts=(), ledger=None, trace=()):
         self.final_answer = answer
-        self.final_state = FakeState([FakeEvidence(t) for t in evidence_texts])
+        self.final_state = FakeState([FakeEvidence(t) for t in evidence_texts], 0.5)
         self.ledger = ledger or CostLedger()
+        self.trace = trace
+
+
+def calls(api, retrievals=0):
+    ledger = CostLedger(retrieval_times=retrievals)
+    for _ in range(api):
+        ledger.record_api_call(100, 20)
+    return ledger
 
 
 def example(question, *golds):
@@ -175,8 +184,6 @@ def test_evaluate_mean_of_two():
 
 
 def test_evaluate_four_example_fixture_matches_hand_scoring():
-    from beamqa.accounting import CostLedger
-
     ledgers = []
     for _ in range(4):
         ledger = CostLedger()
@@ -207,6 +214,54 @@ def test_evaluate_four_example_fixture_matches_hand_scoring():
     }
 
 
+def test_evaluate_scores_completed_questions_and_counts_failed_ones():
+    failure = SearchError("search aborted: no rule", (), calls(2, 1))
+    outcomes = [FakeResult("right", ["the right one"], calls(7, 1)), failure, FakeResult("wrong", [], calls(7))]
+    examples = [example("q1", "right"), example("q2", "x"), example("q3", "right")]
+    report = evaluate(outcomes, examples)
+    assert (report.n_examples, report.completed, report.failed) == (3, 2, 1)
+    # Means over the completed questions; cost over every ledger, the partial one too.
+    assert (report.em_mean, report.f1_mean, report.hit_rate) == (0.5, 0.5, 0.5)
+    assert report.cost == calls(16, 2)
+    assert report.rows[0] == {
+        "question": "q1",
+        "gold_answers": ["right"],
+        "answer": "right",
+        "score": 0.5,
+        "em": 1,
+        "f1": 1.0,
+        "hit": 1,
+        "ledger": calls(7, 1).snapshot(),
+        "cost_report": {"retrieval_times": 1, "api_times": 7, "tokens_per_api": 120, "tokens_per_query": 840},
+    }
+    assert report.rows[1] == {
+        "question": "q2",
+        "gold_answers": ["x"],
+        "error": "search aborted: no rule",
+        "ledger": calls(2, 1).snapshot(),
+        "cost_report": {"retrieval_times": 1, "api_times": 2, "tokens_per_api": 120, "tokens_per_query": 240},
+    }
+
+
+def test_evaluate_with_every_question_failed_has_no_means():
+    failures = [SearchError("search aborted", (), calls(1)) for _ in range(2)]
+    report = evaluate(failures, [example("q1", "a"), example("q2", "b")])
+    assert (report.completed, report.failed) == (0, 2)
+    assert (report.em_mean, report.f1_mean, report.hit_rate) == (None, None, None)
+    assert report.cost == calls(2)
+
+
+def test_evaluate_counts_clamped_scores_in_every_trace():
+    clamped = TraceEvent("scored", {"state_id": 0, "score": 1.0, "api_calls": 1, "clamped": 1.7})
+    plain = TraceEvent("scored", {"state_id": 1, "score": 0.4, "api_calls": 1})
+    outcomes = [
+        FakeResult("a", trace=(clamped, plain)),
+        SearchError("search aborted", (clamped,), CostLedger()),
+    ]
+    report = evaluate(outcomes, [example("q1", "a"), example("q2", "b")])
+    assert report.clamped_scores == 2
+
+
 def test_evaluate_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         evaluate([FakeResult("x")], [])
@@ -230,6 +285,15 @@ def test_load_dataset_ok(tmp_path):
     examples = load_dataset(path)
     assert len(examples) == 2
     assert examples[0].gold_answers == ("him", "her")
+
+
+def test_load_dataset_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b'{"question": "who?", "answers": ["x"]}\n{"question": "\xff", "answers": ["y"]}\n')
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert err.value.line_no == 2
+    assert str(err.value) == f"{path}:2: not UTF-8 (byte 0xff at offset 14)"
 
 
 def test_load_dataset_reports_line_numbers(tmp_path):

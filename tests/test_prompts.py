@@ -1,10 +1,12 @@
 import random
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from beamqa.prompts import (
     ScoreParseError,
+    clamp_score,
     parse_questions,
     parse_score,
     render_answer_prompt,
@@ -166,6 +168,46 @@ def test_template_dir_must_be_a_directory(tmp_path):
         set_template_dir(tmp_path / "missing")
 
 
+@pytest.fixture()
+def embedded_templates_after():
+    yield
+    set_template_dir(None)
+
+
+def test_embedded_templates_pass_the_placeholder_check(tmp_path, embedded_templates_after):
+    # Read the embedded set, then the same texts as overrides: both pass.
+    set_template_dir(None)
+    embedded = resources.files("beamqa") / "templates"
+    for name in ("answer", "ask", "summarize", "genread", "score"):
+        text = (embedded / f"{name}.txt").read_text(encoding="utf-8")
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+    set_template_dir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("answer", "{histroy}\n{question}", "unknown placeholder {histroy}"),
+        ("summarize", "{document} {k}", "unknown placeholder {k}"),
+        ("ask", "Ask {k} questions about {question", "expected '}'"),
+        ("score", "{answer} { {question}", "unexpected '{' in field name"),
+        ("genread", "{question} {}", "Replacement index 0"),
+        ("genread", "{question} }", "Single '}'"),
+    ],
+    ids=["typo", "foreign-name", "unclosed", "brace-in-name", "positional", "stray-close"],
+)
+def test_template_with_a_bad_placeholder_is_rejected_naming_its_file(
+    tmp_path, embedded_templates_after, name, text, message
+):
+    (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        set_template_dir(tmp_path)
+    assert str(err.value).startswith(f"template {tmp_path / name}.txt: ")
+    assert message in str(err.value)
+    # The embedded set stays in force.
+    assert render_genread_prompt("who?").startswith("Generate a short background")
+
+
 # --- question list parsing ----------------------------------------------------
 
 
@@ -231,11 +273,15 @@ def test_parse_score_integer_zero():
 
 
 def test_parse_score_clamps_above_one():
-    assert parse_score("probability is 1.5 overall") == 1.0
+    assert parse_score("probability is 1.5 overall") == 1.5
+    assert clamp_score(parse_score("probability is 1.5 overall")) == 1.0
+    assert parse_score("120%") == pytest.approx(1.2)
+    assert clamp_score(parse_score("120%")) == 1.0
 
 
 def test_parse_score_clamps_below_zero():
-    assert parse_score("-0.25") == 0.0
+    assert parse_score("-0.25") == -0.25
+    assert clamp_score(parse_score("-0.25")) == 0.0
 
 
 def test_parse_score_takes_first_number():
@@ -256,7 +302,7 @@ def test_parse_score_takes_first_number():
     ],
 )
 def test_parse_score_reads_percentages_and_fractions_as_scaled_values(text, expected):
-    assert parse_score(text) == pytest.approx(expected)
+    assert clamp_score(parse_score(text)) == pytest.approx(expected)
 
 
 def test_parse_score_rejects_a_zero_scale():
@@ -274,4 +320,5 @@ def test_parse_score_matches_clamp_of_rendered_numbers():
     for _ in range(300):
         n = round(rng.uniform(-2, 2), 4)
         expected = min(1.0, max(0.0, n))
-        assert parse_score(f"The score is: {n}") == pytest.approx(expected, abs=1e-12)
+        assert parse_score(f"The score is: {n}") == n
+        assert clamp_score(parse_score(f"The score is: {n}")) == pytest.approx(expected, abs=1e-12)

@@ -206,6 +206,15 @@ def test_script_file_rejects_bad_shape(tmp_path):
         load_script(path)
 
 
+@pytest.mark.parametrize("rule", [1, "x", None, ["response", "x"]])
+def test_script_file_rejects_a_rule_that_is_not_an_object(tmp_path, rule):
+    path = tmp_path / "bad.json"
+    good = {"response": "a"}
+    path.write_text(json.dumps({"rules": [good, rule]}), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"rules\[1\] is not an object"):
+        load_script(path)
+
+
 # --- HTTP provider ----------------------------------------------------
 
 

@@ -32,7 +32,7 @@ from beamqa.retrieval import (
     save_index,
     tokenize,
 )
-from beamqa.search import SearchConfig, SearchRun
+from beamqa.search import SearchConfig, SearchRun, _Search
 
 from support import naive_bm25, reference_tokenize, report_file_size
 
@@ -384,7 +384,8 @@ def test_retrieve_rejects_nonpositive_n():
 
 def engine_complete(config, provider, index, ledger):
     """The engine's own send-and-count function, counting into ``ledger``."""
-    return partial(SearchRun(config, provider, index=index)._complete, ledger=ledger)
+    search = _Search(SearchRun(config, provider, index=index), "who?")
+    return partial(search._complete, ledger=ledger)
 
 
 def test_generate_background_mode_costs_one_call_no_retrieval():
@@ -452,6 +453,23 @@ def test_load_corpus_reports_line_numbers(tmp_path):
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(path)
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "second_line, offset",
+    [
+        (b'{"id": "b", "text": "caf\xff"}', 24),
+        ("\ufeff".encode("utf-16-le") + '{"id": "b", "text": "x"}'.encode("utf-16-le"), 0),
+    ],
+    ids=["stray-byte", "utf-16"],
+)
+def test_load_corpus_names_the_line_that_is_not_utf8(tmp_path, second_line, offset):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes('{"id": "a", "text": "café"}\n'.encode("utf-8") + second_line + b"\n")
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path)
+    assert err.value.line_no == 2
+    assert str(err.value) == f"{path}:2: not UTF-8 (byte 0xff at offset {offset})"
 
 
 def test_load_corpus_requires_id_and_text(tmp_path):
