@@ -13,12 +13,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .accounting import CostReport, format_cost_table
-from .evaluation import DatasetFormatError, QAExample, evaluate, load_dataset
+from .evaluation import QAExample, evaluate, load_dataset
 from .prompts import set_template_dir
 from .providers import HttpChatProvider, ProviderError, load_script
 from .retrieval import (
-    CorpusFormatError,
-    DuplicateDocumentError,
     EVIDENCE_MODES,
     RETRIEVE_SUMMARIZE,
     index_corpus,
@@ -161,15 +159,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    try:
-        docs = load_corpus(args.corpus)
-        index = index_corpus(docs)
-    except FileNotFoundError:
-        print(f"error: corpus file not found: {args.corpus}", file=sys.stderr)
-        return 1
-    except (CorpusFormatError, DuplicateDocumentError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    index = index_corpus(load_corpus(args.corpus))
     # Write beside the target, then rename over it: a failed write leaves
     # any previous index whole.
     out = Path(args.out)
@@ -178,8 +168,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         save_index(index, tmp)
         os.replace(tmp, out)
     except OSError as err:
-        print(f"error: cannot write the index {args.out}: {err}", file=sys.stderr)
-        return 1
+        raise OSError(f"cannot write the index {args.out}: {err}") from err
     finally:
         with contextlib.suppress(OSError):
             tmp.unlink()
@@ -188,12 +177,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
-    try:
-        run = _start_run(args, args.workers, args.trace, args.output)
-        result = run.run_search(args.question)
-    except (ValueError, OSError, ProviderError, SearchError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    run = _start_run(args, args.workers, args.trace, args.output)
+    result = run.run_search(args.question)
     ledger = result.ledger.snapshot()
     try:
         if args.trace:
@@ -212,8 +197,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
                 },
             )
     except OSError as err:
-        print(f"error: cannot write the result: {err}", file=sys.stderr)
-        return 1
+        raise OSError(f"cannot write the result: {err}") from err
     print(f"answer: {result.final_answer}")
     print(f"score: {result.final_state.score}")
     print(
@@ -224,23 +208,11 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        examples = load_dataset(args.dataset)
-    except FileNotFoundError:
-        print(f"error: dataset file not found: {args.dataset}", file=sys.stderr)
-        return 1
-    except (DatasetFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    examples = load_dataset(args.dataset)
     if not examples:
-        print(f"error: dataset {args.dataset} contains no examples", file=sys.stderr)
-        return 1
-    try:
-        # One run answers every question, from one thread or several.
-        run = _start_run(args, 1, args.output)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise ValueError(f"dataset {args.dataset} contains no examples")
+    # One run answers every question, from one thread or several.
+    run = _start_run(args, 1, args.output)
 
     def run_one(example: QAExample) -> SearchResult | SearchError:
         try:
@@ -248,16 +220,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except SearchError as err:  # becomes the question's error row
             return err
 
-    try:
-        if args.workers == 1:
-            outcomes = [run_one(ex) for ex in examples]
-        else:
-            # Questions run in parallel; output keeps dataset order.
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                outcomes = list(pool.map(run_one, examples))
-    except (ProviderError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    if args.workers == 1:
+        # Inline, not on a one-thread pool: there Ctrl-C would wait for the
+        # running question to finish.
+        outcomes = [run_one(ex) for ex in examples]
+    else:
+        # Questions run in parallel; output keeps dataset order.
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            outcomes = list(pool.map(run_one, examples))
 
     report = evaluate(outcomes, examples)
     per_question = CostReport.from_ledger(report.cost, report.n_examples)
@@ -275,8 +245,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 },
             )
         except OSError as err:
-            print(f"error: cannot write the report: {err}", file=sys.stderr)
-            return 1
+            raise OSError(f"cannot write the report: {err}") from err
     for i, outcome in enumerate(outcomes, start=1):
         if isinstance(outcome, SearchError):
             print(f"error: question {i} failed: {outcome}", file=sys.stderr)
@@ -324,8 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Any failure that ends it is one ``error:`` line on
+    stderr and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FileNotFoundError as err:
+        print(f"error: file not found: {err.filename}", file=sys.stderr)
+    except (ValueError, OSError, ProviderError, SearchError) as err:
+        print(f"error: {err}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -32,14 +32,23 @@ def _read_templates(directory: Path | None) -> dict[str, str]:
         source = embedded / f"{name}.txt"
         if directory is not None and (directory / f"{name}.txt").exists():
             source = directory / f"{name}.txt"
-        text = source.read_text(encoding="utf-8").rstrip("\n")
-        # Render once, so a bad placeholder or brace fails before any call.
         try:
-            text.format(**{key: 1 if key == "k" else key for key in fields})
+            text = source.read_text(encoding="utf-8").rstrip("\n")
+        except UnicodeDecodeError as err:
+            # read_text decodes the whole file at once, so err.start is its offset.
+            raise ValueError(
+                f"template {source}: not UTF-8 (byte {err.object[err.start]:#04x} at offset {err.start})"
+            ) from err
+        # Render once, as a seed with an empty history, so that a bad
+        # placeholder or brace or a blank prompt fails before any call.
+        try:
+            rendered = text.format(**{key: {"k": 1, "history": ""}.get(key, key) for key in fields})
         except KeyError as err:
             raise ValueError(f"template {source}: unknown placeholder {{{err.args[0]}}}") from err
         except (AttributeError, IndexError, TypeError, ValueError) as err:
             raise ValueError(f"template {source}: {err}") from err
+        if not rendered.strip():
+            raise ValueError(f"template {source}: renders a blank prompt when the history is empty")
         templates[name] = text
     return templates
 

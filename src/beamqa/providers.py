@@ -219,7 +219,15 @@ def save_script(rules: Sequence[ScriptRule], path: str | Path) -> None:
 
 
 def load_script(path: str | Path) -> ScriptedProvider:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        # read_text decodes the whole file at once, so err.start is its offset.
+        raise ValueError(
+            f"script file {path}: not UTF-8 (byte {err.object[err.start]:#04x} at offset {err.start})"
+        ) from err
+    except json.JSONDecodeError as err:
+        raise ValueError(f"script file {path}: invalid JSON ({err})") from err
     if not isinstance(raw, dict) or not isinstance(raw.get("rules"), list):
         raise ValueError(f"script file {path} must contain an object with a 'rules' list")
     for position, rule in enumerate(raw["rules"]):

@@ -133,75 +133,25 @@ class LexicalIndex:
 
     Document ``i`` is ``ids[i]``, with title ``text[off[2i]:off[2i+1]]`` and
     body ``text[off[2i+1]:off[2i+2]]`` of the UTF-8 ``text``, where ``off``
-    is ``text_offsets``. A built and a loaded index hold the same form, and
-    a ``Document`` is decoded only when asked for: for a hit, or by
+    is ``text_offsets``. ``index_corpus`` builds these arrays and
+    ``load_index`` reads them; either hands them to the constructor as they
+    are. A ``Document`` is decoded only when asked for: for a hit, or by
     ``documents``. Nothing is cached, so an index can be shared by threads.
     """
 
-    def __init__(self, docs: Iterable[Document]):
-        docs = _unique(docs)
-        self._doc_len = array("i")
-        doc_terms: dict[str, array] = {}  # term -> [pos, tf, pos, tf, ...]
-        for i, doc in enumerate(docs):
-            tokens = tokenize(f"{doc.title} {doc.body}")
-            self._doc_len.append(len(tokens))
-            for term, tf in Counter(tokens).items():
-                posting = doc_terms.get(term)
-                if posting is None:
-                    doc_terms[term] = array("i", (i, tf))
-                else:
-                    posting.append(i)
-                    posting.append(tf)
-        total_len = sum(self._doc_len)
-        if not total_len:
-            raise ValueError("no document has a token")
-        self.avg_doc_len = total_len / len(docs)
-        # Each weight is idf * tf * (k1 + 1) / (tf + norm[pos]), evaluated in
-        # the formula's order so that scores are the same to the last bit;
-        # tf == 1, most postings, takes the same operations precomputed.
-        norm = [
-            BM25_K1 * (1 - BM25_B + BM25_B * dl / self.avg_doc_len) for dl in self._doc_len
-        ]
-        norm_tf1 = [1 + x for x in norm]
-        n = len(docs)
-        k1_plus_1 = BM25_K1 + 1
-        self._offsets = array("i", [0])
-        self._positions = array("i")
-        self._weights = array("d")
-        for posting in doc_terms.values():
-            positions = posting[0::2]
-            df = len(positions)
-            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            num_tf1 = idf * 1 * k1_plus_1
-            self._positions.extend(positions)
-            self._offsets.append(len(self._positions))
-            self._weights.fromlist([
-                num_tf1 / norm_tf1[pos] if tf == 1 else idf * tf * k1_plus_1 / (tf + norm[pos])
-                for pos, tf in zip(positions, posting[1::2])
-            ])
-        self._term_ids = dict(zip(doc_terms, range(len(doc_terms))))
-        # Join the text once the per-term lists are gone, so that the two
-        # never take memory at the same time.
-        del doc_terms
-        self._ids = tuple(doc.doc_id for doc in docs)
-        self._text, self._text_offsets = _text_block(docs)
-
-    @classmethod
-    def _from_arrays(
-        cls, ids: Sequence[str], text: bytes, text_offsets: array, doc_len: array,
+    def __init__(
+        self, ids: Sequence[str], text: bytes, text_offsets: array, doc_len: array,
         terms: Sequence[str], offsets: array, positions: array, weights: array,
-    ) -> "LexicalIndex":
-        index = cls.__new__(cls)
-        index._ids = tuple(ids)
-        index._text = text
-        index._text_offsets = text_offsets
-        index._doc_len = doc_len
-        index.avg_doc_len = sum(doc_len) / len(ids)
-        index._term_ids = dict(zip(terms, range(len(terms))))
-        index._offsets = offsets
-        index._positions = positions
-        index._weights = weights
-        return index
+    ):
+        self._ids = tuple(ids)
+        self._text = text
+        self._text_offsets = text_offsets
+        self._doc_len = doc_len
+        self.avg_doc_len = sum(doc_len) / len(self._ids)
+        self._term_ids = dict(zip(terms, range(len(terms))))
+        self._offsets = offsets
+        self._positions = positions
+        self._weights = weights
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -232,8 +182,9 @@ def _text_block(docs: Sequence[Document]) -> tuple[bytes, array]:
     return b"".join(parts), offsets
 
 
-def _unique(docs: Iterable[Document]) -> tuple[Document, ...]:
-    """The documents as a tuple; duplicate ids and an empty corpus are rejected."""
+def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
+    """Build an immutable index; duplicate ids, empty corpora and corpora
+    without a single token are rejected."""
     docs = tuple(docs)
     seen: set[str] = set()
     for doc in docs:
@@ -242,13 +193,51 @@ def _unique(docs: Iterable[Document]) -> tuple[Document, ...]:
         seen.add(doc.doc_id)
     if not seen:
         raise ValueError("cannot index an empty corpus")
-    return docs
-
-
-def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
-    """Build an immutable index; duplicate ids, empty corpora and corpora
-    without a single token are rejected."""
-    return LexicalIndex(docs)
+    doc_len = array("i")
+    doc_terms: dict[str, array] = {}  # term -> [pos, tf, pos, tf, ...]
+    for i, doc in enumerate(docs):
+        tokens = tokenize(f"{doc.title} {doc.body}")
+        doc_len.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            posting = doc_terms.get(term)
+            if posting is None:
+                doc_terms[term] = array("i", (i, tf))
+            else:
+                posting.append(i)
+                posting.append(tf)
+    total_len = sum(doc_len)
+    if not total_len:
+        raise ValueError("no document has a token")
+    avg_doc_len = total_len / len(docs)
+    # Each weight is idf * tf * (k1 + 1) / (tf + norm[pos]), evaluated in
+    # the formula's order so that scores are the same to the last bit;
+    # tf == 1, most postings, takes the same operations precomputed.
+    norm = [BM25_K1 * (1 - BM25_B + BM25_B * dl / avg_doc_len) for dl in doc_len]
+    norm_tf1 = [1 + x for x in norm]
+    n = len(docs)
+    k1_plus_1 = BM25_K1 + 1
+    offsets = array("i", [0])
+    positions = array("i")
+    weights = array("d")
+    for posting in doc_terms.values():
+        term_positions = posting[0::2]
+        df = len(term_positions)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        num_tf1 = idf * 1 * k1_plus_1
+        positions.extend(term_positions)
+        offsets.append(len(positions))
+        weights.fromlist([
+            num_tf1 / norm_tf1[pos] if tf == 1 else idf * tf * k1_plus_1 / (tf + norm[pos])
+            for pos, tf in zip(term_positions, posting[1::2])
+        ])
+    terms = list(doc_terms)
+    # Join the text once the per-term lists are gone, so that the two
+    # never take memory at the same time.
+    del doc_terms
+    text, text_offsets = _text_block(docs)
+    return LexicalIndex(
+        [doc.doc_id for doc in docs], text, text_offsets, doc_len, terms, offsets, positions, weights
+    )
 
 
 def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, float]]:
@@ -470,13 +459,7 @@ def save_index(index: LexicalIndex, path: str | Path) -> None:
     UTF-8 block. Term ``k``'s postings are ``offsets[k]:offsets[k+1]`` of
     ``positions`` and ``weights``, so loading never re-tokenizes.
     """
-    arrays = {
-        "doc_len": index._doc_len,
-        "offsets": index._offsets,
-        "positions": index._positions,
-        "weights": index._weights,
-        "text_offsets": index._text_offsets,
-    }
+    arrays = {name: getattr(index, f"_{name}") for name, _ in _ARRAYS}
     header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -488,16 +471,24 @@ def save_index(index: LexicalIndex, path: str | Path) -> None:
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
-        for name, _ in _ARRAYS:
-            arrays[name].tofile(handle)
+        for arr in arrays.values():
+            arr.tofile(handle)
         handle.write(index._text)
 
 
 def load_index(path: str | Path) -> LexicalIndex:
     """Read a v3 index file; an older version asks for the index to be rebuilt."""
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{path}: malformed index file: {what}")
+
     with open(path, "rb") as handle:
-        header = _json_object(handle.readline())
-        if header is None or header.get("format") != INDEX_FORMAT:
+        try:
+            header = json.loads(handle.readline())
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
             raise ValueError(f"{path} is not a lexical index file")
         version = header.get("version")
         if version != INDEX_VERSION:
@@ -505,47 +496,31 @@ def load_index(path: str | Path) -> LexicalIndex:
                 f"{path}: index format version {version!r} is not read by this beamqa, "
                 f"which reads version {INDEX_VERSION}; re-run `beamqa index` to rebuild it"
             )
-        return _read_v3(header, handle, path)
-
-
-def _json_object(raw: bytes) -> dict | None:
-    try:
-        value = json.loads(raw)
-    except ValueError:
-        return None
-    return value if isinstance(value, dict) else None
-
-
-def _read_v3(header: dict, handle, path: str | Path) -> LexicalIndex:
-    def check(ok: bool, what: str) -> None:
-        if not ok:
-            raise ValueError(f"{path}: malformed index file: {what}")
-
-    lengths, itemsize = header.get("lengths"), header.get("itemsize")
-    check(header.get("byteorder") in ("little", "big"), "unknown byte order")
-    check(isinstance(lengths, dict) and isinstance(itemsize, dict), "no array lengths")
-    arrays = {name: array(code) for name, code in _ARRAYS}
-    text_size = lengths.get("text")
-    check(type(text_size) is int and text_size >= 0, "bad length for 'text'")
-    size = text_size
-    for name, arr in arrays.items():
-        count = lengths.get(name)
-        check(itemsize.get(arr.typecode) == arr.itemsize, f"item size of {name!r} differs from this platform's")
-        check(type(count) is int and count >= 0, f"bad length for {name!r}")
-        size += count * arr.itemsize
-    remaining = os.fstat(handle.fileno()).st_size - handle.tell()
-    check(size == remaining, f"the header's arrays and text take {size} bytes, the file holds {remaining}")
-    for name, code in _ARRAYS:
-        # Read straight into an array of the header's length: fromfile would
-        # read into a bytes object first and then copy it.
-        arr = arrays[name] = array(code, [0]) * lengths[name]
-        want = len(arr) * arr.itemsize
-        got = handle.readinto(arr)
-        check(got == want, f"{name!r} is truncated: {got} of {want} bytes")
-        if header["byteorder"] != sys.byteorder:
-            arr.byteswap()
-    text = handle.read(text_size)
-    check(len(text) == text_size, f"the text is truncated: {len(text)} of {text_size} bytes")
+        lengths, itemsize = header.get("lengths"), header.get("itemsize")
+        check(header.get("byteorder") in ("little", "big"), "unknown byte order")
+        check(isinstance(lengths, dict) and isinstance(itemsize, dict), "no array lengths")
+        arrays = {name: array(code) for name, code in _ARRAYS}
+        text_size = lengths.get("text")
+        check(type(text_size) is int and text_size >= 0, "bad length for 'text'")
+        size = text_size
+        for name, arr in arrays.items():
+            count = lengths.get(name)
+            check(itemsize.get(arr.typecode) == arr.itemsize, f"item size of {name!r} differs from this platform's")
+            check(type(count) is int and count >= 0, f"bad length for {name!r}")
+            size += count * arr.itemsize
+        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+        check(size == remaining, f"the header's arrays and text take {size} bytes, the file holds {remaining}")
+        for name, code in _ARRAYS:
+            # Read straight into an array of the header's length: fromfile
+            # would read into a bytes object first and then copy it.
+            arr = arrays[name] = array(code, [0]) * lengths[name]
+            want = len(arr) * arr.itemsize
+            got = handle.readinto(arr)
+            check(got == want, f"{name!r} is truncated: {got} of {want} bytes")
+            if header["byteorder"] != sys.byteorder:
+                arr.byteswap()
+        text = handle.read(text_size)
+        check(len(text) == text_size, f"the text is truncated: {len(text)} of {text_size} bytes")
 
     ids, terms = header.get("ids"), header.get("terms")
     check(isinstance(ids, list) and isinstance(terms, list), "no ids or terms")
@@ -560,9 +535,7 @@ def _read_v3(header: dict, handle, path: str | Path) -> LexicalIndex:
     check(all(map(int.__le__, offsets, offsets[1:])), "offsets are not ascending")
     check(_all_in_range(positions, len(ids)), "a posting names no document")
     _check_text(text, arrays["text_offsets"], len(ids), check)
-    return LexicalIndex._from_arrays(
-        ids, text, arrays["text_offsets"], doc_len, terms, offsets, positions, arrays["weights"]
-    )
+    return LexicalIndex(ids, text, arrays["text_offsets"], doc_len, terms, offsets, positions, arrays["weights"])
 
 
 def _all_in_range(items: array, n: int) -> bool:

@@ -51,10 +51,26 @@ def test_index_reports_document_count(tmp_path, capsys):
     assert "indexed 3 documents" in capsys.readouterr().out
 
 
-def test_index_missing_file_fails(tmp_path, capsys):
-    code = main(["index", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "i.json")])
-    assert code != 0
-    assert "not found" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--corpus", "{missing}", "--out", "{tmp}/i.json"],
+        ["eval", "--dataset", "{missing}", "--provider", "scripted", "--script", "{script}"],
+        ["ask", "who?", "--provider", "scripted", "--script", "{missing}",
+         "--evidence-mode", "generate_background"],
+        ["ask", "who?", "--provider", "scripted", "--script", "{script}", "--index", "{missing}"],
+    ],
+    ids=["index-corpus", "eval-dataset", "ask-script", "ask-index"],
+)
+def test_missing_input_file_fails(tmp_path, capsys, argv):
+    missing = tmp_path / "nope.jsonl"
+    script = tmp_path / "script.json"
+    script.write_text('{"rules": []}', encoding="utf-8")
+    code = main([arg.format(missing=missing, tmp=tmp_path, script=script) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: file not found: {missing}\n"
+    assert captured.out == ""
 
 
 def test_index_out_into_a_missing_directory_fails(tmp_path, capsys):
@@ -294,10 +310,13 @@ def test_ask_missing_template_dir_fails_before_any_call(
 BAD_TEMPLATES = [
     ("answer.txt", "{histroy}\n{question}", "unknown placeholder {histroy}"),
     ("summarize.txt", "{document} about {question", "expected '}' before end of string"),
+    ("genread.txt", "", "renders a blank prompt when the history is empty"),
+    ("answer.txt", "{history}\n", "renders a blank prompt when the history is empty"),
 ]
+BAD_TEMPLATE_IDS = ["typo", "unclosed", "empty", "history-only"]
 
 
-@pytest.mark.parametrize("name, text, reason", BAD_TEMPLATES, ids=["typo", "unclosed"])
+@pytest.mark.parametrize("name, text, reason", BAD_TEMPLATES, ids=BAD_TEMPLATE_IDS)
 def test_ask_template_with_a_bad_placeholder_fails_before_any_call(
     harpers_cli, tmp_path, capsys, no_search, embedded_templates_after, name, text, reason
 ):
@@ -316,6 +335,30 @@ def test_ask_template_with_a_bad_placeholder_fails_before_any_call(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: template {templates / name}: {reason}\n"
+    assert captured.out == ""
+
+
+def test_ask_template_that_is_not_utf8_fails_naming_it(
+    tmp_path, capsys, no_search, embedded_templates_after
+):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "genread.txt").write_bytes(b"\xff{question}")
+    script_path = tmp_path / "script.json"
+    script_path.write_text('{"rules": []}', encoding="utf-8")
+    code = main(
+        [
+            "ask", "who?",
+            "--provider", "scripted", "--script", str(script_path),
+            "--evidence-mode", "generate_background",
+            "--template-dir", str(templates),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"error: template {templates / 'genread.txt'}: not UTF-8 (byte 0xff at offset 0)\n"
+    )
     assert captured.out == ""
 
 
@@ -370,6 +413,30 @@ def test_ask_write_that_fails_after_the_run_is_an_error(harpers_cli, tmp_path, c
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b'{"rules": [', "invalid JSON (Expecting value: line 1 column 12 (char 11))"),
+        (b"\xff\xfe{}", "not UTF-8 (byte 0xff at offset 0)"),
+    ],
+    ids=["not-json", "not-utf8"],
+)
+def test_ask_script_that_cannot_be_read_fails_naming_it(tmp_path, capsys, no_search, data, reason):
+    script_path = tmp_path / "script.json"
+    script_path.write_bytes(data)
+    code = main(
+        [
+            "ask", "who?",
+            "--provider", "scripted", "--script", str(script_path),
+            "--evidence-mode", "generate_background",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: script file {script_path}: {reason}\n"
+    assert captured.out == ""
 
 
 def test_ask_script_with_a_bad_token_count_fails_before_any_call(tmp_path, capsys, no_search):
@@ -663,7 +730,7 @@ def test_eval_template_dir_falls_back_to_embedded_templates(
     assert b["manifest"]["template_dir"] == str(templates)
 
 
-@pytest.mark.parametrize("name, text, reason", BAD_TEMPLATES, ids=["typo", "unclosed"])
+@pytest.mark.parametrize("name, text, reason", BAD_TEMPLATES, ids=BAD_TEMPLATE_IDS)
 def test_eval_template_with_a_bad_placeholder_fails_before_any_call(
     tmp_path, capsys, no_search, embedded_templates_after, name, text, reason
 ):

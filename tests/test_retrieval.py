@@ -695,7 +695,7 @@ def test_loading_builds_no_document_and_retrieve_builds_one_per_hit(tmp_path, mo
     assert built == [doc.doc_id for doc, _ in hits] and len(hits) == 2
 
 
-def saved_v2(tmp_path):
+def saved_index_file(tmp_path):
     path = tmp_path / "index"
     save_index(index_corpus(docs3()), path)
     header, body = path.read_bytes().split(b"\n", 1)
@@ -742,7 +742,7 @@ def test_v2_file_in_the_other_byte_order_loads(tmp_path):
 
 @pytest.mark.parametrize("keep", [0.3, 0.9, -1, -9])
 def test_truncated_v2_file_is_rejected(tmp_path, keep):
-    path, _, _ = saved_v2(tmp_path)
+    path, _, _ = saved_index_file(tmp_path)
     data = path.read_bytes()
     cut = int(len(data) * keep) if keep > 0 else len(data) + keep
     path.write_bytes(data[:cut])
@@ -751,7 +751,7 @@ def test_truncated_v2_file_is_rejected(tmp_path, keep):
 
 
 def test_v2_file_with_trailing_bytes_is_rejected(tmp_path):
-    path, header, body = saved_v2(tmp_path)
+    path, header, body = saved_index_file(tmp_path)
     with_header(path, header, body + b"\0")
     with pytest.raises(ValueError, match="the file holds"):
         load_index(path)
@@ -765,7 +765,7 @@ def test_v2_file_with_trailing_bytes_is_rejected(tmp_path):
     ],
 )
 def test_v2_lengths_that_disagree_with_the_arrays_are_rejected(tmp_path, name, delta):
-    path, header, body = saved_v2(tmp_path)
+    path, header, body = saved_index_file(tmp_path)
     header["lengths"][name] += delta
     with_header(path, header, body)
     with pytest.raises(ValueError, match="malformed index file"):
@@ -797,7 +797,7 @@ def test_v2_lengths_that_disagree_with_the_arrays_are_rejected(tmp_path, name, d
     ],
 )
 def test_v2_header_that_disagrees_with_the_arrays_is_rejected(tmp_path, edit):
-    path, header, body = saved_v2(tmp_path)
+    path, header, body = saved_index_file(tmp_path)
     edit(header)
     with_header(path, header, body)
     with pytest.raises(ValueError, match="malformed index file"):
@@ -809,7 +809,7 @@ def test_v2_header_that_disagrees_with_the_arrays_is_rejected(tmp_path, edit):
 def test_v2_posting_that_names_no_document_is_rejected(tmp_path, monkeypatch, bad, where):
     # Chunks of 8 postings: docs3 has 21, so item 8 starts the second chunk.
     monkeypatch.setattr(retrieval, "_LANE_CHUNK", 8)
-    path, header, body = saved_v2(tmp_path)
+    path, header, body = saved_index_file(tmp_path)
     arrays, text = split_body(header, body)
     arrays["positions"][where] = len(header["ids"]) if bad == "past-the-end" else -1
     with_header(path, header, join_body(arrays, text))
@@ -863,7 +863,7 @@ def test_the_lane_check_across_the_real_chunk_boundary(length):
 
 
 def test_a_past_the_end_posting_is_rejected_in_the_other_byte_order(tmp_path):
-    path, header, body = saved_v2(tmp_path)
+    path, header, body = saved_index_file(tmp_path)
     arrays, text = split_body(header, body)
     # 2**24 names no document of three, but its bytes swapped read 1: only a
     # check made after the loader swaps the bytes back rejects it.
@@ -878,7 +878,7 @@ def test_a_past_the_end_posting_is_rejected_in_the_other_byte_order(tmp_path):
 
 @pytest.mark.parametrize("cut", ["array", "text"])
 def test_a_file_that_shrinks_after_its_size_check_is_rejected(tmp_path, monkeypatch, cut):
-    path, header, body = saved_v2(tmp_path)
+    path, header, body = saved_index_file(tmp_path)
     _, text = split_body(header, body)
     full_size = path.stat().st_size
     # The file loses its tail: into the last array, or only its text's last bytes.
@@ -917,7 +917,7 @@ def empty_body(off, text):
     ids=["descending", "ends-short", "empty-body", "bad-byte", "cut-sequence"],
 )
 def test_text_that_disagrees_with_its_offsets_is_rejected(tmp_path, edit, message):
-    path, header, body = saved_v2(tmp_path)
+    path, header, body = saved_index_file(tmp_path)
     arrays, text = split_body(header, body)
     text = edit(arrays["text_offsets"], text)
     header["lengths"]["text"] = len(text)
