@@ -11,6 +11,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 from .accounting import CostReport, format_cost_table
 from .evaluation import QAExample, evaluate, load_dataset
@@ -54,7 +55,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_search_flags(parser: argparse.ArgumentParser, workers_help: str) -> None:
+def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     defaults = SearchConfig()
     parser.add_argument(
         "-S", "--threshold", type=_unit_interval, default=defaults.score_threshold,
@@ -96,18 +97,41 @@ def _add_search_flags(parser: argparse.ArgumentParser, workers_help: str) -> Non
     parser.add_argument("--index", help="lexical index file (required for retrieve_summarize)")
     parser.add_argument("--template-dir", help="directory overriding the embedded prompt templates")
     parser.add_argument(
-        "--workers", type=_int_at_least(1), default=1,
-        help=f"{workers_help} (default %(default)s)",
+        "--workers", type=_int_at_least(1), default=1, metavar="N",
+        help="at most N provider calls in flight: ask spends them inside its one search, "
+        "eval runs N questions at once, each sending its calls serially (default %(default)s)",
     )
+
+
+def _check_out_dirs(*out_paths: str | None) -> None:
+    """Fail before any work is done if an output path's directory is missing."""
+    for path in out_paths:
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
+
+
+def _write(path: str, what: str, write: Callable[[Path], object]) -> None:
+    """Write ``path`` as ``write(tmp)`` on a temporary file beside it, then
+    rename that over it, so a failed write leaves any earlier file whole and
+    no temporary file behind. A symlink is followed, so the file it names is
+    replaced and the link kept. This is how the CLI writes every file."""
+    out = Path(path).resolve()
+    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, out)
+    except OSError as err:
+        raise OSError(f"cannot write {what}: {err}") from err
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def _start_run(args: argparse.Namespace, workers: int, *out_paths: str | None) -> SearchRun:
     """Check that each output path's directory exists, read the templates,
     and build the run's config, provider and index: everything that can
     fail before the first call is paid for."""
-    for path in out_paths:
-        if path and not Path(path).parent.is_dir():
-            raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
+    _check_out_dirs(*out_paths)
     set_template_dir(args.template_dir)
     config = SearchConfig(
         beam_size=args.beam_size,
@@ -152,26 +176,10 @@ def _manifest(args: argparse.Namespace, run: SearchRun, **extra) -> dict:
     return manifest
 
 
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def cmd_index(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     index = index_corpus(load_corpus(args.corpus))
-    # Write beside the target, then rename over it: a failed write leaves
-    # any previous index whole.
-    out = Path(args.out)
-    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        save_index(index, tmp)
-        os.replace(tmp, out)
-    except OSError as err:
-        raise OSError(f"cannot write the index {args.out}: {err}") from err
-    finally:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+    _write(args.out, f"the index {args.out}", lambda tmp: save_index(index, tmp))
     print(f"indexed {len(index)} documents -> {args.out}")
     return 0
 
@@ -180,24 +188,19 @@ def cmd_ask(args: argparse.Namespace) -> int:
     run = _start_run(args, args.workers, args.trace, args.output)
     result = run.run_search(args.question)
     ledger = result.ledger.snapshot()
-    try:
-        if args.trace:
-            Path(args.trace).write_text(
-                "".join(line + "\n" for line in result.trace_lines()), encoding="utf-8"
-            )
-        if args.output:
-            _write_json(
-                args.output,
-                {
-                    "manifest": _manifest(args, run, question=args.question),
-                    "answer": result.final_answer,
-                    "score": result.final_state.score,
-                    "ledger": ledger,
-                    "cost_report": result.ledger.report().as_dict(),
-                },
-            )
-    except OSError as err:
-        raise OSError(f"cannot write the result: {err}") from err
+    if args.trace:
+        trace = "".join(line + "\n" for line in result.trace_lines())
+        _write(args.trace, "the result", lambda tmp: tmp.write_text(trace, encoding="utf-8"))
+    if args.output:
+        payload = {
+            "manifest": _manifest(args, run, question=args.question),
+            "answer": result.final_answer,
+            "score": result.final_state.score,
+            "ledger": ledger,
+            "cost_report": result.ledger.report().as_dict(),
+        }
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write(args.output, "the result", lambda tmp: tmp.write_text(text, encoding="utf-8"))
     print(f"answer: {result.final_answer}")
     print(f"score: {result.final_state.score}")
     print(
@@ -235,17 +238,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     questions = summary.pop("rows")
     summary["cost_report_per_question"] = per_question.as_dict()
     if args.output:
-        try:
-            _write_json(
-                args.output,
-                {
-                    "manifest": _manifest(args, run, dataset_path=args.dataset),
-                    "summary": summary,
-                    "questions": questions,
-                },
-            )
-        except OSError as err:
-            raise OSError(f"cannot write the report: {err}") from err
+        payload = {
+            "manifest": _manifest(args, run, dataset_path=args.dataset),
+            "summary": summary,
+            "questions": questions,
+        }
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write(args.output, "the report", lambda tmp: tmp.write_text(text, encoding="utf-8"))
     for i, outcome in enumerate(outcomes, start=1):
         if isinstance(outcome, SearchError):
             print(f"error: question {i} failed: {outcome}", file=sys.stderr)
@@ -272,20 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ask = sub.add_parser("ask", help="answer a single question")
     p_ask.add_argument("question")
-    _add_search_flags(
-        p_ask,
-        "most provider calls the search has in flight, from a pool of 2 x N threads; "
-        "1 sends every call serially, with no pool",
-    )
+    _add_search_flags(p_ask)
     p_ask.add_argument("--trace", help="write the search trace (one JSON event per line)")
     p_ask.add_argument("--output", help="write a JSON result with the run manifest")
     p_ask.set_defaults(func=cmd_ask)
 
     p_eval = sub.add_parser("eval", help="run a dataset and report EM/F1/hit rate/cost")
     p_eval.add_argument("--dataset", required=True, help="line-delimited {question,answers} file")
-    _add_search_flags(
-        p_eval, "questions run at once; each question's search sends its calls serially"
-    )
+    _add_search_flags(p_eval)
     p_eval.add_argument("--output", help="write the JSON report")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -10,17 +10,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .accounting import CostLedger
-from .retrieval import read_json_lines
+from .retrieval import LineFormatError, read_json_lines
 from .search import SearchError, SearchResult
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 _PUNCT = set(string.punctuation)
-
-
-class DatasetFormatError(ValueError):
-    def __init__(self, path, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -170,16 +164,16 @@ def evaluate(
 def load_dataset(path: str | Path) -> list[QAExample]:
     """Read a line-delimited dataset of {question, answers} records."""
     examples: list[QAExample] = []
-    for line_no, raw in read_json_lines(path, DatasetFormatError):
+    for line_no, raw in read_json_lines(path):
         question = raw.get("question")
         answers = raw.get("answers")
         if not isinstance(question, str) or not question.strip():
-            raise DatasetFormatError(path, line_no, "missing or empty 'question'")
+            raise LineFormatError(path, line_no, "missing or empty 'question'")
         if (
             not isinstance(answers, list)
             or not answers
             or not all(isinstance(a, str) for a in answers)
         ):
-            raise DatasetFormatError(path, line_no, "'answers' must be a non-empty string list")
+            raise LineFormatError(path, line_no, "'answers' must be a non-empty string list")
         examples.append(QAExample(question=question, gold_answers=tuple(answers)))
     return examples

@@ -68,7 +68,10 @@ class DuplicateDocumentError(ValueError):
         self.doc_id = doc_id
 
 
-class CorpusFormatError(ValueError):
+class LineFormatError(ValueError):
+    """A line of a line-delimited JSON input (a corpus or a dataset) that
+    holds no valid record; the message names the file and the line."""
+
     def __init__(self, path: str | Path, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")
         self.line_no = line_no
@@ -401,44 +404,48 @@ def gather_evidence(
     )
 
 
-def read_json_lines(
-    path: str | Path, error: Callable[[str | Path, int, str], Exception]
-) -> Iterator[tuple[int, dict]]:
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a
     line-delimited JSON file. Each line is decoded as UTF-8 on its own; a
     line that is not UTF-8, not JSON or not an object raises
-    ``error(path, line_no, reason)``."""
+    ``LineFormatError``."""
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as err:
                 reason = f"not UTF-8 (byte {raw[err.start]:#04x} at offset {err.start})"
-                raise error(path, line_no, reason) from err
+                raise LineFormatError(path, line_no, reason) from err
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
-                raise error(path, line_no, f"invalid JSON ({err.msg})") from err
+                raise LineFormatError(path, line_no, f"invalid JSON ({err.msg})") from err
             if not isinstance(record, dict):
-                raise error(path, line_no, "record is not an object")
+                raise LineFormatError(path, line_no, "record is not an object")
             yield line_no, record
 
 
 def load_corpus(path: str | Path) -> list[Document]:
-    """Read a line-delimited corpus of {id, title, text} records."""
+    """Read a line-delimited corpus of {id, title, text} records; a bad line,
+    or one that repeats an earlier id, raises ``LineFormatError``."""
     docs: list[Document] = []
-    for line_no, raw in read_json_lines(path, CorpusFormatError):
+    first_line: dict[str, int] = {}
+    for line_no, raw in read_json_lines(path):
         doc_id = raw.get("id")
         text = raw.get("text")
         if not isinstance(doc_id, str) or not doc_id:
-            raise CorpusFormatError(path, line_no, "missing or empty 'id'")
+            raise LineFormatError(path, line_no, "missing or empty 'id'")
         if not isinstance(text, str) or not text:
-            raise CorpusFormatError(path, line_no, "missing or empty 'text'")
+            raise LineFormatError(path, line_no, "missing or empty 'text'")
         title = raw.get("title", "")
         if not isinstance(title, str):
-            raise CorpusFormatError(path, line_no, "'title' must be a string")
+            raise LineFormatError(path, line_no, "'title' must be a string")
+        if doc_id in first_line:
+            reason = f"duplicate id {doc_id!r} (first on line {first_line[doc_id]})"
+            raise LineFormatError(path, line_no, reason)
+        first_line[doc_id] = line_no
         docs.append(Document(doc_id=doc_id, title=title, body=text))
     return docs
 

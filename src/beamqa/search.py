@@ -154,9 +154,9 @@ class SearchState:
 Beam = list[SearchState]
 
 
-def _history_pairs(queries: Sequence[str], evidences: Sequence[Evidence]) -> list[tuple[str, str]]:
+def _history_pairs(history: Sequence[Evidence]) -> list[tuple[str, str]]:
     """The (query, evidence text) pairs a prompt renders, in history order."""
-    return [(q, e.text) for q, e in zip(queries, evidences)]
+    return [(e.source_query, e.text) for e in history]
 
 
 @dataclass(frozen=True)
@@ -278,8 +278,7 @@ class _Outcome:
     score or the error that stopped it, its calls and, at depth 0, its ask."""
 
     query: str | None
-    queries: tuple[str, ...]
-    evidences: tuple[Evidence, ...]
+    history: tuple[Evidence, ...]
     answer: str = ""
     raw_score: float = 0.0
     parse_error: str | None = None
@@ -383,9 +382,7 @@ class _Search:
 
     # -- one parent: ask; one child: gather, answer, score -----------------------
 
-    def _ask(
-        self, queries: tuple[str, ...], evidences: tuple[Evidence, ...], depth: int
-    ) -> _AskOutcome:
+    def _ask(self, history: tuple[Evidence, ...], depth: int) -> _AskOutcome:
         """Ask for the queries of this history's children at ``depth`` and
         submit one child evaluation per kept query, without waiting for any
         of them. At depth 0 the parent is the root, whose queries are the
@@ -395,46 +392,42 @@ class _Search:
         if depth == 0:
             outcome.kept_queries = [None, self.question]
         else:
-            history = _history_pairs(queries, evidences)
-            prompt = render_ask_prompt(self.question, history, self.config.max_queries)
+            prompt = render_ask_prompt(self.question, _history_pairs(history), self.config.max_queries)
             try:
                 text = self._complete(prompt, TAG_ASK, outcome.ledger)
             except ProviderError as err:
                 outcome.error = str(err)
                 return outcome
             outcome.raw_queries = parse_questions(text, self.config.max_queries)
-            seen = {_normalize_query(q) for q in queries}
+            seen = {_normalize_query(e.source_query) for e in history}
             outcome.kept_queries = [q for q in outcome.raw_queries if _normalize_query(q) not in seen]
-        submit = partial(self._submit, self._evaluate, queries, evidences)
+        submit = partial(self._submit, self._evaluate, history)
         outcome.children = [submit(query, depth) for query in outcome.kept_queries]
         return outcome
 
-    def _evaluate(
-        self, queries: tuple[str, ...], evidences: tuple[Evidence, ...], query: str | None, depth: int
-    ) -> _Outcome:
+    def _evaluate(self, history: tuple[Evidence, ...], query: str | None, depth: int) -> _Outcome:
         """Extend the history with evidence gathered for ``query`` (if one is
         given), then answer over the history and score the answer. A depth-0
         state submits its ask once its history exists, and its answer and
         score go out last. May run in a worker; a provider failure ends the
         state and is kept in the outcome."""
-        outcome = _Outcome(query, queries, evidences)
+        outcome = _Outcome(query, history)
         ledger, seed = outcome.ledger, depth == 0
         try:
             if query is not None:
                 complete = partial(self._complete, ledger=ledger)
                 evidence = gather_evidence(self.question, query, self.config, complete, self.index, ledger)
-                outcome.queries += (query,)
-                outcome.evidences += (evidence,)
+                outcome.history += (evidence,)
             if seed:
-                outcome.ask = self._submit(self._ask, outcome.queries, outcome.evidences, 1)
-            history = _history_pairs(outcome.queries, outcome.evidences)
-            prompt = render_answer_prompt(self.question, history)
+                outcome.ask = self._submit(self._ask, outcome.history, 1)
+            pairs = _history_pairs(outcome.history)
+            prompt = render_answer_prompt(self.question, pairs)
             answer = self._complete(prompt, TAG_ANSWER, ledger, seed).strip()
             if not answer:
                 # Contract violation: an unanswerable state cannot be scored.
                 raise ProviderError("provider returned an empty answer")
             outcome.answer, outcome.api_before_score = answer, ledger.api_times
-            prompt = render_score_prompt(self.question, history, answer)
+            prompt = render_score_prompt(self.question, pairs, answer)
             text = self._complete(prompt, TAG_SCORE, ledger, seed)
         except ProviderError as err:
             outcome.error = err
@@ -460,8 +453,8 @@ class _Search:
             return None
         state = SearchState(
             self.question,
-            outcome.queries,
-            outcome.evidences,
+            tuple(e.source_query for e in outcome.history),
+            outcome.history,
             outcome.answer,
             clamp_score(outcome.raw_score),
             depth,
@@ -498,7 +491,7 @@ class _Search:
         event and then its ``scored`` one; below depth 0 each parent gets an
         ``expanded`` event, and the level's ``scored`` events follow."""
         submit_ask = partial(self._submit, self._ask)
-        asks = [ask or submit_ask(p.asked_queries, p.evidences, depth) for p, ask in parents]
+        asks = [ask or submit_ask(p.evidences, depth) for p, ask in parents]
         asks = [task.result() for task in asks]
         children = []
         for (parent, _), ask in zip(parents, asks):
@@ -539,7 +532,7 @@ class _Search:
         if workers > 1:
             self._gate = _CallGate(workers)
             self._pool = ThreadPoolExecutor(max_workers=THREADS_PER_SLOT * workers)
-        parents = [(None, _Deferred(self._ask, ((), (), 0)))]
+        parents = [(None, _Deferred(self._ask, ((), 0)))]
         beam: Beam = []
         reason = EXIT_MAX_DEPTH
         try:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -73,14 +74,19 @@ def test_missing_input_file_fails(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
-def test_index_out_into_a_missing_directory_fails(tmp_path, capsys):
+def test_index_out_into_a_missing_directory_fails(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        pytest.fail("the corpus was read or indexed")
+
+    monkeypatch.setattr(beamqa.cli, "load_corpus", refuse)
+    monkeypatch.setattr(beamqa.cli, "index_corpus", refuse)
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(corpus_path, fact_corpus(3, {0}))
     out = tmp_path / "missing" / "i.json"
     code = main(["index", "--corpus", str(corpus_path), "--out", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write the index") and str(out) in err
+    assert capsys.readouterr().err == f"error: cannot write {out}: {out.parent} is not a directory\n"
+    assert not out.parent.exists()
 
 
 def test_index_corpus_that_is_a_directory_fails(tmp_path, capsys):
@@ -94,12 +100,15 @@ def test_index_corpus_that_is_a_directory_fails(tmp_path, capsys):
 def test_index_duplicate_id_fails_naming_it(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text(
-        '{"id": "dup-doc", "text": "one"}\n{"id": "dup-doc", "text": "two"}\n',
+        '{"id": "d1", "text": "one"}\n{"id": "d2", "text": "two"}\n{"id": "d1", "text": "three"}\n',
         encoding="utf-8",
     )
     code = main(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "i.json")])
-    assert code != 0
-    assert "dup-doc" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {corpus_path}:3: duplicate id 'd1' (first on line 1)\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 def test_index_corpus_without_a_token_fails(tmp_path, capsys):
@@ -862,26 +871,75 @@ def test_eval_counts_clamped_scores(tmp_path, capsys):
     assert set(summary["cost"]) == {"retrieval_times", "api_times", "prompt_tokens", "completion_tokens"}
 
 
-def test_index_write_that_fails_halfway_leaves_the_old_index_whole(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("case", ["index", "ask-trace", "ask-output", "eval-output"])
+def test_write_that_fails_halfway_leaves_the_old_file_whole(
+    tmp_path, monkeypatch, capsys, request, case
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "file"
+    if case == "index":
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus_path, fact_corpus(3, {0}))
+        argv = ["index", "--corpus", str(corpus_path), "--out", str(target)]
+        message = f"error: cannot write the index {target}: "
+    elif case.startswith("ask"):
+        built, index_path, script_path = request.getfixturevalue("harpers_cli")
+        argv = [
+            "ask", built.question,
+            "--provider", "scripted", "--script", str(script_path),
+            "--index", str(index_path),
+            "--" + case.removeprefix("ask-"), str(target),
+        ]
+        message = "error: cannot write the result: "
+    else:
+        argv = eval_args(*eval_fixture(tmp_path), target)
+        message = "error: cannot write the report: "
+    assert main(argv) == 0
+    before = target.read_bytes()
+    capsys.readouterr()
+
+    # Each write puts half its bytes down and then fails, as on a full disk.
+    if case == "index":
+        save_index = beamqa.cli.save_index
+
+        def half_then_fail(index, path):
+            save_index(index, path)
+            with open(path, "r+b") as handle:
+                handle.truncate(len(before) // 2)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(beamqa.cli, "save_index", half_then_fail)
+        write_corpus(corpus_path, fact_corpus(4, {1}))
+    else:
+        write_text = pathlib.Path.write_text
+
+        def half_then_fail(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", half_then_fail)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "No space left on device" in captured.err
+    assert captured.out == ""
+    assert target.read_bytes() == before
+    assert list(out_dir.iterdir()) == [target]
+
+
+def test_index_out_through_a_symlink_replaces_the_file_it_names(tmp_path):
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(corpus_path, fact_corpus(3, {0}))
-    out = tmp_path / "i.idx"
-    assert main(["index", "--corpus", str(corpus_path), "--out", str(out)]) == 0
-    before = out.read_bytes()
-    save_index = beamqa.cli.save_index
+    real, link = tmp_path / "real.idx", tmp_path / "link.idx"
+    real.write_bytes(b"old")
+    link.symlink_to(real.name)
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    from beamqa.retrieval import load_index
 
-    def half_then_fail(index, path):
-        save_index(index, path)
-        with open(path, "r+b") as handle:
-            handle.truncate(len(before) // 2)
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(beamqa.cli, "save_index", half_then_fail)
-    write_corpus(corpus_path, fact_corpus(4, {1}))
-    assert main(["index", "--corpus", str(corpus_path), "--out", str(out)]) == 1
-    assert "error: cannot write the index" in capsys.readouterr().err
-    assert out.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "i.idx"]
+    assert len(load_index(real)) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "link.idx", "real.idx"]
 
 
 def test_index_replaces_the_old_file_and_leaves_no_temp_file(tmp_path):

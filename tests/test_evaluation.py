@@ -5,7 +5,6 @@ import pytest
 
 from beamqa.accounting import CostLedger
 from beamqa.evaluation import (
-    DatasetFormatError,
     QAExample,
     evaluate,
     exact_match,
@@ -14,6 +13,7 @@ from beamqa.evaluation import (
     load_dataset,
     normalize_answer,
 )
+from beamqa.retrieval import LineFormatError, load_corpus
 from beamqa.search import SearchError, TraceEvent
 
 
@@ -290,15 +290,28 @@ def test_load_dataset_ok(tmp_path):
 def test_load_dataset_names_the_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_bytes(b'{"question": "who?", "answers": ["x"]}\n{"question": "\xff", "answers": ["y"]}\n')
-    with pytest.raises(DatasetFormatError) as err:
+    with pytest.raises(LineFormatError) as err:
         load_dataset(path)
     assert err.value.line_no == 2
     assert str(err.value) == f"{path}:2: not UTF-8 (byte 0xff at offset 14)"
 
 
+def test_bad_dataset_and_corpus_lines_raise_the_same_error(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text('{"id": "a", "text": "ok"}\n\n["not an object"]\n', encoding="utf-8")
+    dataset_path = tmp_path / "data.jsonl"
+    dataset_path.write_text('{"question": "who?", "answers": ["x"]}\n["not an object"]\n', encoding="utf-8")
+    for load, path, line_no in ((load_corpus, corpus_path, 3), (load_dataset, dataset_path, 2)):
+        with pytest.raises(LineFormatError) as err:
+            load(path)
+        assert type(err.value) is LineFormatError
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"{path}:{line_no}: record is not an object"
+
+
 def test_load_dataset_reports_line_numbers(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"question": "who?", "answers": ["x"]}\n{"question": "bad"}\n', encoding="utf-8")
-    with pytest.raises(DatasetFormatError) as err:
+    with pytest.raises(LineFormatError) as err:
         load_dataset(path)
     assert err.value.line_no == 2

@@ -16,11 +16,11 @@ from beamqa import retrieval
 from beamqa.accounting import CostLedger
 from beamqa.providers import ScriptRule, ScriptedProvider
 from beamqa.retrieval import (
-    CorpusFormatError,
     Document,
     DuplicateDocumentError,
     Evidence,
     GENERATE_BACKGROUND,
+    LineFormatError,
     _Separators,
     _all_in_range,
     _one_pass_touches_fewer,
@@ -450,7 +450,7 @@ def test_load_corpus_reads_jsonl(tmp_path):
 def test_load_corpus_reports_line_numbers(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "ok"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(LineFormatError) as err:
         load_corpus(path)
     assert err.value.line_no == 2
 
@@ -466,7 +466,7 @@ def test_load_corpus_reports_line_numbers(tmp_path):
 def test_load_corpus_names_the_line_that_is_not_utf8(tmp_path, second_line, offset):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes('{"id": "a", "text": "café"}\n'.encode("utf-8") + second_line + b"\n")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(LineFormatError) as err:
         load_corpus(path)
     assert err.value.line_no == 2
     assert str(err.value) == f"{path}:2: not UTF-8 (byte 0xff at offset {offset})"
@@ -475,7 +475,7 @@ def test_load_corpus_names_the_line_that_is_not_utf8(tmp_path, second_line, offs
 def test_load_corpus_requires_id_and_text(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"title": "no id", "text": "x"}\n', encoding="utf-8")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(LineFormatError) as err:
         load_corpus(path)
     assert "id" in str(err.value)
 
