@@ -103,10 +103,13 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_out_dirs(*out_paths: str | None) -> None:
-    """Fail before any work is done if an output path's directory is missing."""
-    for path in out_paths:
-        if path and not Path(path).parent.is_dir():
+def _check_out_paths(*out_paths: str | None) -> None:
+    """Fail before any work is done if an output path is a directory or its
+    directory is missing."""
+    for path in filter(None, out_paths):
+        if Path(path).is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not Path(path).parent.is_dir():
             raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
 
 
@@ -128,10 +131,10 @@ def _write(path: str, what: str, write: Callable[[Path], object]) -> None:
 
 
 def _start_run(args: argparse.Namespace, workers: int, *out_paths: str | None) -> SearchRun:
-    """Check that each output path's directory exists, read the templates,
-    and build the run's config, provider and index: everything that can
-    fail before the first call is paid for."""
-    _check_out_dirs(*out_paths)
+    """Check each output path, read the templates, and build the run's
+    config, provider and index: everything that can fail before the first
+    call is paid for."""
+    _check_out_paths(*out_paths)
     set_template_dir(args.template_dir)
     config = SearchConfig(
         beam_size=args.beam_size,
@@ -177,7 +180,7 @@ def _manifest(args: argparse.Namespace, run: SearchRun, **extra) -> dict:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    _check_out_dirs(args.out)
+    _check_out_paths(args.out)
     index = index_corpus(load_corpus(args.corpus))
     _write(args.out, f"the index {args.out}", lambda tmp: save_index(index, tmp))
     print(f"indexed {len(index)} documents -> {args.out}")
@@ -186,7 +189,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_ask(args: argparse.Namespace) -> int:
     run = _start_run(args, args.workers, args.trace, args.output)
-    result = run.run_search(args.question)
+    with contextlib.closing(run.provider):
+        result = run.run_search(args.question)
     ledger = result.ledger.snapshot()
     if args.trace:
         trace = "".join(line + "\n" for line in result.trace_lines())
@@ -223,14 +227,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except SearchError as err:  # becomes the question's error row
             return err
 
-    if args.workers == 1:
-        # Inline, not on a one-thread pool: there Ctrl-C would wait for the
-        # running question to finish.
-        outcomes = [run_one(ex) for ex in examples]
-    else:
-        # Questions run in parallel; output keeps dataset order.
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(run_one, examples))
+    with contextlib.closing(run.provider):
+        if args.workers == 1:
+            # Inline, not on a one-thread pool: there Ctrl-C would wait for
+            # the running question to finish.
+            outcomes = [run_one(ex) for ex in examples]
+        else:
+            # Questions run in parallel; output keeps dataset order.
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                outcomes = list(pool.map(run_one, examples))
 
     report = evaluate(outcomes, examples)
     per_question = CostReport.from_ledger(report.cost, report.n_examples)

@@ -12,8 +12,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import requests
+from urllib.parse import urlsplit, urlunsplit
 
 # Which engine function issued a request; every request carries one.
 TAG_ANSWER = "answer"
@@ -86,6 +85,9 @@ class CompletionProvider(ABC):
     @abstractmethod
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         """Produce the completion for one self-contained prompt."""
+
+    def close(self) -> None:
+        """Release what the provider holds open; the default holds nothing."""
 
 
 @dataclass
@@ -242,19 +244,30 @@ class HttpChatProvider(CompletionProvider):
 
     Fields left unset fall back to the BEAMQA_ENDPOINT / BEAMQA_API_KEY /
     BEAMQA_MODEL / BEAMQA_TIMEOUT environment variables, then to the
-    defaults; an explicit value always wins. Each call is one POST: a
-    connection error, a timeout, a 429 or a 5xx status raises the retryable
-    ``TransportError``, any other failure a plain ``ProviderError``. On a 429
-    or a 503 the error carries the ``Retry-After`` delay, when the service
-    gives one in seconds. Retrying is the caller's decision
-    (``SearchRun(retries=...)``).
+    defaults; an explicit value always wins. The endpoint must be an
+    ``http://`` or ``https://`` URL with a host. Each call is one POST: a
+    connection error, a timeout, a body cut off, a 429 or a 5xx status
+    raises the retryable ``TransportError``, any other failure a plain
+    ``ProviderError``. On a 429 or a 503 the error carries the
+    ``Retry-After`` delay, when the service gives one in seconds. Retrying
+    is the caller's decision (``SearchRun(retries=...)``).
+
+    Connections are kept alive and shared by every calling thread: a call
+    takes an idle one, or opens one, and puts it back once the whole
+    response is read; any failure closes it. ``close()`` closes the idle
+    ones. ``HTTP_PROXY``/``HTTPS_PROXY`` and ``NO_PROXY`` are honoured, and
+    TLS verifies against the system's certificates (or ``SSL_CERT_FILE``).
     """
 
     endpoint: str | None = None
     api_key: str | None = None
     model: str | None = None
     timeout: float | None = None
-    session: requests.Session | None = field(default=None, repr=False)
+    # Idle keep-alive connections, each with the request target it sends to.
+    _idle: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.endpoint = self.endpoint or os.environ.get("BEAMQA_ENDPOINT")
@@ -274,8 +287,15 @@ class HttpChatProvider(CompletionProvider):
             )
         if not self.endpoint:
             raise ValueError("no endpoint configured (flag, constructor, or BEAMQA_ENDPOINT)")
-        if self.session is None:
-            self.session = requests.Session()
+        try:
+            parts = urlsplit(self.endpoint)
+            parts.port  # raises unless the port is a number from 0 to 65535
+        except ValueError:
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(
+                f"endpoint must be an http:// or https:// URL with a host, got {self.endpoint!r}"
+            )
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -290,29 +310,101 @@ class HttpChatProvider(CompletionProvider):
             "temperature": 0.0,
             "max_tokens": MAX_OUTPUT_TOKENS,
         }
-        try:
-            resp = self.session.post(
-                self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
-            )
-        except (
-            requests.ConnectionError,
-            requests.Timeout,
-            # A body cut off mid-transfer, or one that fails to decompress.
-            requests.exceptions.ChunkedEncodingError,
-            requests.exceptions.ContentDecodingError,
-        ) as err:
-            raise TransportError(f"transport failure: {err}") from err
-        if resp.status_code in (429, 503):
-            raise TransportError(f"HTTP {resp.status_code}", _retry_after(resp.headers.get("Retry-After")))
-        if resp.status_code >= 500:
-            raise TransportError(f"HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        return self._parse(request, resp)
+        status, retry_after, data = self._post(json.dumps(body).encode("utf-8"))
+        if status in (429, 503):
+            raise TransportError(f"HTTP {status}", _retry_after(retry_after))
+        if status >= 500:
+            raise TransportError(f"HTTP {status}")
+        if status != 200:
+            raise ProviderError(f"HTTP {status}: {data.decode('utf-8', errors='replace')[:200]}")
+        return self._parse(request, data)
 
-    def _parse(self, request: CompletionRequest, resp: requests.Response) -> CompletionResponse:
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn, _ in idle:
+            conn.close()
+
+    def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """Send one POST and read the whole response: its status, its
+        ``Retry-After`` header and its body."""
+        from http.client import HTTPException
+
+        conn, target = self._idle_connection() or self._connect()
+        keep = False
         try:
-            payload = resp.json()
+            conn.request("POST", target, body, self._headers())
+            resp = conn.getresponse()
+            data = resp.read()
+            keep = not resp.will_close
+        except (OSError, HTTPException) as err:
+            # Refused, reset, timed out, DNS or TLS (all OSError), or a
+            # response cut off or never sent (HTTPException).
+            raise TransportError(f"transport failure: {err}") from err
+        finally:
+            if keep:
+                with self._lock:
+                    self._idle.append((conn, target))
+            else:
+                conn.close()
+        return resp.status, resp.getheader("Retry-After"), data
+
+    def _idle_connection(self):
+        """An idle connection with its request target, or None. A socket
+        that polls readable while idle was closed by the server (or holds
+        bytes nobody asked for): that connection is closed, not reused, so
+        a stale keep-alive never costs a retry."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return None
+                conn, target = self._idle.pop()
+            if not _readable(conn.sock):
+                return conn, target
+            conn.close()
+
+    def _connect(self):
+        """A new connection to the endpoint, or to the proxy that
+        ``HTTP_PROXY``/``HTTPS_PROXY`` names for its scheme unless
+        ``NO_PROXY`` exempts its host, with the request target to send it.
+        An ``http://`` endpoint is sent through its proxy in absolute form;
+        an ``https://`` one is tunnelled with CONNECT."""
+        # Imported here, not with the package, so that a process which never
+        # opens a connection never loads the network stack.
+        import http.client
+        import ssl
+        import urllib.request
+
+        parts = urlsplit(self.endpoint)
+        host, port = parts.hostname, parts.port
+        target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        tunnel = None
+        if proxy and not urllib.request.proxy_bypass(host):
+            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if via.scheme != "http" or not via.hostname:
+                raise ProviderError(
+                    f"{parts.scheme} proxy {proxy!r} is not an http:// URL with a host"
+                )
+            if parts.scheme == "https":
+                tunnel = (host, port)
+            else:
+                target = urlunsplit(parts._replace(fragment=""))
+            host, port = via.hostname, via.port or 80
+        if parts.scheme == "https":
+            conn = http.client.HTTPSConnection(
+                host, port, timeout=self.timeout, context=ssl.create_default_context()
+            )
+        else:
+            conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
+        if tunnel:
+            conn.set_tunnel(*tunnel)
+        return conn, target
+
+    def _parse(self, request: CompletionRequest, data: bytes) -> CompletionResponse:
+        try:
+            payload = json.loads(data)
             text = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as err:
             raise ProviderError(f"malformed completion payload: {err}") from err
@@ -331,6 +423,17 @@ class HttpChatProvider(CompletionProvider):
             estimate_tokens(text),
             usage_reported=False,
         )
+
+
+def _readable(sock) -> bool:
+    """Whether ``sock`` has data or end-of-file waiting, without blocking."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 def _retry_after(value: str | None) -> float | None:

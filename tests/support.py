@@ -8,15 +8,19 @@ any worker count. Background-generation prompts are all identical by
 construction, so those use per-tag ordinal rules and need serial execution.
 
 Also here: a naive per-document BM25 oracle (no inverted index, and its own
-regex tokenizer) and the canned corpora the golden-run tests use.
+regex tokenizer), the canned corpora the golden-run tests use, and
+``ChatServer``, a loopback chat-completion service for the HTTP provider.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from beamqa.prompts import (
     ScoreParseError,
@@ -28,6 +32,7 @@ from beamqa.prompts import (
     render_summarize_prompt,
 )
 from beamqa.providers import (
+    HttpChatProvider,
     ScriptRule,
     TAG_ANSWER,
     TAG_ASK,
@@ -488,3 +493,131 @@ def fact_plan(i: int, hit: bool, answer: str) -> SeedPlan:
         grounded=StatePlan(answer=answer, score="0.6"),
         grounded_evidence=evidence,
     )
+
+
+# --- a loopback chat-completion service ---------------------------------------
+
+
+@dataclass
+class Reply:
+    """One response of ``ChatServer``: ``payload`` is sent as JSON, otherwise
+    ``body`` as it is. ``headers`` add to or override ``Content-Length``;
+    ``close`` ends the connection after the reply without announcing it."""
+
+    status: int = 200
+    payload: object = None
+    body: bytes = b""
+    headers: dict = field(default_factory=dict)
+    close: bool = False
+
+
+def chat_reply(text, usage=None, **kwargs) -> Reply:
+    payload = {"choices": [{"message": {"content": text}}]}
+    if usage is not None:
+        payload["usage"] = usage
+    return Reply(payload=payload, **kwargs)
+
+
+# Replies that send no response: close the connection once the request is
+# read, or send nothing until the server stops.
+DROP = "drop"
+STALL = "stall"
+
+
+@dataclass
+class Post:
+    path: str
+    headers: dict[str, str]  # names lowercased
+    json: dict
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # the body goes out apart from the headers
+    timeout = 10  # a connection left open cannot hold up the server's stop for long
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        post = Post(self.path, {k.lower(): v for k, v in self.headers.items()}, json.loads(body))
+        with self.server.lock:
+            self.server.posts.append(post)
+            reply = self.server.replies.pop(0) if self.server.replies else None
+        reply = reply or self.server.respond(post)
+        if reply in (DROP, STALL):
+            if reply == STALL:
+                self.server.released.wait()
+            self.close_connection = True
+            return
+        data = reply.body if reply.payload is None else json.dumps(reply.payload).encode()
+        self.send_response(reply.status)
+        for name, value in {"Content-Length": str(len(data)), **reply.headers}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = reply.close
+
+    def do_CONNECT(self):
+        # A proxy that records the tunnel asked for and refuses it.
+        with self.server.lock:
+            self.server.tunnels.append(self.path)
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+class ChatServer(ThreadingHTTPServer):
+    """An HTTP/1.1 chat-completion service on 127.0.0.1, on a free port.
+
+    It records every POST in ``posts`` and answers each with the next of
+    ``replies`` or, once they run out, with ``respond(post)``. As a proxy it
+    records each CONNECT target in ``tunnels`` and refuses it. It counts the
+    connections it accepted in ``connections`` and releases ``closed`` each
+    time it has closed one. ``stop()`` closes the providers ``provider()``
+    built, then the server, and joins every thread it started."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.lock = threading.Lock()
+        self.replies: list = []
+        self.respond = lambda post: chat_reply("0.9")
+        self.posts: list[Post] = []
+        self.tunnels: list[str] = []
+        self.connections = 0
+        self.closed = threading.Semaphore(0)
+        self.released = threading.Event()
+        self._providers: list[HttpChatProvider] = []
+        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.01})
+        self._thread.start()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+
+    def provider(self, **kwargs) -> HttpChatProvider:
+        provider = HttpChatProvider(**{"endpoint": self.url, "api_key": "sk-test", **kwargs})
+        self._providers.append(provider)
+        return provider
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def stop(self) -> None:
+        try:
+            for provider in self._providers:
+                provider.close()
+        finally:
+            self.released.set()
+            self.shutdown()
+            self.server_close()
+            self._thread.join(timeout=10)
+        assert not self._thread.is_alive()

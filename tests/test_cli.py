@@ -6,7 +6,7 @@ import pytest
 import beamqa.cli
 from beamqa.cli import build_parser, main
 from beamqa.prompts import set_template_dir
-from beamqa.providers import save_script
+from beamqa.providers import ScriptedProvider, save_script
 from beamqa.search import SearchConfig, SearchRun
 
 from support import (
@@ -210,49 +210,27 @@ def test_eval_retries_reach_the_engine(tmp_path, capsys, searched_retries):
     assert searched_retries == [4]
 
 
-class ConstantSession:
-    """Stands in for requests.Session: every completion is "0.9"."""
-
-    def __init__(self):
-        self.models = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.models.append(json["model"])
-        return ConstantResponse()
-
-
-class ConstantResponse:
-    status_code = 200
-
-    def json(self):
-        return {"choices": [{"message": {"content": "0.9"}}]}
-
-
 @pytest.mark.parametrize(
     "flags, model", [([], "env-model"), (["--model", "gpt-3.5-turbo"], "gpt-3.5-turbo")]
 )
-def test_ask_manifest_records_the_model_used(tmp_path, monkeypatch, flags, model):
-    session = ConstantSession()
-    monkeypatch.setattr("beamqa.providers.requests.Session", lambda: session)
-    monkeypatch.setenv("BEAMQA_ENDPOINT", "http://svc.test/v1/chat/completions")
+def test_ask_manifest_records_the_model_used(tmp_path, monkeypatch, chat_server, flags, model):
+    monkeypatch.setenv("BEAMQA_ENDPOINT", chat_server.url)
     monkeypatch.setenv("BEAMQA_MODEL", "env-model")
     output = tmp_path / "result.json"
     args = ["ask", "who?", "--evidence-mode", "generate_background", "--output", str(output)]
     assert main(args + flags) == 0
     manifest = json.loads(output.read_text(encoding="utf-8"))["manifest"]
     assert manifest["provider"]["model"] == model
-    assert set(session.models) == {model}
+    assert {post.json["model"] for post in chat_server.posts} == {model}
 
 
-def test_ask_manifest_records_the_endpoint_from_the_environment(tmp_path, monkeypatch):
-    session = ConstantSession()
-    monkeypatch.setattr("beamqa.providers.requests.Session", lambda: session)
-    monkeypatch.setenv("BEAMQA_ENDPOINT", "http://svc.test/v1/chat/completions")
+def test_ask_manifest_records_the_endpoint_from_the_environment(tmp_path, monkeypatch, chat_server):
+    monkeypatch.setenv("BEAMQA_ENDPOINT", chat_server.url)
     output = tmp_path / "result.json"
     args = ["ask", "who?", "--evidence-mode", "generate_background", "--output", str(output)]
     assert main(args) == 0
     manifest = json.loads(output.read_text(encoding="utf-8"))["manifest"]
-    assert manifest["provider"]["endpoint"] == "http://svc.test/v1/chat/completions"
+    assert manifest["provider"]["endpoint"] == chat_server.url
 
 
 @pytest.mark.parametrize(
@@ -264,10 +242,8 @@ def test_ask_manifest_records_the_endpoint_from_the_environment(tmp_path, monkey
         ([], "nan", "BEAMQA_TIMEOUT"),
     ],
 )
-def test_bad_timeout_fails_before_any_post(monkeypatch, capsys, flags, env, source):
-    session = ConstantSession()
-    monkeypatch.setattr("beamqa.providers.requests.Session", lambda: session)
-    monkeypatch.setenv("BEAMQA_ENDPOINT", "http://svc.test/v1/chat/completions")
+def test_bad_timeout_fails_before_any_post(monkeypatch, capsys, chat_server, flags, env, source):
+    monkeypatch.setenv("BEAMQA_ENDPOINT", chat_server.url)
     if env is None:
         monkeypatch.delenv("BEAMQA_TIMEOUT", raising=False)
     else:
@@ -277,17 +253,30 @@ def test_bad_timeout_fails_before_any_post(monkeypatch, capsys, flags, env, sour
     assert code == 1
     assert captured.err.startswith(f"error: {source} must be a finite number of seconds above 0")
     assert "Traceback" not in captured.err
-    assert (captured.out, session.models) == ("", [])
+    assert (captured.out, chat_server.connections) == ("", 0)
 
 
-def test_non_numeric_timeout_env_names_the_variable(monkeypatch, capsys):
-    monkeypatch.setattr("beamqa.providers.requests.Session", ConstantSession)
-    monkeypatch.setenv("BEAMQA_ENDPOINT", "http://svc.test/v1/chat/completions")
+def test_non_numeric_timeout_env_names_the_variable(monkeypatch, capsys, chat_server):
+    monkeypatch.setenv("BEAMQA_ENDPOINT", chat_server.url)
     monkeypatch.setenv("BEAMQA_TIMEOUT", "abc")
     code = main(["ask", "who?", "--evidence-mode", "generate_background"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "error: BEAMQA_TIMEOUT must be a number of seconds, got 'abc'\n"
+    assert (captured.out, chat_server.connections) == ("", 0)
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["svc.test/v1/chat/completions", "ftp://svc.test/v1/chat/completions"]
+)
+def test_malformed_endpoint_fails_before_any_call(monkeypatch, capsys, no_search, endpoint):
+    monkeypatch.delenv("BEAMQA_ENDPOINT", raising=False)
+    code = main(["ask", "who?", "--evidence-mode", "generate_background", "--endpoint", endpoint])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"error: endpoint must be an http:// or https:// URL with a host, got {endpoint!r}\n"
+    )
     assert captured.out == ""
 
 
@@ -403,11 +392,62 @@ def test_ask_into_a_missing_directory_fails_before_any_call(
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("flag", ["--trace", "--output"])
-def test_ask_write_that_fails_after_the_run_is_an_error(harpers_cli, tmp_path, capsys, flag):
-    built, index_path, script_path = harpers_cli
+@pytest.mark.parametrize("case", ["index", "ask-trace", "ask-output", "eval-output"])
+def test_output_path_that_is_a_directory_fails_before_any_call(
+    tmp_path, monkeypatch, capsys, request, case
+):
     target = tmp_path / "a-directory"
     target.mkdir()
+    if case == "index":
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus_path, fact_corpus(3, {0}))
+        argv = ["index", "--corpus", str(corpus_path), "--out", str(target)]
+    elif case.startswith("ask"):
+        built, index_path, script_path = request.getfixturevalue("harpers_cli")
+        argv = [
+            "ask", built.question,
+            "--provider", "scripted", "--script", str(script_path),
+            "--index", str(index_path),
+            "--" + case.removeprefix("ask-"), str(target),
+        ]
+    else:
+        argv = eval_args(*eval_fixture(tmp_path), target)
+    capsys.readouterr()
+
+    def refuse(*args):
+        pytest.fail("the index was built or a provider call was made")
+
+    monkeypatch.setattr(beamqa.cli, "index_corpus", refuse)
+    monkeypatch.setattr(ScriptedProvider, "complete", refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: cannot write {target}: it is a directory\n"
+    assert captured.out == ""
+    assert list(target.iterdir()) == []
+
+
+@pytest.fixture()
+def directory_made_during_the_run(tmp_path, monkeypatch):
+    """A path that the first search of the run makes a directory, so that the
+    check before the run passes and the write after it fails."""
+    target = tmp_path / "a-directory"
+    run_search = SearchRun.run_search
+
+    def run_and_mkdir(self, question):
+        target.mkdir(exist_ok=True)
+        return run_search(self, question)
+
+    monkeypatch.setattr(SearchRun, "run_search", run_and_mkdir)
+    return target
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--output"])
+def test_ask_write_that_fails_after_the_run_is_an_error(
+    harpers_cli, capsys, directory_made_during_the_run, flag
+):
+    built, index_path, script_path = harpers_cli
+    target = directory_made_during_the_run
     code = main(
         [
             "ask", built.question,
@@ -706,11 +746,12 @@ def test_eval_output_into_a_missing_directory_fails_before_any_call(tmp_path, ca
     assert not output.parent.exists()
 
 
-def test_eval_output_that_cannot_be_written_is_an_error(tmp_path, capsys):
+def test_eval_output_that_cannot_be_written_is_an_error(
+    tmp_path, capsys, directory_made_during_the_run
+):
     index_path, script_path, dataset_path = eval_fixture(tmp_path)
     capsys.readouterr()
-    output = tmp_path / "a-directory"
-    output.mkdir()
+    output = directory_made_during_the_run
     code = main(eval_args(index_path, script_path, dataset_path, output))
     captured = capsys.readouterr()
     assert code == 1

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import beamqa
 
 PUBLIC_NAMES = {
@@ -30,3 +35,18 @@ def test_public_names_are_the_documented_set():
 def test_every_public_name_resolves():
     for name in beamqa.__all__:
         assert getattr(beamqa, name) is not None
+
+
+def test_importing_the_package_loads_no_network_stack():
+    # Only opening an HTTP connection may load these; a scripted run never does.
+    code = (
+        "import sys, beamqa, beamqa.cli; "
+        "print(sorted({'requests', 'urllib3', 'http.client', 'ssl'} & set(sys.modules)))"
+    )
+    src = str(pathlib.Path(beamqa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"

@@ -1,9 +1,10 @@
+import gzip
 import json
+import sys
 import threading
 from collections import Counter
 
 import pytest
-import requests
 
 from beamqa.providers import (
     CompletionRequest,
@@ -26,6 +27,8 @@ from beamqa.search import (
     SearchRun,
     run_search,
 )
+
+from support import DROP, STALL, Reply, chat_reply, harpers_script
 
 
 def req(prompt="hello there", tag="answer"):
@@ -215,71 +218,34 @@ def test_script_file_rejects_a_rule_that_is_not_an_object(tmp_path, rule):
         load_script(path)
 
 
-# --- HTTP provider ----------------------------------------------------
+# --- HTTP provider, against a loopback ChatServer ------------------------------
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text="", headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or (json.dumps(payload) if payload is not None else "")
-        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+def unserved_provider(**kwargs):
+    """A provider built, never called: its endpoint is never contacted."""
+    return HttpChatProvider(endpoint="http://svc.test/v1/chat/completions", **kwargs)
 
 
-class FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def chat_payload(text, usage=None):
-    payload = {"choices": [{"message": {"content": text}}]}
-    if usage is not None:
-        payload["usage"] = usage
-    return payload
-
-
-def http_provider(outcomes, **kwargs):
-    session = FakeSession(outcomes)
-    provider = HttpChatProvider(
-        endpoint="http://svc.test/v1/chat/completions",
-        api_key="sk-test",
-        session=session,
-        **kwargs,
-    )
-    return provider, session
-
-
-def test_http_success_with_usage():
-    provider, session = http_provider(
-        [FakeResponse(payload=chat_payload("hi", {"prompt_tokens": 12, "completion_tokens": 3}))]
-    )
-    resp = provider.complete(req(prompt="say hi"))
+def test_http_success_with_usage(chat_server):
+    chat_server.replies = [chat_reply("hi", {"prompt_tokens": 12, "completion_tokens": 3})]
+    resp = chat_server.provider().complete(req(prompt="say hi"))
     assert (resp.text, resp.prompt_tokens, resp.completion_tokens, resp.usage_reported) == (
         "hi", 12, 3, True,
     )
-    body = session.calls[0]["json"]
-    assert body["messages"] == [{"role": "user", "content": "say hi"}]
-    assert body["model"] == "gpt-3.5-turbo"
-    assert (body["temperature"], body["max_tokens"]) == (0.0, 256)
-    assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
+    [post] = chat_server.posts
+    assert post.path == "/v1/chat/completions"
+    assert post.json["messages"] == [{"role": "user", "content": "say hi"}]
+    assert post.json["model"] == "gpt-3.5-turbo"
+    assert (post.json["temperature"], post.json["max_tokens"]) == (0.0, 256)
+    assert post.headers["authorization"] == "Bearer sk-test"
+    assert post.headers["content-type"] == "application/json"
+    # Only an uncompressed body is asked for, so none needs decoding.
+    assert post.headers["accept-encoding"] == "identity"
 
 
-def test_http_missing_usage_falls_back_to_estimate():
-    provider, _ = http_provider([FakeResponse(payload=chat_payload("x" * 40))])
-    resp = provider.complete(req(prompt="p" * 8))
+def test_http_missing_usage_falls_back_to_estimate(chat_server):
+    chat_server.replies = [chat_reply("x" * 40)]
+    resp = chat_server.provider().complete(req(prompt="p" * 8))
     assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_reported) == (2, 10, False)
 
 
@@ -293,44 +259,60 @@ def test_http_missing_usage_falls_back_to_estimate():
     ],
     ids=["list", "string", "negative", "bool"],
 )
-def test_http_malformed_usage_falls_back_to_estimate(usage):
-    provider, _ = http_provider([FakeResponse(payload=chat_payload("x" * 40, usage))])
-    resp = provider.complete(req(prompt="p" * 8))
+def test_http_malformed_usage_falls_back_to_estimate(chat_server, usage):
+    chat_server.replies = [chat_reply("x" * 40, usage)]
+    resp = chat_server.provider().complete(req(prompt="p" * 8))
     assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_reported) == (2, 10, False)
 
 
 @pytest.mark.parametrize(
-    "outcome",
+    "reply",
     [
-        FakeResponse(status_code=500),
-        FakeResponse(status_code=503),
-        FakeResponse(status_code=429),
-        requests.ConnectionError("boom"),
-        requests.Timeout("slow"),
-        requests.exceptions.ChunkedEncodingError("cut off"),
-        requests.exceptions.ContentDecodingError("garbled"),
+        Reply(status=500),
+        Reply(status=503),
+        Reply(status=429),
+        DROP,
+        STALL,
+        # Says 100 bytes, sends 13 and closes.
+        Reply(body=b'{"choices": [', headers={"Content-Length": "100"}, close=True),
     ],
-    ids=["500", "503", "429", "connection", "timeout", "chunked", "decoding"],
+    ids=["500", "503", "429", "connection", "timeout", "chunked"],
 )
-def test_http_transient_failure_is_one_post_raising_transport_error(outcome):
-    provider, session = http_provider([outcome, FakeResponse(payload=chat_payload("ok"))])
+def test_http_transient_failure_is_one_post_raising_transport_error(chat_server, reply):
+    chat_server.replies = [reply, chat_reply("ok")]
+    provider = chat_server.provider(timeout=0.2)
     with pytest.raises(TransportError):
         provider.complete(req())
-    assert len(session.calls) == 1
+    assert len(chat_server.posts) == 1
 
 
-def test_http_client_error_fails_fast():
-    provider, session = http_provider([FakeResponse(status_code=400, text="bad request")])
-    with pytest.raises(ProviderError) as err:
+def test_http_refused_connection_is_a_transport_error(refused_port):
+    provider = HttpChatProvider(endpoint=f"http://127.0.0.1:{refused_port}/v1")
+    with pytest.raises(TransportError, match="^transport failure: .*refused"):
         provider.complete(req())
+
+
+def test_http_unrequested_content_encoding_is_a_malformed_payload(chat_server):
+    body = gzip.compress(json.dumps(chat_reply("hi").payload).encode())
+    chat_server.replies = [Reply(body=body, headers={"Content-Encoding": "gzip"})]
+    with pytest.raises(ProviderError, match="malformed completion payload") as err:
+        chat_server.provider().complete(req())
     assert not err.value.retryable
-    assert len(session.calls) == 1
 
 
-def test_http_malformed_payload_raises():
-    provider, _ = http_provider([FakeResponse(payload={"weird": True})])
+def test_http_client_error_fails_fast(chat_server):
+    chat_server.replies = [Reply(status=400, body=b"bad request \xc3\xa9\xff")]
+    with pytest.raises(ProviderError) as err:
+        chat_server.provider().complete(req())
+    assert not err.value.retryable
+    assert str(err.value) == "HTTP 400: bad request \u00e9\ufffd"
+    assert len(chat_server.posts) == 1
+
+
+def test_http_malformed_payload_raises(chat_server):
+    chat_server.replies = [Reply(payload={"weird": True})]
     with pytest.raises(ProviderError):
-        provider.complete(req())
+        chat_server.provider().complete(req())
 
 
 def test_http_requires_endpoint(monkeypatch):
@@ -345,31 +327,42 @@ def test_http_reads_endpoint_from_env(monkeypatch):
     assert provider.endpoint == "http://env.test/chat"
 
 
-def test_http_null_content_is_a_malformed_payload():
-    provider, _ = http_provider([FakeResponse(payload=chat_payload(None))])
+@pytest.mark.parametrize(
+    "endpoint",
+    ["svc.test/v1", "ftp://svc.test/v1", "http:///v1", "http://svc.test:http/v1", "http://[::1/v1"],
+    ids=["no-scheme", "ftp", "no-host", "bad-port", "bad-ipv6"],
+)
+def test_http_endpoint_must_be_an_http_url_with_a_host(endpoint):
+    with pytest.raises(ValueError) as err:
+        HttpChatProvider(endpoint=endpoint)
+    assert str(err.value) == f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}"
+
+
+def test_http_null_content_is_a_malformed_payload(chat_server):
+    chat_server.replies = [chat_reply(None)]
     with pytest.raises(ProviderError, match="malformed completion payload") as err:
-        provider.complete(req())
+        chat_server.provider().complete(req())
     assert not err.value.retryable
 
 
 def test_http_explicit_settings_win_over_the_environment(monkeypatch):
     monkeypatch.setenv("BEAMQA_MODEL", "env-model")
     monkeypatch.setenv("BEAMQA_TIMEOUT", "99")
-    provider, _ = http_provider([], model="gpt-3.5-turbo", timeout=5.0)
+    provider = unserved_provider(model="gpt-3.5-turbo", timeout=5.0)
     assert (provider.model, provider.timeout) == ("gpt-3.5-turbo", 5.0)
 
 
 def test_http_environment_fills_unset_settings(monkeypatch):
     monkeypatch.setenv("BEAMQA_MODEL", "env-model")
     monkeypatch.setenv("BEAMQA_TIMEOUT", "99")
-    provider, _ = http_provider([])
+    provider = unserved_provider()
     assert (provider.model, provider.timeout) == ("env-model", 99.0)
 
 
 def test_http_defaults_without_environment(monkeypatch):
     monkeypatch.delenv("BEAMQA_MODEL", raising=False)
     monkeypatch.delenv("BEAMQA_TIMEOUT", raising=False)
-    provider, _ = http_provider([])
+    provider = unserved_provider()
     assert (provider.model, provider.timeout) == ("gpt-3.5-turbo", 30.0)
 
 
@@ -377,14 +370,115 @@ def test_http_defaults_without_environment(monkeypatch):
 def test_http_timeout_must_be_finite_and_positive(monkeypatch, timeout):
     monkeypatch.setenv("BEAMQA_TIMEOUT", "30")
     with pytest.raises(ValueError, match="^timeout must be a finite number of seconds above 0"):
-        http_provider([], timeout=timeout)
+        unserved_provider(timeout=timeout)
 
 
 @pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf"])
 def test_http_timeout_from_the_environment_must_be_finite_and_positive(monkeypatch, raw):
     monkeypatch.setenv("BEAMQA_TIMEOUT", raw)
     with pytest.raises(ValueError, match="^BEAMQA_TIMEOUT must be a finite number of seconds"):
-        http_provider([])
+        unserved_provider()
+
+
+# --- HTTP connections: kept alive, shared, replaced, proxied -------------------
+
+
+def test_http_calls_reuse_one_connection(chat_server):
+    chat_server.replies = [chat_reply("one"), chat_reply("two")]
+    provider = chat_server.provider()
+    assert [provider.complete(req()).text for _ in range(2)] == ["one", "two"]
+    assert (len(chat_server.posts), chat_server.connections) == (2, 1)
+
+
+def test_http_connection_closed_while_idle_is_replaced_without_a_retry(chat_server):
+    chat_server.replies = [chat_reply("one", close=True), chat_reply("two")]
+    provider = chat_server.provider()
+    assert provider.complete(req()).text == "one"
+    assert chat_server.closed.acquire(timeout=5)
+    # The provider itself never retries, so a stale connection would fail here.
+    assert provider.complete(req()).text == "two"
+    assert (len(chat_server.posts), chat_server.connections) == (2, 2)
+
+
+def test_pooled_search_over_http_matches_serial_and_shares_connections(chat_server):
+    built, index, config = harpers_script()
+    script = ScriptedProvider(
+        ScriptRule(**{**rule.as_dict(), "tag": None, "repeat": True}) for rule in built.rules
+    )
+
+    def respond(post):
+        resp = script.complete(req(prompt=post.json["messages"][0]["content"]))
+        usage = {"prompt_tokens": resp.prompt_tokens, "completion_tokens": resp.completion_tokens}
+        return chat_reply(resp.text, usage if resp.usage_reported else None)
+
+    chat_server.respond = respond
+    serial = run_search(built.question, config, chat_server.provider(), index=index, workers=1)
+    assert serial.final_answer == built.final_answer
+    opened = chat_server.connections
+    provider = chat_server.provider()
+    for _ in range(2):
+        pooled = run_search(built.question, config, provider, index=index, workers=4)
+        assert pooled.trace_lines() == serial.trace_lines()
+        assert pooled.ledger == serial.ledger
+    assert chat_server.connections - opened <= 4
+
+
+def test_http_threads_never_share_a_connection(chat_server):
+    # Each reply echoes its prompt: two threads on one connection would read
+    # each other's replies, or fail on an interleaved exchange.
+    chat_server.respond = lambda post: chat_reply(post.json["messages"][0]["content"])
+    provider = chat_server.provider()
+    texts: dict[int, list[str]] = {}
+
+    def worker(i):
+        texts[i] = [provider.complete(req(prompt=f"thread {i} call {n}")).text for n in range(20)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert texts == {i: [f"thread {i} call {n}" for n in range(20)] for i in range(8)}
+    assert chat_server.connections <= 8
+
+
+def test_http_proxy_gets_the_request_in_absolute_form(chat_server, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{chat_server.server_port}")
+    chat_server.replies = [chat_reply("proxied")]
+    provider = chat_server.provider(endpoint="http://svc.test/v1/chat/completions?v=2")
+    assert provider.complete(req()).text == "proxied"
+    [post] = chat_server.posts
+    assert (post.path, post.headers["host"]) == ("http://svc.test/v1/chat/completions?v=2", "svc.test")
+
+
+def test_https_proxy_is_asked_for_a_tunnel(chat_server, monkeypatch):
+    monkeypatch.setenv("HTTPS_PROXY", f"127.0.0.1:{chat_server.server_port}")
+    provider = chat_server.provider(endpoint="https://svc.test/v1/chat/completions")
+    with pytest.raises(TransportError, match="403"):
+        provider.complete(req())
+    assert (chat_server.tunnels, chat_server.posts) == (["svc.test:443"], [])
+
+
+def test_http_proxy_that_is_not_an_http_url_fails_the_call(chat_server, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", f"socks5://127.0.0.1:{chat_server.server_port}")
+    with pytest.raises(ProviderError, match="^http proxy 'socks5://.*' is not an http:// URL") as err:
+        chat_server.provider().complete(req())
+    assert not err.value.retryable
+    assert chat_server.connections == 0
+
+
+def test_http_no_proxy_host_is_reached_directly(chat_server, monkeypatch, refused_port):
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{refused_port}")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    chat_server.replies = [chat_reply("direct")]
+    assert chat_server.provider().complete(req()).text == "direct"
+    assert chat_server.posts[0].path == "/v1/chat/completions"
 
 
 # --- HTTP provider inside a search: the engine is the one retry layer ---------
@@ -395,16 +489,15 @@ def genread_search(provider):
     return run_search("who?", config, provider)
 
 
-def test_search_resends_a_5xx_once_and_counts_one_call(monkeypatch):
+def test_search_resends_a_5xx_once_and_counts_one_call(chat_server, monkeypatch):
     # Every completion is "0.9": two seeds (2 + 3 calls) and two asks that
     # yield no query, so 7 calls; the first POST fails and is sent again.
     monkeypatch.setattr("time.sleep", lambda s: pytest.fail("the first retry must not wait"))
-    ok = FakeResponse(payload=chat_payload("0.9"))
-    provider, session = http_provider([FakeResponse(status_code=500)] + [ok] * 7)
-    result = genread_search(provider)
+    chat_server.replies = [Reply(status=500)] + [chat_reply("0.9")] * 7
+    result = genread_search(chat_server.provider())
     assert result.final_answer == "0.9"
     assert result.ledger.api_times == 7
-    assert (len(session.calls), session.outcomes) == (8, [])
+    assert (len(chat_server.posts), chat_server.replies) == (8, [])
 
 
 @pytest.mark.parametrize("status", [429, 503])
@@ -416,54 +509,52 @@ def test_search_resends_a_5xx_once_and_counts_one_call(monkeypatch):
     ],
     ids=["seconds", "zero", "padded", "http-date", "fraction", "negative", "word", "empty", "non-ascii-digit", "absent"],
 )
-def test_http_retry_after_seconds_ride_on_the_transport_error(status, value, seconds):
+def test_http_retry_after_seconds_ride_on_the_transport_error(chat_server, status, value, seconds):
     headers = {} if value is None else {"retry-after": value}
-    provider, _ = http_provider([FakeResponse(status_code=status, headers=headers)])
+    chat_server.replies = [Reply(status=status, headers=headers)]
     with pytest.raises(TransportError) as err:
-        provider.complete(req())
+        chat_server.provider().complete(req())
     assert err.value.retry_after == seconds
 
 
-def test_http_retry_after_is_read_only_on_a_429_or_a_503():
-    provider, _ = http_provider([FakeResponse(status_code=500, headers={"Retry-After": "7"})])
+def test_http_retry_after_is_read_only_on_a_429_or_a_503(chat_server):
+    chat_server.replies = [Reply(status=500, headers={"Retry-After": "7"})]
     with pytest.raises(TransportError) as err:
-        provider.complete(req())
+        chat_server.provider().complete(req())
     assert err.value.retry_after is None
 
 
-def test_search_waits_out_a_retry_after_before_the_retry(monkeypatch):
+def test_search_waits_out_a_retry_after_before_the_retry(chat_server, monkeypatch):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
-    ok = FakeResponse(payload=chat_payload("0.9"))
-    provider, session = http_provider([FakeResponse(status_code=429, headers={"Retry-After": "3"})] + [ok] * 7)
-    result = genread_search(provider)
+    chat_server.replies = [Reply(status=429, headers={"Retry-After": "3"})] + [chat_reply("0.9")] * 7
+    result = genread_search(chat_server.provider())
     assert sleeps == [3.0]
     assert result.ledger.api_times == 7
-    assert (len(session.calls), session.outcomes) == (8, [])
+    assert (len(chat_server.posts), chat_server.replies) == (8, [])
 
 
-def test_a_retry_waits_the_longer_of_its_backoff_and_a_capped_retry_after(monkeypatch):
+def test_a_retry_waits_the_longer_of_its_backoff_and_a_capped_retry_after(chat_server, monkeypatch):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
-    failures = [
-        FakeResponse(status_code=429, headers={"Retry-After": "2"}),  # retry 1: no backoff
-        FakeResponse(status_code=503, headers={"Retry-After": "0"}),  # retry 2: 0.5 s backoff
-        FakeResponse(status_code=429, headers={"Retry-After": "100000"}),
-    ]
-    provider, session = http_provider(failures + [FakeResponse(payload=chat_payload("0.9"))] * 7)
+    chat_server.replies = [
+        Reply(status=429, headers={"Retry-After": "2"}),  # retry 1: no backoff
+        Reply(status=503, headers={"Retry-After": "0"}),  # retry 2: 0.5 s backoff
+        Reply(status=429, headers={"Retry-After": "100000"}),
+    ] + [chat_reply("0.9")] * 7
     config = SearchConfig(evidence_mode="generate_background", max_depth=1, max_queries=1)
-    result = SearchRun(config, provider, retries=3).run_search("who?")
+    result = SearchRun(config, chat_server.provider(), retries=3).run_search("who?")
     assert sleeps == [2.0, RETRY_BACKOFF_S, MAX_RETRY_AFTER_S]
-    assert (result.ledger.api_times, len(session.calls)) == (7, 10)
+    assert (result.ledger.api_times, len(chat_server.posts)) == (7, 10)
 
 
-def test_default_search_posts_each_failing_request_twice(monkeypatch):
+def test_default_search_posts_each_failing_request_twice(chat_server, monkeypatch):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    provider, session = http_provider([FakeResponse(status_code=503)] * 32)
+    chat_server.respond = lambda post: Reply(status=503)
     with pytest.raises(SearchError, match="HTTP 503"):
-        genread_search(provider)
+        genread_search(chat_server.provider())
     # Both seeds send their first request, and nothing else is sent.
-    posts = Counter(call["json"]["messages"][0]["content"] for call in session.calls)
+    posts = Counter(post.json["messages"][0]["content"] for post in chat_server.posts)
     assert list(posts.values()) == [2, 2]
 
 
