@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import quote, urlsplit, urlunsplit
 
 # Which engine function issued a request; every request carries one.
 TAG_ANSWER = "answer"
@@ -24,6 +24,10 @@ REQUEST_TAGS = (TAG_ANSWER, TAG_ASK, TAG_SUMMARIZE, TAG_GENREAD, TAG_SCORE)
 
 # Completion length cap of every HTTP request; requests are sent at temperature 0.
 MAX_OUTPUT_TOKENS = 256
+
+# What an endpoint's path and query keep as they are when percent-encoded:
+# the URL delimiters and an escape already made (the set ``requests`` keeps).
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 class ProviderError(Exception):
@@ -245,7 +249,10 @@ class HttpChatProvider(CompletionProvider):
     Fields left unset fall back to the BEAMQA_ENDPOINT / BEAMQA_API_KEY /
     BEAMQA_MODEL / BEAMQA_TIMEOUT environment variables, then to the
     defaults; an explicit value always wins. The endpoint must be an
-    ``http://`` or ``https://`` URL with a host. Each call is one POST: a
+    ``http://`` or ``https://`` URL with a host and no control character;
+    any other character of its path and query that a URL may not hold,
+    such as a space or a non-ASCII letter, is percent-encoded as UTF-8
+    (``/v1/ü`` is sent as ``/v1/%C3%BC``). Each call is one POST: a
     connection error, a timeout, a body cut off, a 429 or a 5xx status
     raises the retryable ``TransportError``, any other failure a plain
     ``ProviderError``. On a 429 or a 503 the error carries the
@@ -263,6 +270,8 @@ class HttpChatProvider(CompletionProvider):
     api_key: str | None = None
     model: str | None = None
     timeout: float | None = None
+    # The endpoint with its path and query percent-encoded, as it is sent.
+    _url: str = field(default="", init=False, repr=False, compare=False)
     # Idle keep-alive connections, each with the request target it sends to.
     _idle: list = field(default_factory=list, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(
@@ -287,6 +296,10 @@ class HttpChatProvider(CompletionProvider):
             )
         if not self.endpoint:
             raise ValueError("no endpoint configured (flag, constructor, or BEAMQA_ENDPOINT)")
+        # C0, DEL and C1 controls; checked before parsing, which would drop
+        # tabs and line breaks without a word.
+        if any(ord(c) < 32 or 127 <= ord(c) < 160 for c in self.endpoint):
+            raise ValueError(f"endpoint must not hold a control character, got {self.endpoint!r}")
         try:
             parts = urlsplit(self.endpoint)
             parts.port  # raises unless the port is a number from 0 to 65535
@@ -296,6 +309,9 @@ class HttpChatProvider(CompletionProvider):
             raise ValueError(
                 f"endpoint must be an http:// or https:// URL with a host, got {self.endpoint!r}"
             )
+        self._url = urlunsplit(parts._replace(
+            path=quote(parts.path, safe=_URL_SAFE), query=quote(parts.query, safe=_URL_SAFE)
+        ))
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -376,7 +392,7 @@ class HttpChatProvider(CompletionProvider):
         import ssl
         import urllib.request
 
-        parts = urlsplit(self.endpoint)
+        parts = urlsplit(self._url)
         host, port = parts.hostname, parts.port
         target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
         proxy = urllib.request.getproxies().get(parts.scheme)

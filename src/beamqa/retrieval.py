@@ -138,12 +138,14 @@ class LexicalIndex:
     body ``text[off[2i+1]:off[2i+2]]`` of the UTF-8 ``text``, where ``off``
     is ``text_offsets``. ``index_corpus`` builds these arrays and
     ``load_index`` reads them; either hands them to the constructor as they
-    are. A ``Document`` is decoded only when asked for: for a hit, or by
-    ``documents``. Nothing is cached, so an index can be shared by threads.
+    are, so ``text`` is bytes-like: the ``bytearray`` the build filled, or
+    the ``bytes`` a file held; the index never changes it. A ``Document`` is
+    decoded only when asked for: for a hit, or by ``documents``. Nothing is
+    cached, so an index can be shared by threads.
     """
 
     def __init__(
-        self, ids: Sequence[str], text: bytes, text_offsets: array, doc_len: array,
+        self, ids: Iterable[str], text: bytes | bytearray, text_offsets: array, doc_len: array,
         terms: Sequence[str], offsets: array, positions: array, weights: array,
     ):
         self._ids = tuple(ids)
@@ -170,77 +172,68 @@ class LexicalIndex:
         return Document(self._ids[pos], text[title:body].decode("utf-8"), text[body:end].decode("utf-8"))
 
 
-def _text_block(docs: Sequence[Document]) -> tuple[bytes, array]:
-    """Every title and body as one UTF-8 block, and the 2n + 1 offsets that
-    cut it back into them."""
-    parts = []
-    offsets = array("q", [0])
-    size = 0
-    for doc in docs:
-        for field in (doc.title, doc.body):
-            raw = field.encode("utf-8")
-            parts.append(raw)
-            size += len(raw)
-            offsets.append(size)
-    return b"".join(parts), offsets
-
-
 def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
-    """Build an immutable index; duplicate ids, empty corpora and corpora
-    without a single token are rejected."""
-    docs = tuple(docs)
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.doc_id in seen:
-            raise DuplicateDocumentError(doc.doc_id)
-        seen.add(doc.doc_id)
-    if not seen:
-        raise ValueError("cannot index an empty corpus")
+    """Build an immutable index, reading ``docs`` once; duplicate ids, empty
+    corpora and corpora without a single token are rejected."""
+    ids: dict[str, None] = {}  # the document ids, in index order
+    text = bytearray()
+    text_offsets = array("q", [0])
     doc_len = array("i")
-    doc_terms: dict[str, array] = {}  # term -> [pos, tf, pos, tf, ...]
+    doc_terms: dict[str, array] = {}  # term -> the positions of its documents
+    repeats: dict[str, array] = {}  # term -> [k, tf, ...] for each tf != 1 at doc_terms[term][k]
     for i, doc in enumerate(docs):
+        if doc.doc_id in ids:
+            raise DuplicateDocumentError(doc.doc_id)
+        ids[doc.doc_id] = None
+        for field in (doc.title, doc.body):
+            text += field.encode("utf-8")
+            text_offsets.append(len(text))
         tokens = tokenize(f"{doc.title} {doc.body}")
         doc_len.append(len(tokens))
         for term, tf in Counter(tokens).items():
             posting = doc_terms.get(term)
             if posting is None:
-                doc_terms[term] = array("i", (i, tf))
-            else:
-                posting.append(i)
-                posting.append(tf)
+                posting = doc_terms[term] = array("i")
+            if tf != 1:
+                side = repeats.get(term)
+                if side is None:
+                    side = repeats[term] = array("i")
+                side.append(len(posting))
+                side.append(tf)
+            posting.append(i)
+    if not ids:
+        raise ValueError("cannot index an empty corpus")
     total_len = sum(doc_len)
     if not total_len:
         raise ValueError("no document has a token")
-    avg_doc_len = total_len / len(docs)
+    n = len(ids)
+    avg_doc_len = total_len / n
     # Each weight is idf * tf * (k1 + 1) / (tf + norm[pos]), evaluated in
     # the formula's order so that scores are the same to the last bit;
-    # tf == 1, most postings, takes the same operations precomputed.
+    # tf == 1, most postings, takes the same operations precomputed, and
+    # the postings in ``repeats`` are then overwritten by the whole formula.
     norm = [BM25_K1 * (1 - BM25_B + BM25_B * dl / avg_doc_len) for dl in doc_len]
     norm_tf1 = [1 + x for x in norm]
-    n = len(docs)
     k1_plus_1 = BM25_K1 + 1
     offsets = array("i", [0])
     positions = array("i")
     weights = array("d")
-    for posting in doc_terms.values():
-        term_positions = posting[0::2]
+    terms = list(doc_terms)
+    for term in terms:
+        # Each term's list is dropped once copied, so the lists and their
+        # copy do not take memory at the same time.
+        term_positions = doc_terms.pop(term)
         df = len(term_positions)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         num_tf1 = idf * 1 * k1_plus_1
+        start = len(positions)
         positions.extend(term_positions)
         offsets.append(len(positions))
-        weights.fromlist([
-            num_tf1 / norm_tf1[pos] if tf == 1 else idf * tf * k1_plus_1 / (tf + norm[pos])
-            for pos, tf in zip(term_positions, posting[1::2])
-        ])
-    terms = list(doc_terms)
-    # Join the text once the per-term lists are gone, so that the two
-    # never take memory at the same time.
-    del doc_terms
-    text, text_offsets = _text_block(docs)
-    return LexicalIndex(
-        [doc.doc_id for doc in docs], text, text_offsets, doc_len, terms, offsets, positions, weights
-    )
+        weights.fromlist([num_tf1 / norm_tf1[pos] for pos in term_positions])
+        side = repeats.get(term, ())
+        for k, tf in zip(side[0::2], side[1::2]):
+            weights[start + k] = idf * tf * k1_plus_1 / (tf + norm[term_positions[k]])
+    return LexicalIndex(ids, text, text_offsets, doc_len, terms, offsets, positions, weights)
 
 
 def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, float]]:
@@ -427,10 +420,10 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield line_no, record
 
 
-def load_corpus(path: str | Path) -> list[Document]:
-    """Read a line-delimited corpus of {id, title, text} records; a bad line,
-    or one that repeats an earlier id, raises ``LineFormatError``."""
-    docs: list[Document] = []
+def load_corpus(path: str | Path) -> Iterator[Document]:
+    """Yield each document of a line-delimited corpus of {id, title, text}
+    records as its line is read; a bad line, or one that repeats an earlier
+    id, raises ``LineFormatError`` when it is reached."""
     first_line: dict[str, int] = {}
     for line_no, raw in read_json_lines(path):
         doc_id = raw.get("id")
@@ -446,8 +439,7 @@ def load_corpus(path: str | Path) -> list[Document]:
             reason = f"duplicate id {doc_id!r} (first on line {first_line[doc_id]})"
             raise LineFormatError(path, line_no, reason)
         first_line[doc_id] = line_no
-        docs.append(Document(doc_id=doc_id, title=title, body=text))
-    return docs
+        yield Document(doc_id=doc_id, title=title, body=text)
 
 
 # The arrays of an index file, in file order, with their array typecodes;
@@ -578,9 +570,11 @@ def _all_in_range(items: array, n: int) -> bool:
     return True
 
 
-def _check_text(text: bytes, off: array, n_docs: int, check: Callable[[bool, str], None]) -> None:
-    """Check that ``off`` cuts ``text`` into ``n_docs`` titles and non-empty
-    bodies of whole UTF-8 characters, so that any hit decodes."""
+def _check_text(
+    text: bytes | bytearray, off: array, n_docs: int, check: Callable[[bool, str], None]
+) -> None:
+    """Check that ``off`` cuts the bytes-like ``text`` into ``n_docs`` titles
+    and non-empty bodies of whole UTF-8 characters, so that any hit decodes."""
     check(len(off) == 2 * n_docs + 1 and off[0] == 0 and off[-1] == len(text),
           "text offsets do not match the documents and the text")
     check(all(map(int.__le__, off, off[1:])), "text offsets are not ascending")

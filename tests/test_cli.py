@@ -111,6 +111,35 @@ def test_index_duplicate_id_fails_naming_it(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "last_line, reason",
+    [
+        ('{"id": "fact-0", "text": "again"}', "duplicate id 'fact-0' (first on line 1)"),
+        ('{"id": "late", "text": ""}', "missing or empty 'text'"),
+    ],
+    ids=["duplicate-id", "bad-record"],
+)
+def test_index_error_on_the_last_line_keeps_the_earlier_index(tmp_path, capsys, last_line, reason):
+    # The corpus is read while the index is built, so this error comes only
+    # after every other document has been indexed.
+    out = tmp_path / "i.json"
+    write_corpus(tmp_path / "earlier.jsonl", fact_corpus(3, {0}))
+    assert main(["index", "--corpus", str(tmp_path / "earlier.jsonl"), "--out", str(out)]) == 0
+    earlier = out.read_bytes()
+    capsys.readouterr()
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus_path, fact_corpus(200, {0}))
+    with corpus_path.open("a", encoding="utf-8") as corpus:
+        corpus.write(last_line + "\n")
+    code = main(["index", "--corpus", str(corpus_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {corpus_path}:201: {reason}\n"
+    assert captured.out == ""
+    assert out.read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "earlier.jsonl", "i.json"]
+
+
 def test_index_corpus_without_a_token_fails(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text('{"id": "a", "text": "..."}\n{"id": "b", "text": "!!"}\n', encoding="utf-8")
@@ -278,6 +307,16 @@ def test_malformed_endpoint_fails_before_any_call(monkeypatch, capsys, no_search
         f"error: endpoint must be an http:// or https:// URL with a host, got {endpoint!r}\n"
     )
     assert captured.out == ""
+
+
+def test_endpoint_with_a_control_character_fails_before_any_call(chat_server, monkeypatch, capsys):
+    monkeypatch.delenv("BEAMQA_ENDPOINT", raising=False)
+    endpoint = chat_server.url + "\n"
+    code = main(["ask", "who?", "--evidence-mode", "generate_background", "--endpoint", endpoint])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: endpoint must not hold a control character, got {endpoint!r}\n"
+    assert (captured.out, chat_server.connections) == ("", 0)
 
 
 @pytest.fixture()

@@ -303,7 +303,7 @@ def test_bad_dataset_and_corpus_lines_raise_the_same_error(tmp_path):
     dataset_path.write_text('{"question": "who?", "answers": ["x"]}\n["not an object"]\n', encoding="utf-8")
     for load, path, line_no in ((load_corpus, corpus_path, 3), (load_dataset, dataset_path, 2)):
         with pytest.raises(LineFormatError) as err:
-            load(path)
+            list(load(path))
         assert type(err.value) is LineFormatError
         assert err.value.line_no == line_no
         assert str(err.value) == f"{path}:{line_no}: record is not an object"

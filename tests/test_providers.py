@@ -338,6 +338,27 @@ def test_http_endpoint_must_be_an_http_url_with_a_host(endpoint):
     assert str(err.value) == f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}"
 
 
+@pytest.mark.parametrize(
+    "path, sent",
+    [("/v1/ü", "/v1/%C3%BC"), ("/a b", "/a%20b"), ("/v1/chat?tag=ü b&x=%41", "/v1/chat?tag=%C3%BC%20b&x=%41")],
+    ids=["non-ascii", "space", "query"],
+)
+def test_http_endpoint_path_is_sent_percent_encoded(chat_server, path, sent):
+    chat_server.replies = [chat_reply("encoded")]
+    provider = chat_server.provider(endpoint=f"http://127.0.0.1:{chat_server.server_port}{path}")
+    assert provider.endpoint.endswith(path)
+    assert provider.complete(req()).text == "encoded"
+    assert [post.path for post in chat_server.posts] == [sent]
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\x00", "\x7f", "\x85"])
+def test_http_endpoint_with_a_control_character_is_rejected(char):
+    endpoint = f"http://svc.test/v1/{char}chat"
+    with pytest.raises(ValueError) as err:
+        HttpChatProvider(endpoint=endpoint)
+    assert str(err.value) == f"endpoint must not hold a control character, got {endpoint!r}"
+
+
 def test_http_null_content_is_a_malformed_payload(chat_server):
     chat_server.replies = [chat_reply(None)]
     with pytest.raises(ProviderError, match="malformed completion payload") as err:
@@ -455,6 +476,14 @@ def test_http_proxy_gets_the_request_in_absolute_form(chat_server, monkeypatch):
     assert provider.complete(req()).text == "proxied"
     [post] = chat_server.posts
     assert (post.path, post.headers["host"]) == ("http://svc.test/v1/chat/completions?v=2", "svc.test")
+
+
+def test_http_proxy_gets_the_percent_encoded_url(chat_server, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{chat_server.server_port}")
+    chat_server.replies = [chat_reply("proxied")]
+    provider = chat_server.provider(endpoint="http://svc.test/v1/ü b")
+    assert provider.complete(req()).text == "proxied"
+    assert [post.path for post in chat_server.posts] == ["http://svc.test/v1/%C3%BC%20b"]
 
 
 def test_https_proxy_is_asked_for_a_tunnel(chat_server, monkeypatch):

@@ -1,13 +1,16 @@
 import heapq
 import json
+import math
 import random
 import re
 import sys
 import threading
+import tracemalloc
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from functools import partial
-from itertools import compress
+from itertools import accumulate, compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +175,77 @@ def test_average_doc_length_matches_hand_count():
 def test_empty_body_rejected():
     with pytest.raises(ValueError):
         Document("d", "title", "")
+
+
+_WORDS = st.lists(st.sampled_from(["ab", "cd", "é", "中文", "naïve", "x_y", "😀"]), max_size=10).map(" ".join)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(fields=st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=12))
+def test_index_file_is_the_same_from_a_one_shot_generator_and_a_list(tmp_path_factory, fields):
+    # Few words, so most bodies repeat one (tf > 1); titles may be empty.
+    docs = [Document(f"d{i}", title, f"w{i % 3} {body}") for i, (title, body) in enumerate(fields)]
+    path = tmp_path_factory.mktemp("same")
+    save_index(index_corpus(docs), path / "list")
+    save_index(index_corpus(doc for doc in docs), path / "generator")
+    assert (path / "generator").read_bytes() == (path / "list").read_bytes()
+
+
+@pytest.mark.parametrize("corpus", ["skewed", "non-ascii"])
+def test_each_weight_is_the_bm25_formula_to_the_last_bit(corpus):
+    """Postings with tf == 1 and with tf > 1 are weighted apart; each weight
+    is still idf * tf * (k1 + 1) / (tf + norm), evaluated in that order."""
+    if corpus == "skewed":
+        docs, _ = skewed_corpus(random.Random(5))
+    else:
+        docs = [
+            Document("d1", "Ωmega Ωmega", "naïve naïve naïve café"),
+            Document("d2", "", "中文 中文 café"),
+            Document("d3", "café", "straße 😀 straße x"),
+        ]
+    index = index_corpus(doc for doc in docs)
+    counts = [Counter(reference_tokenize(f"{doc.title} {doc.body}")) for doc in docs]
+    assert any(tf > 1 for count in counts for tf in count.values())
+    lengths = [sum(count.values()) for count in counts]
+    avg, n, k1, b = sum(lengths) / len(docs), len(docs), retrieval.BM25_K1, retrieval.BM25_B
+    for term, (start, end) in spans(index).items():
+        df = end - start
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        assert list(index._positions[start:end]) == [i for i, count in enumerate(counts) if term in count]
+        for pos, weight in zip(index._positions[start:end], index._weights[start:end]):
+            tf, norm = counts[pos][term], k1 * (1 - b + b * lengths[pos] / avg)
+            assert weight == idf * tf * (k1 + 1) / (tf + norm), (term, pos)
+
+
+def write_zipf_corpus(path, rng, n_docs, vocab_size=20000):
+    """A corpus of ``n_docs`` titled documents over Zipf(1) terms."""
+    cum_weights = list(accumulate(1 / rank for rank in range(1, vocab_size + 1)))
+    vocab = [f"t{rank}" for rank in range(vocab_size)]
+    with open(path, "w", encoding="utf-8") as out:
+        for i in range(n_docs):
+            title = " ".join(rng.choices(vocab, cum_weights=cum_weights, k=rng.randint(0, 3)))
+            body = " ".join(rng.choices(vocab, cum_weights=cum_weights, k=rng.randint(20, 120)))
+            out.write(json.dumps({"id": f"doc{i}", "title": title, "text": body}) + "\n")
+
+
+def test_building_from_a_corpus_file_peaks_below_one_and_a_half_times_the_index(tmp_path):
+    """The build reads the corpus once and holds neither its documents nor
+    a second copy of their text: besides the index it keeps the per-term
+    position lists, and frees each once it is copied."""
+    path = tmp_path / "corpus.jsonl"
+    write_zipf_corpus(path, random.Random(3), 2000)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        index = index_corpus(load_corpus(path))
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(index) == 2000
+    assert peak - start <= 1.5 * (size - start), (peak - start, size - start)
 
 
 # --- retrieval ----------------------------------------------------
@@ -442,7 +516,7 @@ def test_load_corpus_reads_jsonl(tmp_path):
         '{"id": "b", "text": "body two"}\n',
         encoding="utf-8",
     )
-    docs = load_corpus(path)
+    docs = list(load_corpus(path))
     assert [d.doc_id for d in docs] == ["a", "b"]
     assert docs[1].title == ""
 
@@ -451,7 +525,7 @@ def test_load_corpus_reports_line_numbers(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "ok"}\nnot json\n', encoding="utf-8")
     with pytest.raises(LineFormatError) as err:
-        load_corpus(path)
+        list(load_corpus(path))
     assert err.value.line_no == 2
 
 
@@ -467,7 +541,7 @@ def test_load_corpus_names_the_line_that_is_not_utf8(tmp_path, second_line, offs
     path = tmp_path / "corpus.jsonl"
     path.write_bytes('{"id": "a", "text": "café"}\n'.encode("utf-8") + second_line + b"\n")
     with pytest.raises(LineFormatError) as err:
-        load_corpus(path)
+        list(load_corpus(path))
     assert err.value.line_no == 2
     assert str(err.value) == f"{path}:2: not UTF-8 (byte 0xff at offset {offset})"
 
@@ -476,7 +550,7 @@ def test_load_corpus_requires_id_and_text(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"title": "no id", "text": "x"}\n', encoding="utf-8")
     with pytest.raises(LineFormatError) as err:
-        load_corpus(path)
+        list(load_corpus(path))
     assert "id" in str(err.value)
 
 
