@@ -9,9 +9,9 @@ import os
 import threading
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 from urllib.parse import quote, urlsplit, urlunsplit
 
 # Which engine function issued a request; every request carries one.
@@ -153,13 +153,6 @@ class ScriptRule:
             return False
         return True
 
-    def as_dict(self) -> dict:
-        """The set fields: unset (``None``) ones and ``repeat=False`` are left out."""
-        out = {k: v for k, v in asdict(self).items() if v is not None and v is not False}
-        if "contains" in out:
-            out["contains"] = list(self.contains)
-        return out
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ScriptRule":
         unknown = set(raw) - {f.name for f in fields(cls)}
@@ -217,11 +210,6 @@ class ScriptedProvider(CompletionProvider):
         """Rules never consumed; handy for asserting a fixture was exercised."""
         with self._lock:
             return [r for r, used in zip(self._rules, self._used) if not used and not r.repeat]
-
-
-def save_script(rules: Sequence[ScriptRule], path: str | Path) -> None:
-    payload = {"rules": [r.as_dict() for r in rules]}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_script(path: str | Path) -> ScriptedProvider:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Sequence
 
 from .accounting import CostLedger
 from .prompts import render_genread_prompt, render_summarize_prompt
@@ -363,14 +363,14 @@ def gather_evidence(
     original_question: str,
     query: str,
     config: "SearchConfig",
-    complete: Callable[[str, str], str],
+    complete: Callable[[str, str], Generator],
     index: LexicalIndex | None,
     ledger: CostLedger,
-) -> Evidence:
-    """Produce one Evidence for ``query``, per the configured mode.
-
-    ``complete(prompt, tag)`` sends a request and returns its text, and is
-    expected to count the call; ``ledger`` counts the retrieval.
+) -> Generator:
+    """Return one Evidence for ``query``, per the configured mode, from a
+    generator that yields what ``complete(prompt, tag)`` yields: a generator
+    that sends a request, counts the call and returns its text. ``ledger``
+    counts the retrieval.
 
     retrieve_summarize: one retrieval for ``query``, then a single
     summarization call over the concatenated top-N documents (framed by the
@@ -379,7 +379,7 @@ def gather_evidence(
     question, no retrieval.
     """
     if config.evidence_mode == GENERATE_BACKGROUND:
-        text = complete(render_genread_prompt(original_question), TAG_GENREAD)
+        text = yield from complete(render_genread_prompt(original_question), TAG_GENREAD)
         return Evidence(text.strip(), query, PROVENANCE_GENERATED)
     if index is None:
         raise ValueError("retrieve_summarize mode needs an index")
@@ -387,7 +387,7 @@ def gather_evidence(
     ledger.record_retrieval()
     if not hits:
         return Evidence("", query, PROVENANCE_RETRIEVED)
-    text = complete(render_summarize_prompt(original_question, _docs_block(hits)), TAG_SUMMARIZE)
+    text = yield from complete(render_summarize_prompt(original_question, _docs_block(hits)), TAG_SUMMARIZE)
     return Evidence(
         text.strip(),
         query,

@@ -9,32 +9,25 @@ checked against the threshold; every later level is pruned to the beam
 width, and the search stops early once a kept state reaches the threshold.
 
 ``SearchRun.run_search`` is the one way in. Each call makes a ``_Search``
-that holds the question's trace, ledger and id counter and, with ``workers``
-above one, a thread pool and a call gate, built once the question is checked
-and shut down when the call returns or raises. ``workers`` caps the provider
-calls in flight, not the threads: each call takes one of ``workers`` slots of
-the gate, and a waiting call gets the next free slot by rank, then by
-arrival. A depth-0 state's answer and score rank last, since nothing needs
-them before depth-1 pruning; every other call ranks first. The pool has
-2 x ``workers`` threads whatever the beam size or query count; at
-``workers=4`` that covers the at most 8 tasks live at depth 1 at the defaults.
-An ask reads only the question and a state's (query, evidence) history, and
-seeds are never pruned, so each seed's ask is sent as soon as its history
-exists: the direct seed's at once, the grounded seed's once its evidence is
-gathered. A search without an early exit is then 1 + 4 x levels calls deep
-(9 at the defaults). A parent's children start as soon as its ask returns;
-pruning waits for the whole level, because it needs every score, and the
-asks of depth 2 and below go out after it. Only the search's thread waits on
-a task, and a task waits only for a slot that a call in flight frees, so no
-worker count can deadlock. With one worker there is no gate and no thread
-starts: each task runs on the calling thread when its result is read, which
-is the seeds, then the level's asks in parent order, then its children in
-(parent order, query order). Ids and trace events are assigned after
-collection in that same order, so the trace never depends on completion order.
+that holds the question's trace, ledger, id counter and call queue. Each ask
+and each evaluation is a step, a generator that yields its requests with a
+rank: a depth-0 state's answer and score rank last, since nothing needs them
+before depth-1 pruning, and every other request first. With one worker no
+thread starts: a step runs when its result is read and sends its requests
+inline, so they go out as the seeds, the level's asks in parent order, then
+its children in (parent order, query order). Above one, a step starts when
+it is made; the search's thread runs every render, parse and retrieval,
+queues the requests by rank, then arrival, and hands at most ``workers`` at
+a time to a pool of ``workers`` threads that send them. Seeds are never
+pruned, so each seed's ask goes out once its history exists, and a search
+without an early exit is 1 + 4 x levels calls deep (9 at the defaults);
+other asks wait for pruning. Ids and trace events are assigned after
+collection in the serial order, so the trace never depends on completion
+order.
 
-Every provider call, evidence calls included, goes through one function,
-``_Search._complete``: it sends the request, retries a retryable failure
-in the same thread, and counts the call. That is the only retry layer.
+Every request comes from one generator, ``_Search._complete``, the only
+retry layer: it yields the request, yields the wait before a retry instead
+of sleeping, and counts the call.
 """
 
 from __future__ import annotations
@@ -42,13 +35,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import threading
+import queue
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Generator, Sequence
 
 from .accounting import CostLedger
 from .prompts import (
@@ -86,10 +78,6 @@ EXIT_NO_CANDIDATES = "no_candidates"
 RETRY_BACKOFF_S = 0.5
 # The longest wait a service's Retry-After can ask of one retry.
 MAX_RETRY_AFTER_S = 60.0
-
-# Pool threads per call slot. At workers=4 the 8 threads hold every task live
-# at depth 1 at the defaults, so a task waits for a slot, not for a thread.
-THREADS_PER_SLOT = 2
 
 
 class SearchError(Exception):
@@ -217,53 +205,9 @@ def _normalize_query(query: str) -> str:
     return " ".join(query.split()).casefold()
 
 
-class _Deferred:
-    """A task that runs when its result is read, on the reading thread, so
-    with one worker the order results are read in is the order calls are
-    sent in. The engine reads each result once."""
-
-    def __init__(self, fn: Callable, args: tuple):
-        self._fn, self._args = fn, args
-
-    def result(self):
-        return self._fn(*self._args)
-
-
-class _CallGate:
-    """At most ``slots`` calls in flight. A call that finds no free slot waits
-    and is handed the next freed one by rank (lower first), then by arrival.
-    Nobody waits while a slot is free."""
-
-    def __init__(self, slots: int):
-        self._free = slots
-        self._waiting: list[tuple[int, int, threading.Event]] = []
-        self._arrivals = itertools.count()
-        self._lock = threading.Lock()
-
-    @contextmanager
-    def slot(self, rank: int):
-        with self._lock:
-            turn = None
-            if self._free:
-                self._free -= 1
-            else:
-                turn = threading.Event()
-                heapq.heappush(self._waiting, (rank, next(self._arrivals), turn))
-        if turn is not None:
-            turn.wait()
-        try:
-            yield
-        finally:
-            with self._lock:
-                if self._waiting:
-                    heapq.heappop(self._waiting)[2].set()
-                else:
-                    self._free += 1
-
-
 @dataclass
 class _AskOutcome:
-    """A parent's ask, and one submitted evaluation per kept query."""
+    """A parent's ask, and one started evaluation per kept query."""
 
     raw_queries: list[str] = field(default_factory=list)
     kept_queries: list[str | None] = field(default_factory=list)
@@ -285,7 +229,7 @@ class _Outcome:
     error: ProviderError | None = None
     ledger: CostLedger = field(default_factory=CostLedger)
     api_before_score: int = 0
-    ask: Future | _Deferred | None = None
+    ask: Generator | None = None
 
 
 class SearchRun:
@@ -329,9 +273,9 @@ class SearchRun:
 
 
 class _Search:
-    """One question's search: its trace, ledger and id counter and, while it
-    runs with more than one worker, its pool and call gate. It borrows the
-    settings, provider and index of the ``SearchRun`` that made it."""
+    """One question's search: its trace, ledger, id counter, call queue and,
+    while it runs above one worker, its pool. It borrows the settings,
+    provider and index of the ``SearchRun`` that made it."""
 
     def __init__(self, owner: SearchRun, question: str):
         self.owner, self.config, self.index = owner, owner.config, owner.index
@@ -340,51 +284,109 @@ class _Search:
         self.ledger = CostLedger()
         self._next_id = 0
         self._pool: ThreadPoolExecutor | None = None
-        self._gate: _CallGate | None = None
+        # A step (an ask or an evaluation) yields (rank, request) or seconds to
+        # wait, is sent each response or thrown its failure, and returns its
+        # result, kept until read. Queued: (rank, arrival, step, request), (due, arrival, step).
+        self._results: dict[Generator, object] = {}
+        self._ready, self._timers = [], []
+        self._sending: dict[Future, Generator] = {}
+        self._ended: queue.SimpleQueue[Future] = queue.SimpleQueue()
+        self._arrivals = itertools.count()
 
-    def _complete(self, prompt: str, tag: str, ledger: CostLedger, last: bool = False) -> str:
-        """Send one request and count it into ``ledger``. A retryable failure
-        is sent again in the same thread, up to the run's ``retries`` times:
-        the first retry at once, retry k >= 2 after
-        ``RETRY_BACKOFF_S * 2 ** (k - 2)`` seconds, and any retry no sooner
-        than the failure's ``retry_after``, capped at ``MAX_RETRY_AFTER_S``.
-        Any other failure, such as a scripted mismatch, is raised at once.
-        While the search has a call gate each attempt holds one of its
-        slots, not the wait before it, and a ``last`` request waits behind
-        every other; without one the request goes out inline."""
+    def _complete(self, prompt: str, tag: str, ledger: CostLedger, last: bool = False) -> Generator:
+        """Yield one request, ranked last if ``last``, count it into ``ledger``
+        and return its text. A retryable failure is sent again, up to the
+        run's ``retries`` times: the first retry at once, retry k >= 2 after
+        ``RETRY_BACKOFF_S * 2 ** (k - 2)`` seconds, and none sooner than the
+        failure's ``retry_after``, capped at ``MAX_RETRY_AFTER_S``; the wait
+        is yielded, so it holds no sender. Any other failure is raised."""
         request = CompletionRequest(prompt=prompt, tag=tag)
-        provider, retries, gate = self.owner.provider, self.owner.retries, self._gate
+        retries = self.owner.retries
         for retry in range(retries + 1):
             try:
-                with gate.slot(int(last)) if gate else nullcontext():
-                    resp = provider.complete(request)
+                resp = yield int(last), request
             except ProviderError as err:
                 if not (err.retryable and retry < retries):
                     raise
                 backoff = RETRY_BACKOFF_S * 2 ** (retry - 1) if retry else 0.0
-                wait = max(backoff, min(err.retry_after or 0.0, MAX_RETRY_AFTER_S))
-                if wait:
-                    time.sleep(wait)
+                pause = max(backoff, min(err.retry_after or 0.0, MAX_RETRY_AFTER_S))
+                if pause:
+                    yield pause
                 continue
             ledger.record_api_call(resp.prompt_tokens, resp.completion_tokens)
             return resp.text
 
-    def _submit(self, fn: Callable, *args) -> Future | _Deferred:
-        """Start ``fn(*args)`` on the search's pool; with one worker, defer it
-        until its result is read. A task may submit further tasks but never
-        waits on one: only the search's thread reads results."""
+    # -- the call queue -------------------------------------------------------------
+
+    def _start(self, step: Generator) -> Generator:
+        """With a pool, run ``step`` to its first request or wait, which
+        joins the queue; without one, it runs when its result is read."""
+        if self._pool is not None:
+            self._queue(step)
+        return step
+
+    def _advance(self, step: Generator, reply=None, error: BaseException | None = None):
+        """Resume ``step`` on this thread with its last request's response or
+        error, and return what it yields next, or keep what it returns."""
+        try:
+            return step.throw(error) if error else step.send(reply)
+        except StopIteration as stop:
+            self._results[step] = stop.value
+
+    def _queue(self, step: Generator, reply=None, error: BaseException | None = None) -> None:
+        """Resume ``step`` and queue the request or wait it yields next."""
+        item = self._advance(step, reply, error)
+        if isinstance(item, tuple):
+            heapq.heappush(self._ready, (item[0], next(self._arrivals), step, item[1]))
+        elif step not in self._results:
+            heapq.heappush(self._timers, (time.monotonic() + item, next(self._arrivals), step))
+
+    def _result(self, step: Generator):
+        """Return ``step``'s result: without a pool, run the step, its sends and
+        its waits here; with one, run the queue until the step has returned."""
         if self._pool is None:
-            return _Deferred(fn, args)
-        return self._pool.submit(fn, *args)
+            item = self._advance(step)
+            while step not in self._results:
+                reply = error = None
+                if isinstance(item, tuple):
+                    try:
+                        reply = self.owner.provider.complete(item[1])
+                    except ProviderError as err:
+                        error = err
+                else:
+                    time.sleep(item)
+                item = self._advance(step, reply, error)
+        while step not in self._results:
+            self._turn()
+        return self._results.pop(step)
+
+    def _turn(self) -> None:
+        """Send the best-ranked requests while fewer than ``workers`` are in
+        flight, then resume a step whose send ended and any due a retry."""
+        while self._ready and len(self._sending) < self.owner.workers:
+            _, _, step, request = heapq.heappop(self._ready)
+            future = self._pool.submit(self.owner.provider.complete, request)
+            self._sending[future] = step
+            future.add_done_callback(self._ended.put)
+        timeout = max(self._timers[0][0] - time.monotonic(), 0.0) if self._timers else None
+        try:
+            future = self._ended.get(timeout=timeout)
+        except queue.Empty:
+            pass
+        else:
+            step, error = self._sending.pop(future), future.exception()
+            self._queue(step, None if error else future.result(), error)
+        while self._timers and self._timers[0][0] <= time.monotonic():
+            self._queue(heapq.heappop(self._timers)[2])
 
     def _emit(self, kind: str, payload: dict) -> None:
         self.trace.append(TraceEvent(kind=kind, payload=payload))
 
     # -- one parent: ask; one child: gather, answer, score -----------------------
 
-    def _ask(self, history: tuple[Evidence, ...], depth: int) -> _AskOutcome:
+    def _ask(self, history: tuple[Evidence, ...], depth: int) -> Generator:
         """Ask for the queries of this history's children at ``depth`` and
-        submit one child evaluation per kept query, without waiting for any
+        start one child evaluation per kept query, without waiting for any
         of them. At depth 0 the parent is the root, whose queries are the
         seeds', none and the question itself, with no provider call. Needs
         no answer or score, so it may run before its parent has an id."""
@@ -394,41 +396,40 @@ class _Search:
         else:
             prompt = render_ask_prompt(self.question, _history_pairs(history), self.config.max_queries)
             try:
-                text = self._complete(prompt, TAG_ASK, outcome.ledger)
+                text = yield from self._complete(prompt, TAG_ASK, outcome.ledger)
             except ProviderError as err:
                 outcome.error = str(err)
                 return outcome
             outcome.raw_queries = parse_questions(text, self.config.max_queries)
             seen = {_normalize_query(e.source_query) for e in history}
             outcome.kept_queries = [q for q in outcome.raw_queries if _normalize_query(q) not in seen]
-        submit = partial(self._submit, self._evaluate, history)
-        outcome.children = [submit(query, depth) for query in outcome.kept_queries]
+        outcome.children = [self._start(self._evaluate(history, q, depth)) for q in outcome.kept_queries]
         return outcome
 
-    def _evaluate(self, history: tuple[Evidence, ...], query: str | None, depth: int) -> _Outcome:
+    def _evaluate(self, history: tuple[Evidence, ...], query: str | None, depth: int) -> Generator:
         """Extend the history with evidence gathered for ``query`` (if one is
         given), then answer over the history and score the answer. A depth-0
-        state submits its ask once its history exists, and its answer and
-        score go out last. May run in a worker; a provider failure ends the
-        state and is kept in the outcome."""
+        state starts its ask once its history exists, and its answer and
+        score go out last. A provider failure ends the state and is kept in
+        the outcome."""
         outcome = _Outcome(query, history)
         ledger, seed = outcome.ledger, depth == 0
         try:
             if query is not None:
                 complete = partial(self._complete, ledger=ledger)
-                evidence = gather_evidence(self.question, query, self.config, complete, self.index, ledger)
-                outcome.history += (evidence,)
+                gather = gather_evidence(self.question, query, self.config, complete, self.index, ledger)
+                outcome.history += ((yield from gather),)
             if seed:
-                outcome.ask = self._submit(self._ask, outcome.history, 1)
+                outcome.ask = self._start(self._ask(outcome.history, 1))
             pairs = _history_pairs(outcome.history)
             prompt = render_answer_prompt(self.question, pairs)
-            answer = self._complete(prompt, TAG_ANSWER, ledger, seed).strip()
+            answer = (yield from self._complete(prompt, TAG_ANSWER, ledger, seed)).strip()
             if not answer:
                 # Contract violation: an unanswerable state cannot be scored.
                 raise ProviderError("provider returned an empty answer")
             outcome.answer, outcome.api_before_score = answer, ledger.api_times
             prompt = render_score_prompt(self.question, pairs, answer)
-            text = self._complete(prompt, TAG_SCORE, ledger, seed)
+            text = yield from self._complete(prompt, TAG_SCORE, ledger, seed)
         except ProviderError as err:
             outcome.error = err
             return outcome
@@ -481,23 +482,22 @@ class _Search:
         self._emit("scored", payload)
 
     def _level(
-        self, parents: list[tuple[SearchState | None, Future | _Deferred | None]], depth: int
+        self, parents: list[tuple[SearchState | None, Generator | None]], depth: int
     ) -> list[tuple[SearchState | None, _Outcome]]:
         """Collect one level and return each child's state (None if it
-        failed) and outcome. ``parents`` pairs each parent with its submitted
+        failed) and outcome. ``parents`` pairs each parent with its started
         ask, or with None to ask it now. Each parent's children start as soon
         as its own ask returns. Ids and events follow (parent order, query
         order), whatever the completion order: each seed gets a ``seeded``
         event and then its ``scored`` one; below depth 0 each parent gets an
         ``expanded`` event, and the level's ``scored`` events follow."""
-        submit_ask = partial(self._submit, self._ask)
-        asks = [ask or submit_ask(p.evidences, depth) for p, ask in parents]
-        asks = [task.result() for task in asks]
+        asks = [ask or self._start(self._ask(p.evidences, depth)) for p, ask in parents]
+        asks = [self._result(step) for step in asks]
         children = []
         for (parent, _), ask in zip(parents, asks):
             first = len(children)
-            for query, task in zip(ask.kept_queries, ask.children):
-                outcome = task.result()
+            for query, step in zip(ask.kept_queries, ask.children):
+                outcome = self._result(step)
                 if depth == 0:
                     entry = {"depth": 0, "variant": "direct" if query is None else "evidence"}
                 else:
@@ -530,9 +530,8 @@ class _Search:
         prune, stop early, and select the final answer."""
         config, workers = self.config, self.owner.workers
         if workers > 1:
-            self._gate = _CallGate(workers)
-            self._pool = ThreadPoolExecutor(max_workers=THREADS_PER_SLOT * workers)
-        parents = [(None, _Deferred(self._ask, ((), 0)))]
+            self._pool = ThreadPoolExecutor(max_workers=workers)
+        parents = [(None, self._start(self._ask((), 0)))]
         beam: Beam = []
         reason = EXIT_MAX_DEPTH
         try:
@@ -542,11 +541,11 @@ class _Search:
                 if depth == 0:
                     failures = [o.error for _, o in children if o.error is not None]
                     if failures:
-                        # Pooled asks and their children are sent already
-                        # (deferred ones never are): count them.
-                        pooled = self._pool is not None
-                        for ask in [o.ask.result() for _, o in children if o.ask and pooled]:
-                            self.ledger += sum((c.result().ledger for c in ask.children), ask.ledger)
+                        # Steps already started (with a pool, the seeds' asks
+                        # and their children) finish, and their calls count.
+                        while self._ready or self._timers or self._sending:
+                            self._turn()
+                        self.ledger += sum((r.ledger for r in self._results.values()), CostLedger())
                         raise failures[0]
                     # Seeds are neither pruned nor checked against the threshold.
                     beam = candidates
@@ -575,7 +574,7 @@ class _Search:
             raise SearchError(f"search aborted: {err}", tuple(self.trace), self.ledger) from err
         finally:
             if self._pool is not None:
-                self._pool.shutdown(cancel_futures=True)
+                self._pool.shutdown()
         winner = select_answer(beam)
         payload = {"state_id": winner.state_id, "answer": winner.answer, "score": winner.score}
         self._emit("finished", {**payload, "reason": reason})

@@ -7,9 +7,10 @@ fixtures independent of request arrival order, so the same script works for
 any worker count. Background-generation prompts are all identical by
 construction, so those use per-tag ordinal rules and need serial execution.
 
-Also here: a naive per-document BM25 oracle (no inverted index, and its own
-regex tokenizer), the canned corpora the golden-run tests use, and
-``ChatServer``, a loopback chat-completion service for the HTTP provider.
+Also here: the script-file writer, a naive per-document BM25 oracle (no
+inverted index, and its own regex tokenizer), the canned corpora the
+golden-run tests use, and ``ChatServer``, a loopback chat-completion service
+for the HTTP provider.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import math
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 from beamqa.prompts import (
     ScoreParseError,
@@ -48,6 +50,24 @@ from beamqa.retrieval import (
     retrieve,
 )
 from beamqa.search import SearchConfig
+
+
+# --- script files -----------------------------------------------------------
+
+
+def rule_dict(rule: ScriptRule) -> dict:
+    """A rule's set fields, as a script file holds them: unset (``None``)
+    ones and ``repeat=False`` are left out."""
+    out = {k: v for k, v in asdict(rule).items() if v is not None and v is not False}
+    if "contains" in out:
+        out["contains"] = list(rule.contains)
+    return out
+
+
+def save_script(rules, path) -> None:
+    """Write ``rules`` as a script file that ``load_script`` reads."""
+    payload = {"rules": [rule_dict(r) for r in rules]}
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --- response plans ---------------------------------------------------------

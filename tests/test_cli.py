@@ -6,7 +6,7 @@ import pytest
 import beamqa.cli
 from beamqa.cli import build_parser, main
 from beamqa.prompts import set_template_dir
-from beamqa.providers import ScriptedProvider, save_script
+from beamqa.providers import ScriptedProvider
 from beamqa.search import SearchConfig, SearchRun
 
 from support import (
@@ -18,6 +18,7 @@ from support import (
     fact_question,
     harpers_script,
     report_file_size,
+    save_script,
 )
 
 

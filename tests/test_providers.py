@@ -17,7 +17,6 @@ from beamqa.providers import (
     TransportError,
     estimate_tokens,
     load_script,
-    save_script,
 )
 from beamqa.search import (
     MAX_RETRY_AFTER_S,
@@ -28,7 +27,7 @@ from beamqa.search import (
     run_search,
 )
 
-from support import DROP, STALL, Reply, chat_reply, harpers_script
+from support import DROP, STALL, Reply, chat_reply, harpers_script, rule_dict, save_script
 
 
 def req(prompt="hello there", tag="answer"):
@@ -139,7 +138,7 @@ def test_scripted_provider_is_pure():
     ]
     outs = []
     for _ in range(2):
-        provider = ScriptedProvider([ScriptRule(**r.as_dict()) for r in rules])
+        provider = ScriptedProvider([ScriptRule(**rule_dict(r)) for r in rules])
         outs.append([provider.complete(req()).text, provider.complete(req()).text])
     assert outs[0] == outs[1] == ["a", "b"]
 
@@ -192,9 +191,9 @@ def test_rule_dict_round_trips_every_field():
         ScriptRule(response="a", tag="score", ordinal=2, repeat=True),
         ScriptRule(response="b", exact="full", contains=("x", "y"), prompt_tokens=0, completion_tokens=0),
     ]
-    assert [ScriptRule.from_dict(r.as_dict()) for r in rules] == rules
-    assert rules[0].as_dict() == {"response": "", "tag": "answer"}
-    assert rules[2].as_dict()["contains"] == ["x", "y"]
+    assert [ScriptRule.from_dict(rule_dict(r)) for r in rules] == rules
+    assert rule_dict(rules[0]) == {"response": "", "tag": "answer"}
+    assert rule_dict(rules[2])["contains"] == ["x", "y"]
 
 
 def test_rule_dict_with_an_unknown_field_is_rejected():
@@ -424,7 +423,7 @@ def test_http_connection_closed_while_idle_is_replaced_without_a_retry(chat_serv
 def test_pooled_search_over_http_matches_serial_and_shares_connections(chat_server):
     built, index, config = harpers_script()
     script = ScriptedProvider(
-        ScriptRule(**{**rule.as_dict(), "tag": None, "repeat": True}) for rule in built.rules
+        ScriptRule(**{**rule_dict(rule), "tag": None, "repeat": True}) for rule in built.rules
     )
 
     def respond(post):

@@ -456,18 +456,19 @@ def test_retrieve_rejects_nonpositive_n():
 # --- evidence gathering ----------------------------------------------------
 
 
-def engine_complete(config, provider, index, ledger):
-    """The engine's own send-and-count function, counting into ``ledger``."""
+def engine_gather(question, query, config, provider, index, ledger):
+    """``gather_evidence`` run as the engine runs a step, through its own
+    send-and-count generator, counting into ``ledger``."""
     search = _Search(SearchRun(config, provider, index=index), "who?")
-    return partial(search._complete, ledger=ledger)
+    complete = partial(search._complete, ledger=ledger)
+    return search._result(search._start(gather_evidence(question, query, config, complete, index, ledger)))
 
 
 def test_generate_background_mode_costs_one_call_no_retrieval():
     provider = ScriptedProvider([ScriptRule(response="Generated background.", tag="genread")])
     ledger = CostLedger()
     config = SearchConfig(evidence_mode=GENERATE_BACKGROUND)
-    complete = engine_complete(config, provider, None, ledger)
-    evidence = gather_evidence("who?", "who exactly?", config, complete, None, ledger)
+    evidence = engine_gather("who?", "who exactly?", config, provider, None, ledger)
     assert evidence.provenance == "generated"
     assert evidence.doc_ids == ()
     assert evidence.text == "Generated background."
@@ -480,8 +481,7 @@ def test_retrieve_summarize_mode_costs_one_call_one_retrieval():
     provider = ScriptedProvider([ScriptRule(response="Cats sat on mats.", tag="summarize")])
     ledger = CostLedger()
     config = SearchConfig(retrieval_docs=2)
-    complete = engine_complete(config, provider, index, ledger)
-    evidence = gather_evidence("who sat?", "cat mat", config, complete, index, ledger)
+    evidence = engine_gather("who sat?", "cat mat", config, provider, index, ledger)
     assert evidence.provenance == "retrieved"
     assert evidence.text == "Cats sat on mats."
     assert 1 <= len(evidence.doc_ids) <= 2
@@ -493,8 +493,7 @@ def test_zero_hit_retrieval_yields_empty_evidence_without_call():
     index = index_corpus(docs3())
     provider = ScriptedProvider([])  # any call would raise
     ledger = CostLedger()
-    complete = engine_complete(SearchConfig(), provider, index, ledger)
-    evidence = gather_evidence("who?", "zebra xylophone", SearchConfig(), complete, index, ledger)
+    evidence = engine_gather("who?", "zebra xylophone", SearchConfig(), provider, index, ledger)
     assert evidence.text == ""
     assert evidence.doc_ids == ()
     assert (ledger.api_times, ledger.retrieval_times) == (0, 1)

@@ -28,9 +28,8 @@ from beamqa.providers import (
     ScriptedProvider,
     TransportError,
 )
-from beamqa.retrieval import GENERATE_BACKGROUND, _docs_block, index_corpus, retrieve
+from beamqa.retrieval import GENERATE_BACKGROUND, Document, _docs_block, index_corpus, retrieve
 from beamqa.search import (
-    THREADS_PER_SLOT,
     SearchConfig,
     SearchError,
     SearchRun,
@@ -778,6 +777,73 @@ def test_failures_repeat_exactly_across_worker_counts(scenario, workers):
     assert pooled.ledger == serial.ledger
 
 
+def draw(*key) -> float:
+    """A number in [0, 1) drawn from a hash of ``key``."""
+    digest = hashlib.sha1("|".join(map(str, key)).encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+class JitterProvider:
+    """Delegates to a scripted provider after a sleep of 0-1 ms drawn from a
+    hash of the salted request, so completion order varies from run to run of
+    the same plan; a request whose own draw falls under ``fail_rate`` fails
+    with a non-retryable ``ProviderError``."""
+
+    def __init__(self, inner, salt, fail_rate):
+        self.inner, self.salt, self.fail_rate = inner, salt, fail_rate
+
+    def complete(self, request):
+        time.sleep(draw(self.salt, request.tag, request.prompt) / 1000)
+        if draw("fail", self.salt, request.tag, request.prompt) < self.fail_rate:
+            raise ProviderError(f"injected {request.tag} failure")
+        return self.inner.complete(request)
+
+
+def test_random_plans_repeat_exactly_across_worker_counts():
+    """Random trees at beam 1-3 and depth 1-3, with some requests failing:
+    every worker count gives the serial trace, ledger and answer, or the
+    serial ``SearchError`` trace. A failed seed's ledger above one worker
+    also counts the asks and children already started, the same at every
+    worker count above one."""
+    # Each query's number, and each question's q-name, has a document of its
+    # own, so no two gathers retrieve the same documents.
+    docs = [Document(f"t{k}", f"tree note {k}", f"tree query {k} and its notes") for k in range(300)]
+    docs += [Document(f"q{i}", f"question q{i}", f"background of q{i}") for i in range(24)]
+    index = index_corpus(docs)
+    rng = random.Random(24)
+    ended = {"completed": 0, "aborted": 0}
+    for i in range(24):
+        plan, max_depth = random_tree_plan(rng, f"tree question q{i}?")
+        config = SearchConfig(
+            beam_size=rng.randint(1, 3),
+            max_depth=max_depth,
+            max_queries=3,
+            score_threshold=rng.choice([0.9, 1.0]),
+        )
+        rules = ScriptBuilder(config, index).build(plan).rules
+        salt = rng.getrandbits(32)
+
+        def search(workers):
+            provider = JitterProvider(ScriptedProvider(rules), salt, fail_rate=0.03)
+            try:
+                return run_search(plan.question, config, provider, index=index, workers=workers)
+            except SearchError as err:
+                return err
+
+        serial = search(1)
+        pooled = [search(workers) for workers in WORKER_SWEEP[1:]]
+        for other in pooled:
+            assert type(other) is type(serial)
+            assert [e.to_json_line() for e in other.trace] == [e.to_json_line() for e in serial.trace]
+            if isinstance(serial, SearchError):
+                assert other.ledger == pooled[0].ledger
+                assert other.ledger.api_times >= serial.ledger.api_times
+            else:
+                assert (other.final_answer, other.ledger) == (serial.final_answer, serial.ledger)
+        ended["aborted" if isinstance(serial, SearchError) else "completed"] += 1
+    assert min(ended.values()) >= 2, ended
+
+
 class GatedProvider:
     """Delegates to a scripted provider; the ``gated`` request waits (at most
     ``timeout`` seconds) until the ``opener`` request has been sent."""
@@ -860,7 +926,7 @@ def test_one_worker_sends_every_request_inline_in_serial_order():
     assert provider.requests == [(rule.tag, rule.exact) for rule in built.rules]
 
 
-# --- the call gate ------------------------------------------------------------
+# --- the call queue -----------------------------------------------------------
 
 
 class StaggeredProvider:
@@ -950,32 +1016,44 @@ def wait_until(predicate, timeout=5.0):
         time.sleep(0.001)
 
 
-def test_waiting_asks_and_children_go_out_before_an_older_waiting_seed_answer(monkeypatch):
+@pytest.fixture
+def searches(monkeypatch):
+    """Every ``_Search`` the engine makes while the test runs."""
+    made = []
+
+    class RecordedSearch(beamqa.search._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(beamqa.search, "_Search", RecordedSearch)
+    return made
+
+
+def assert_queue_empty(search):
+    # A request lost, or sent twice, would leave the queue unbalanced.
+    assert (search._ready, search._timers, search._sending, search._results) == ([], [], {}, {})
+    assert search._ended.empty()
+
+
+def test_waiting_asks_and_children_go_out_before_an_older_waiting_seed_answer(searches):
     built, index, config = harpers_script()
     question, plan = built.question, harpers_plan()
     hits = retrieve(index, question, config.retrieval_docs)
     grounded_summarize = ("summarize", render_summarize_prompt(question, _docs_block(hits)))
     direct_ask = ("ask", render_ask_prompt(question, [], config.max_queries))
+    direct_answer = ("answer", render_answer_prompt(question, []))
     grounded_history = [(question, plan.grounded_evidence)]
     grounded_ask = ("ask", render_ask_prompt(question, grounded_history, config.max_queries))
     grounded_answer = ("answer", render_answer_prompt(question, grounded_history))
     provider = HoldingProvider(ScriptedProvider(built.rules))
     run = SearchRun(config, provider, index=index, workers=2)
-    searches = []
-
-    class RecordedSearch(beamqa.search._Search):
-        def __init__(self, *args):
-            super().__init__(*args)
-            searches.append(self)
-
-    monkeypatch.setattr(beamqa.search, "_Search", RecordedSearch)
     results = []
     search = threading.Thread(target=lambda: results.append(run.run_search(question)))
     search.start()
 
     def waiting():
-        gate = searches[0]._gate if searches else None
-        return 0 if gate is None else len(gate._waiting)
+        return len(searches[0]._ready) if searches else 0
 
     def release_and_see_next(key):
         sent = len(provider.arrived)
@@ -984,118 +1062,98 @@ def test_waiting_asks_and_children_go_out_before_an_older_waiting_seed_answer(mo
         return provider.arrived[sent]
 
     try:
-        # The direct seed's answer and ask and the grounded seed's summarize:
-        # two hold the two slots, one waits. Let the direct seed's answer
-        # through if it holds a slot, so that the slots hold the two calls
-        # that feed children and one direct seed call waits.
-        wait_until(lambda: len(provider.held()) == 2 and waiting() == 1)
-        for key in provider.held():
-            if key[0] == "answer":
-                provider.release(key)
-        wait_until(
-            lambda: set(provider.held()) == {grounded_summarize, direct_ask} and waiting() == 1
-        )
-        # The waiting seed call takes the summarize's slot; the grounded
-        # seed's answer and ask then both wait.
-        provider.release(grounded_summarize)
-        wait_until(lambda: len(provider.held()) == 2 and waiting() == 2)
-        (seed_call,) = [key for key in provider.held() if key != direct_ask]
-        assert release_and_see_next(direct_ask) == grounded_ask
-        # The direct seed's first child now waits behind the grounded seed's
-        # answer, which has waited longer, and still goes out first.
+        # The direct seed's ask and the grounded seed's summarize hold the
+        # two senders, and the direct seed's answer waits.
+        wait_until(lambda: set(provider.held()) == {grounded_summarize, direct_ask} and waiting() == 1)
+        # The grounded seed's ask, queued after that answer, takes the
+        # summarize's sender; the grounded seed's answer waits too.
+        assert release_and_see_next(grounded_summarize) == grounded_ask
         wait_until(lambda: waiting() == 2)
-        assert release_and_see_next(seed_call)[0] == "summarize"
-        assert grounded_answer not in provider.arrived
+        # The direct seed's first child goes out before both answers.
+        assert release_and_see_next(direct_ask)[0] == "summarize"
+        assert direct_answer not in provider.arrived and grounded_answer not in provider.arrived
     finally:
         provider.open()
         search.join(timeout=10)
     assert not search.is_alive()
     assert results[0].trace_lines() == harpers_result(workers=1)[1].trace_lines()
+    assert_queue_empty(searches[0])
 
 
-def test_the_gate_keeps_its_slot_count_under_thread_churn():
-    gate = beamqa.search._CallGate(3)
-    lock = threading.Lock()
-    counts = {"in_flight": 0, "peak": 0, "done": 0}
-
-    def calls(rank):
-        for _ in range(200):
-            with gate.slot(rank):
-                with lock:
-                    counts["in_flight"] += 1
-                    counts["peak"] = max(counts["peak"], counts["in_flight"])
-                time.sleep(0)
-                with lock:
-                    counts["in_flight"] -= 1
-                    counts["done"] += 1
-
+def test_calls_in_flight_stay_within_workers_under_thread_churn(searches):
+    config = genread_config(beam_size=4, max_queries=4)
+    provider = FanoutProvider(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=calls, args=(i % 2,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=20)
+        results = [run_search("who?", config, provider, workers=3) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert counts["done"] == 8 * 200
-    assert counts["peak"] <= 3
-    # A lost hand-off or a slot freed twice would leave the count off.
-    assert (gate._free, gate._waiting) == (3, [])
+    assert [r.ledger.api_times for r in results] == [5 + 6 * (1 + 3 * 4)] * 3
+    assert provider.peak <= 3
+    for search in searches:
+        assert_queue_empty(search)
+
+
+class RetryingProvider:
+    """Delegates to a scripted provider after ``pause_s``, failing the first
+    ``failures`` attempts at ``key`` with ``error``; records each attempt's
+    key, start and end."""
+
+    def __init__(self, inner, key, failures, error, pause_s=0.01):
+        self.inner, self.key, self.error, self.pause_s = inner, key, error, pause_s
+        self.failures_left = failures
+        self.lock = threading.Lock()
+        self.attempts = []
+
+    def complete(self, request):
+        key, start = (request.tag, request.prompt), time.monotonic()
+        with self.lock:
+            fail = key == self.key and self.failures_left > 0
+            self.failures_left -= fail
+        try:
+            time.sleep(self.pause_s)
+            if fail:
+                raise self.error("transient blip")
+            return self.inner.complete(request)
+        finally:
+            with self.lock:
+                self.attempts.append((key, start, time.monotonic()))
+
+
+def calls_in_flight_during_the_retry_wait(provider, workers, retries=1):
+    """Run the harpers search with the direct seed's ask failing as
+    ``provider`` says; return the wait before its last attempt and the most
+    other calls in flight at once during that wait."""
+    built, index, config = harpers_script()
+    direct_ask = ("ask", render_ask_prompt(built.question, [], config.max_queries))
+    provider = provider(ScriptedProvider(built.rules), direct_ask)
+    run = SearchRun(config, provider, index=index, workers=workers, retries=retries)
+    result = run.run_search(built.question)
+    assert result.trace_lines() == harpers_result(workers=1)[1].trace_lines()
+    mine = [(start, end) for key, start, end in provider.attempts if key == provider.key]
+    wait_from, wait_to = mine[-2][1], mine[-1][0]
+    others = [(s, e) for key, s, e in provider.attempts if key != provider.key]
+    moments = [wait_from] + [s for s, _ in others if wait_from < s < wait_to]
+    peak = max(sum(s <= t < e for s, e in others) for t in moments)
+    return wait_to - wait_from, peak
 
 
 def test_a_retry_backoff_holds_no_call_slot(monkeypatch):
-    built, index, config = harpers_script()
-    provider = FlakyOnce(ScriptedProvider(built.rules), failures=2)
-    run = SearchRun(config, provider, index=index, retries=2)
-    search = beamqa.search._Search(run, built.question)
-    search._gate = beamqa.search._CallGate(1)
-    slot_free_in_backoff = []
-
-    def sleep(seconds):
-        # Another call takes the gate's one slot while this request backs off.
-        taken = threading.Event()
-
-        def take():
-            with search._gate.slot(0):
-                taken.set()
-
-        threading.Thread(target=take, daemon=True).start()
-        slot_free_in_backoff.append(taken.wait(2))
-
-    monkeypatch.setattr(beamqa.search.time, "sleep", sleep)
-    rule = built.rules[0]
-    assert search._complete(rule.exact, rule.tag, CostLedger()) == rule.response
-    assert provider.attempts == 3
-    assert slot_free_in_backoff == [True]
+    monkeypatch.setattr(beamqa.search, "RETRY_BACKOFF_S", 0.1)
+    provider = partial(RetryingProvider, failures=2, error=TransportError)
+    waited, peak = calls_in_flight_during_the_retry_wait(provider, workers=2, retries=2)
+    # The second retry backs off; both senders carry other calls meanwhile.
+    assert waited >= 0.1
+    assert peak == 2
 
 
-def test_a_retry_after_wait_holds_no_call_slot(monkeypatch):
-    built, index, config = harpers_script()
-    provider = FlakyOnce(ScriptedProvider(built.rules), error=partial(TransportError, retry_after=4.0))
-    run = SearchRun(config, provider, index=index)
-    search = beamqa.search._Search(run, built.question)
-    search._gate = beamqa.search._CallGate(1)
-    waits = []
-
-    def sleep(seconds):
-        # Another call takes the gate's one slot while this request waits.
-        taken = threading.Event()
-
-        def take():
-            with search._gate.slot(0):
-                taken.set()
-
-        threading.Thread(target=take, daemon=True).start()
-        waits.append((seconds, taken.wait(2)))
-
-    monkeypatch.setattr(beamqa.search.time, "sleep", sleep)
-    rule = built.rules[0]
-    assert search._complete(rule.exact, rule.tag, CostLedger()) == rule.response
-    assert provider.attempts == 2
-    assert waits == [(4.0, True)]
+def test_a_retry_after_wait_holds_no_call_slot():
+    error = partial(TransportError, retry_after=0.1)
+    provider = partial(RetryingProvider, failures=1, error=error)
+    waited, peak = calls_in_flight_during_the_retry_wait(provider, workers=2)
+    assert waited >= 0.1
+    assert peak == 2
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -1109,7 +1167,8 @@ def test_complete_outside_a_run_sends_inline(workers):
         run.provider = RecordingProvider(ScriptedProvider(rules))
         ledger = CostLedger()
         search = beamqa.search._Search(run, built.question)
-        assert search._complete(rule.exact, rule.tag, ledger) == rule.response
+        step = search._start(search._complete(rule.exact, rule.tag, ledger))
+        assert search._result(step) == rule.response
         assert run.provider.threads == [threading.current_thread()]
         assert ledger.api_times == 1
         run.run_search(built.question)
@@ -1209,16 +1268,23 @@ def test_one_run_answers_two_questions_at_once(workers):
 
 class FanoutProvider:
     """Asks return ``max_queries`` questions named after the prompt, scores
-    are 0.5 and everything else is a fixed text; records each call's thread."""
+    are 0.5 and everything else is a fixed text; records each call's thread
+    and the most calls it ever had in flight at once."""
 
     def __init__(self, max_queries):
         self.max_queries = max_queries
         self.lock = threading.Lock()
         self.threads = set()
+        self.in_flight = self.peak = 0
 
     def complete(self, request):
         with self.lock:
             self.threads.add(threading.current_thread())
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(0)
+        with self.lock:
+            self.in_flight -= 1
         if request.tag == "ask":
             name = hashlib.sha1(request.prompt.encode()).hexdigest()[:8]
             text = "\n".join(f"{i}. what about {name} {i}?" for i in range(1, self.max_queries + 1))
@@ -1237,10 +1303,11 @@ def test_every_call_runs_on_the_swapped_pool_within_the_thread_bound(counted_poo
     # Five seed calls, then per level each parent asks once and each child makes three.
     assert result.ledger.api_times == 5 + (2 + width) * (1 + 3 * width)
     assert len(pools) == 1
-    # The cap follows workers alone, however many tasks a level holds.
-    assert pools[0].max_workers == THREADS_PER_SLOT * workers
+    # The cap follows workers alone, however many requests a level holds.
+    assert pools[0].max_workers == workers
     assert provider.threads <= threads
-    assert len(threads) <= THREADS_PER_SLOT * workers
+    assert len(threads) <= workers
+    assert provider.peak <= workers
     assert_no_worker_alive(threads)
 
 
