@@ -152,7 +152,6 @@ class LexicalIndex:
         self._text = text
         self._text_offsets = text_offsets
         self._doc_len = doc_len
-        self.avg_doc_len = sum(doc_len) / len(self._ids)
         self._term_ids = dict(zip(terms, range(len(terms))))
         self._offsets = offsets
         self._positions = positions
@@ -273,24 +272,24 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
         k = term_ids.get(term)
         if k is not None:
             query_spans.append((offsets[k], offsets[k + 1]))
-    # No weight reaches idf * (k1 + 1), since tf / (tf + norm) < 1, so a term
-    # repeated m times adds less than m * idf * (k1 + 1) to any score.
+    # No weight reaches idf * (k1 + 1), since tf / (tf + norm) < 1; a term
+    # repeated in the query has one list, and one such bound, per occurrence.
     n_docs, k1_plus_1 = len(index), BM25_K1 + 1
     terms = []
-    for (start, end), mult in Counter(query_spans).items():
+    for start, end in query_spans:
         df = end - start
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        terms.append((mult * idf * k1_plus_1, start, end, mult))
+        terms.append((idf * k1_plus_1, start, end))
     terms.sort(reverse=True)
 
     # Read the lists from the highest bound down while a document found in
     # none of them so far could still make the top n.
     partial: dict[int, float] = {}
     unread = []
-    for i, (_, start, end, mult) in enumerate(terms):
+    for i, (_, start, end) in enumerate(terms):
         if len(partial) >= n:
             floor = heapq.nlargest(n, partial.values())[-1] * (1 - _PRUNE_MARGIN)
-            rest = sum(bound for bound, _, _, _ in terms[i:])
+            rest = sum(bound for bound, _, _ in terms[i:])
             if rest < floor:
                 unread = terms[i:]
                 # n documents score at least the floor, so one whose partial
@@ -299,8 +298,6 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
                 partial = {pos: score for pos, score in partial.items() if score + rest >= floor}
                 break
         span, added = positions[start:end], weights[start:end]
-        if mult > 1:
-            added = [mult * weight for weight in added]
         # Add the smaller side into the larger: a list longer than the
         # partial scores becomes the dict, and the scores are folded into it.
         if len(partial) < len(span):
@@ -314,16 +311,16 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
                 partial[pos] = get(pos, 0.0) + weight
 
     # Finish the survivors on the unread lists.
-    for _, start, end, mult in unread:
+    for _, start, end in unread:
         if _one_pass_touches_fewer(end - start, len(partial)):
             for pos, weight in zip(positions[start:end], weights[start:end]):
                 if pos in partial:
-                    partial[pos] += mult * weight
+                    partial[pos] += weight
         else:
             for pos in partial:
                 k = bisect_left(positions, pos, start, end)
                 if k < end and positions[k] == pos:
-                    partial[pos] += mult * weights[k]
+                    partial[pos] += weights[k]
 
     # Prune again at the n-th best finished score; score the rest exactly.
     if len(partial) > n:
@@ -337,9 +334,6 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
             if k < end and positions[k] == pos:
                 score += weights[k]
         matches.append((pos, score))
-    if len(matches) > n:
-        cutoff = heapq.nlargest(n, [score for _, score in matches])[-1]
-        matches = [match for match in matches if match[1] >= cutoff]
     ids = index._ids
     matches.sort(key=lambda kv: (-kv[1], ids[kv[0]]))
     return [(index._document(pos), score) for pos, score in matches[:n]]
@@ -381,8 +375,6 @@ def gather_evidence(
     if config.evidence_mode == GENERATE_BACKGROUND:
         text = yield from complete(render_genread_prompt(original_question), TAG_GENREAD)
         return Evidence(text.strip(), query, PROVENANCE_GENERATED)
-    if index is None:
-        raise ValueError("retrieve_summarize mode needs an index")
     hits = retrieve(index, query, config.retrieval_docs)
     ledger.record_retrieval()
     if not hits:

@@ -546,7 +546,8 @@ class _Search:
                         while self._ready or self._timers or self._sending:
                             self._turn()
                         self.ledger += sum((r.ledger for r in self._results.values()), CostLedger())
-                        raise failures[0]
+                        err = failures[0]
+                        raise SearchError(f"search aborted: {err}", tuple(self.trace), self.ledger) from err
                     # Seeds are neither pruned nor checked against the threshold.
                     beam = candidates
                 elif not candidates:
@@ -570,8 +571,6 @@ class _Search:
                     # asks every other parent.
                     sent = {s.state_id: o.ask for s, o in children if o.ask}
                     parents = [(p, sent.get(p.state_id)) for p in beam]
-        except ProviderError as err:
-            raise SearchError(f"search aborted: {err}", tuple(self.trace), self.ledger) from err
         finally:
             if self._pool is not None:
                 self._pool.shutdown()

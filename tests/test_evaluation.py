@@ -311,7 +311,13 @@ def test_bad_dataset_and_corpus_lines_raise_the_same_error(tmp_path):
 
 def test_load_dataset_reports_line_numbers(tmp_path):
     path = tmp_path / "data.jsonl"
-    path.write_text('{"question": "who?", "answers": ["x"]}\n{"question": "bad"}\n', encoding="utf-8")
-    with pytest.raises(LineFormatError) as err:
-        load_dataset(path)
-    assert err.value.line_no == 2
+    for bad, reason in (
+        ('{"question": "bad"}', "'answers' must be a non-empty string list"),
+        ('{"answers": ["x"]}', "missing or empty 'question'"),
+        ('{"question": " ", "answers": ["x"]}', "missing or empty 'question'"),
+    ):
+        path.write_text('{"question": "who?", "answers": ["x"]}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(LineFormatError) as err:
+            load_dataset(path)
+        assert err.value.line_no == 2
+        assert str(err.value) == f"{path}:2: {reason}"

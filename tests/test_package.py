@@ -41,7 +41,7 @@ def test_importing_the_package_loads_no_network_stack():
     # Only opening an HTTP connection may load these; a scripted run never does.
     code = (
         "import sys, beamqa, beamqa.cli; "
-        "print(sorted({'requests', 'urllib3', 'http.client', 'ssl'} & set(sys.modules)))"
+        "print(sorted({'requests', 'urllib3', 'http.client', 'ssl', 'urllib.request'} & set(sys.modules)))"
     )
     src = str(pathlib.Path(beamqa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

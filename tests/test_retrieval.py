@@ -167,9 +167,7 @@ def test_average_doc_length_matches_hand_count():
     index = index_corpus(docs3())
     # titles are indexed too: 1+7, 1+7, 1+6 tokens
     lengths = [8, 8, 7]
-    assert index.avg_doc_len == pytest.approx(sum(lengths) / 3)
-    for i, expected in enumerate(lengths):
-        assert index._doc_len[i] == expected
+    assert index._doc_len.tolist() == lengths
 
 
 def test_empty_body_rejected():
@@ -522,10 +520,15 @@ def test_load_corpus_reads_jsonl(tmp_path):
 
 def test_load_corpus_reports_line_numbers(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    path.write_text('{"id": "a", "text": "ok"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(LineFormatError) as err:
-        list(load_corpus(path))
-    assert err.value.line_no == 2
+    for bad, reason in (
+        ("not json", "invalid JSON (Expecting value)"),
+        ('{"id": "b", "title": 7, "text": "x"}', "'title' must be a string"),
+    ):
+        path.write_text('{"id": "a", "text": "ok"}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(LineFormatError) as err:
+            list(load_corpus(path))
+        assert err.value.line_no == 2
+        assert str(err.value) == f"{path}:2: {reason}"
 
 
 @pytest.mark.parametrize(
@@ -606,7 +609,7 @@ def test_an_older_index_file_is_rejected_with_a_rebuild_message(tmp_path, data):
 def assert_same_index(loaded, fresh, queries):
     assert len(loaded) == len(fresh)
     assert loaded.documents == fresh.documents
-    assert repr(loaded.avg_doc_len) == repr(fresh.avg_doc_len)
+    assert loaded._doc_len == fresh._doc_len
     for query in queries:
         for n in (1, 2, 10):
             expected = [(d, repr(s)) for d, s in retrieve(fresh, query, n)]

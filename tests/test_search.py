@@ -435,21 +435,32 @@ def failed_ask_rules(built):
     )
 
 
+def blank_answer_rules(rules, prompt):
+    """The rules with the answer to ``prompt`` made blank."""
+    return [replace(rule, response="  ") if rule.exact == prompt else rule for rule in rules]
+
+
 def test_failed_child_is_skipped_and_recorded():
     built, index, config = harpers_script()
-    broken_query = harpers_plan().direct.children[0].query
-    rules = failed_child_rules(built)
-    result = run_search(built.question, config, ScriptedProvider(rules), index=index)
-    # The 0.8 child is gone; its sibling at 0.7 still wins depth 1.
-    assert result.final_answer == "First Lieutenant Israel Greene"
-    expanded = [e for e in result.trace if e.kind == "expanded"]
-    failed = [c for e in expanded for c in e.payload["children"] if c.get("error")]
-    assert len(failed) == 1
-    assert failed[0]["state_id"] is None
-    assert failed[0]["query"] == broken_query
-    # Calls burned before the failure still reconcile with the ledger.
-    api, retrievals = recount_trace_costs(result.trace)
-    assert (api, retrievals) == (result.ledger.api_times, result.ledger.retrieval_times)
+    child = harpers_plan().direct.children[0]
+    answer_prompt = render_answer_prompt(built.question, [(child.query, child.evidence)])
+    # The child's answer is missing from the script, or blank.
+    for rules, error in (
+        (failed_child_rules(built), "no scripted response for tag='answer'"),
+        (blank_answer_rules(built.rules, answer_prompt), "provider returned an empty answer"),
+    ):
+        result = run_search(built.question, config, ScriptedProvider(rules), index=index)
+        # The 0.8 child is gone; its sibling at 0.7 still wins depth 1.
+        assert result.final_answer == "First Lieutenant Israel Greene"
+        expanded = [e for e in result.trace if e.kind == "expanded"]
+        failed = [c for e in expanded for c in e.payload["children"] if c.get("error")]
+        assert len(failed) == 1
+        assert failed[0]["state_id"] is None
+        assert failed[0]["query"] == child.query
+        assert failed[0]["error"].startswith(error)
+        # Calls burned before the failure still reconcile with the ledger.
+        api, retrievals = recount_trace_costs(result.trace)
+        assert (api, retrievals) == (result.ledger.api_times, result.ledger.retrieval_times)
 
 
 class FlakyOnce:
@@ -577,13 +588,19 @@ def test_zero_hit_child_keeps_empty_evidence():
 
 
 def test_seed_phase_provider_failure_aborts_with_partial_trace():
-    rules = [ScriptRule(response="a guess", tag="answer", ordinal=1)]  # no score rule
-    config = genread_config()
-    with pytest.raises(SearchError) as err:
-        run_search("who?", config, ScriptedProvider(rules))
-    assert isinstance(err.value.__cause__, ScriptError)
-    assert any(e.kind == "seeded" for e in err.value.trace)
-    assert err.value.ledger.api_times == 1
+    # The direct seed's score is missing from the script, or its answer is blank.
+    for answer, cause, error in (
+        ("a guess", ScriptError, "no scripted response for tag='score'"),
+        ("  ", ProviderError, "provider returned an empty answer"),
+    ):
+        rules = [ScriptRule(response=answer, tag="answer", ordinal=1)]  # no score rule
+        with pytest.raises(SearchError) as err:
+            run_search("who?", genread_config(), ScriptedProvider(rules))
+        assert type(err.value.__cause__) is cause
+        assert str(err.value).startswith(f"search aborted: {error}")
+        seeded = [e.payload for e in err.value.trace if e.kind == "seeded"]
+        assert seeded[0]["state_id"] is None and seeded[0]["error"].startswith(error)
+        assert err.value.ledger.api_times == 1
 
 
 def test_failed_grounded_seed_keeps_its_calls_in_the_partial_ledger():
