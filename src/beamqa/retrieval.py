@@ -214,24 +214,29 @@ def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
     norm = [BM25_K1 * (1 - BM25_B + BM25_B * dl / avg_doc_len) for dl in doc_len]
     norm_tf1 = [1 + x for x in norm]
     k1_plus_1 = BM25_K1 + 1
-    offsets = array("i", [0])
-    positions = array("i")
-    weights = array("d")
+    # The arrays are made once at their final size and filled a term's slice
+    # at a time: grown instead, they leave freed copies behind that a later
+    # build in the same process would find still resident.
     terms = list(doc_terms)
-    for term in terms:
-        # Each term's list is dropped once copied, so the lists and their
-        # copy do not take memory at the same time.
+    n_postings = sum(map(len, doc_terms.values()))
+    offsets = array("i", [0]) * (len(terms) + 1)
+    positions = array("i", [0]) * n_postings
+    weights = array("d", [0.0]) * n_postings
+    end = 0
+    for k, term in enumerate(terms, start=1):
+        # Each term's list is dropped once copied, so the lists' memory is
+        # given back while the pass runs.
         term_positions = doc_terms.pop(term)
         df = len(term_positions)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         num_tf1 = idf * 1 * k1_plus_1
-        start = len(positions)
-        positions.extend(term_positions)
-        offsets.append(len(positions))
-        weights.fromlist([num_tf1 / norm_tf1[pos] for pos in term_positions])
+        start, end = end, end + df
+        positions[start:end] = term_positions
+        offsets[k] = end
+        weights[start:end] = array("d", [num_tf1 / norm_tf1[pos] for pos in term_positions])
         side = repeats.get(term, ())
-        for k, tf in zip(side[0::2], side[1::2]):
-            weights[start + k] = idf * tf * k1_plus_1 / (tf + norm[term_positions[k]])
+        for j, tf in zip(side[0::2], side[1::2]):
+            weights[start + j] = idf * tf * k1_plus_1 / (tf + norm[term_positions[j]])
     return LexicalIndex(ids, text, text_offsets, doc_len, terms, offsets, positions, weights)
 
 

@@ -194,6 +194,17 @@ def test_out_of_range_threshold_is_a_flag_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--threshold", "high", "not a number: 'high'"), ("--beam-size", "two", "not an integer: 'two'")],
+)
+def test_non_numeric_flag_is_a_flag_error(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as err:
+        main(["ask", "a question", flag, value])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_flag_defaults_match_default_config():
     args = build_parser().parse_args(["ask", "a question"])
     defaults = SearchConfig()

@@ -66,8 +66,13 @@ def test_exact_match_is_word_order_insensitive():
 
 
 def test_exact_match_requires_golds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gold answer list is empty"):
         exact_match("x", [])
+
+
+def test_f1_requires_golds():
+    with pytest.raises(ValueError, match="gold answer list is empty"):
+        f1_score("x", [])
 
 
 # --- F1 ----------------------------------------------------
@@ -267,9 +272,19 @@ def test_evaluate_rejects_mismatched_lengths():
         evaluate([FakeResult("x")], [])
 
 
+def test_evaluate_rejects_an_empty_run():
+    with pytest.raises(ValueError, match="nothing to evaluate"):
+        evaluate([], [])
+
+
 def test_qa_example_requires_gold():
     with pytest.raises(ValueError):
         QAExample(question="q", gold_answers=())
+
+
+def test_qa_example_requires_a_question():
+    with pytest.raises(ValueError, match="question must be non-empty"):
+        QAExample(question="  ", gold_answers=("a",))
 
 
 # --- dataset files ----------------------------------------------------

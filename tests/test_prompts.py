@@ -80,7 +80,7 @@ def test_ask_prompt_golden():
 
 
 def test_ask_prompt_rejects_nonpositive_k():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1"):
         render_ask_prompt("who?", [], 0)
 
 

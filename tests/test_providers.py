@@ -589,6 +589,8 @@ def test_default_search_posts_each_failing_request_twice(chat_server, monkeypatc
 def test_script_rule_response_must_be_text():
     with pytest.raises(ValueError, match="response"):
         ScriptRule.from_dict({"response": 0.9})
+    with pytest.raises(ValueError, match="missing 'response'"):
+        ScriptRule.from_dict({"tag": "answer"})
 
 
 @pytest.mark.parametrize("count", [-1, "5", True, 1.0])
@@ -613,6 +615,8 @@ def test_script_rule_token_counts_must_be_ints_at_least_zero(field, count):
         # A truthy string would otherwise answer every request of its tag.
         ({"tag": "answer", "repeat": "false"}, "rule repeat"),
         ({"tag": "answer", "repeat": 1}, "rule repeat"),
+        ({"ordinal": 1}, "ordinal rules need a tag"),
+        ({"tag": "other"}, "unknown rule tag"),
     ],
 )
 def test_rule_with_a_mistyped_matcher_is_rejected_when_built(matcher, message):

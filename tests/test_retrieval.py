@@ -175,6 +175,11 @@ def test_empty_body_rejected():
         Document("d", "title", "")
 
 
+def test_empty_doc_id_rejected():
+    with pytest.raises(ValueError, match="doc_id"):
+        Document("", "title", "body")
+
+
 _WORDS = st.lists(st.sampled_from(["ab", "cd", "é", "中文", "naïve", "x_y", "😀"]), max_size=10).map(" ".join)
 
 
@@ -244,6 +249,16 @@ def test_building_from_a_corpus_file_peaks_below_one_and_a_half_times_the_index(
             tracemalloc.stop()
     assert len(index) == 2000
     assert peak - start <= 1.5 * (size - start), (peak - start, size - start)
+
+
+def test_built_postings_hold_no_spare_capacity(tmp_path):
+    """The postings arrays are made at their final size, not grown: a grown
+    array keeps spare capacity, and its freed copies stay resident."""
+    path = tmp_path / "corpus.jsonl"
+    write_zipf_corpus(path, random.Random(5), 300)
+    index = index_corpus(load_corpus(path))
+    for arr in (index._offsets, index._positions, index._weights):
+        assert sys.getsizeof(arr) == sys.getsizeof(array(arr.typecode)) + len(arr) * arr.itemsize
 
 
 # --- retrieval ----------------------------------------------------
@@ -500,6 +515,18 @@ def test_zero_hit_retrieval_yields_empty_evidence_without_call():
 def test_generated_evidence_cannot_carry_doc_ids():
     with pytest.raises(ValueError):
         Evidence("text", "q", "generated", doc_ids=("d1",), retrieval_scores=(1.0,))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"provenance": "guessed"}, "unknown provenance"),
+        ({"provenance": "retrieved", "doc_ids": ("d1", "d2"), "retrieval_scores": (1.0,)}, "must align"),
+    ],
+)
+def test_evidence_rejects_an_unknown_provenance_or_misaligned_scores(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Evidence("text", "q", **fields)
 
 
 # --- corpus files and index persistence ---------------------------------------

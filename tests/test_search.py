@@ -83,6 +83,11 @@ def test_state_requires_unit_score():
         state(1.5, 0)
 
 
+def test_state_requires_nonnegative_depth():
+    with pytest.raises(ValueError, match="depth"):
+        state(0.5, 0, depth=-1)
+
+
 def test_config_defaults_follow_nq_setup():
     config = SearchConfig()
     assert (config.beam_size, config.max_depth, config.max_queries) == (2, 2, 2)
@@ -537,6 +542,11 @@ def test_a_request_that_may_not_be_retried_is_sent_once(sleeps, error, retries):
 def test_negative_retries_rejected():
     with pytest.raises(ValueError, match="retries"):
         SearchRun(genread_config(), ScriptedProvider([]), retries=-1)
+
+
+def test_zero_workers_rejected():
+    with pytest.raises(ValueError, match="workers"):
+        SearchRun(genread_config(), ScriptedProvider([]), workers=0)
 
 
 class ConstantProvider:
