@@ -81,11 +81,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         "--evidence-mode", choices=EVIDENCE_MODES, default=defaults.evidence_mode,
         help="how evidence is produced (default %(default)s)",
     )
-    parser.add_argument(
-        "--provider", choices=("scripted", "http"), default="http",
-        help="completion provider (default %(default)s)",
-    )
-    parser.add_argument("--script", help="rule file for the scripted provider")
+    parser.add_argument("--script", help="answer from this rule file instead of over HTTP")
     parser.add_argument("--endpoint", help="chat-completion URL (or BEAMQA_ENDPOINT)")
     parser.add_argument("--api-key", help="bearer token (or BEAMQA_API_KEY)")
     parser.add_argument("--model", help="model name (or BEAMQA_MODEL; default gpt-3.5-turbo)")
@@ -144,9 +140,7 @@ def _start_run(args: argparse.Namespace, workers: int, *out_paths: str | None) -
         score_threshold=args.threshold,
         evidence_mode=args.evidence_mode,
     )
-    if args.provider == "scripted":
-        if not args.script:
-            raise ValueError("--provider scripted requires --script")
+    if args.script is not None:
         provider = load_script(args.script)
     else:
         provider = HttpChatProvider(
@@ -161,12 +155,10 @@ def _start_run(args: argparse.Namespace, workers: int, *out_paths: str | None) -
 
 
 def _manifest(args: argparse.Namespace, run: SearchRun, **extra) -> dict:
-    source: dict = {"kind": args.provider}
-    if args.provider == "scripted":
-        source["script"] = args.script
+    if args.script is not None:
+        source = {"kind": "scripted", "script": args.script}
     else:
-        source["endpoint"] = run.provider.endpoint
-        source["model"] = run.provider.model
+        source = {"kind": "http", "endpoint": run.provider.endpoint, "model": run.provider.model}
     manifest = {
         "config": asdict(run.config),
         "provider": source,

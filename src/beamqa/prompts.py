@@ -3,6 +3,7 @@ typed values (ranked question lists, confidence scores)."""
 
 from __future__ import annotations
 
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -171,7 +172,8 @@ def parse_score(text: str) -> float:
     The scoring prompt asks for a bare number, so the first number wins over
     any later ones a chatty completion may add. A percentage ("85%") or a
     fraction ("8/10", "7 out of 10") is read as its scaled value first, and
-    a number may carry an exponent ("5e-1").
+    a number may carry an exponent ("5e-1"). A value that is not finite
+    ("1e999" overflows, "1e999/1e999" is NaN) raises ``ScoreParseError``.
     """
     m = _SCORE.search(text)
     if m is None:
@@ -184,4 +186,6 @@ def parse_score(text: str) -> float:
         if scale <= 0:
             raise ScoreParseError(f"non-positive score scale in completion: {text[:80]!r}")
         value /= scale
+    if not math.isfinite(value):
+        raise ScoreParseError(f"non-finite score in completion: {text[:80]!r}")
     return value

@@ -255,7 +255,7 @@ class HttpChatProvider(CompletionProvider):
     """
 
     endpoint: str | None = None
-    api_key: str | None = None
+    api_key: str | None = field(default=None, repr=False)  # a secret: never in logs
     model: str | None = None
     timeout: float | None = None
     # The endpoint with its path and query percent-encoded, as it is sent.

@@ -41,7 +41,7 @@ BM25_B = 0.75
 _PRUNE_MARGIN = 1e-9
 
 INDEX_FORMAT = "beamqa-lexical-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 # Postings that ``_all_in_range`` reads as one integer: enough that the
 # per-integer work vanishes, few enough that its integers take only a few
@@ -129,10 +129,11 @@ class LexicalIndex:
     ``positions[start:end]`` (document positions, strictly ascending) and
     ``weights[start:end]`` (that document's BM25 term weight), where
     ``start, end = offsets[k], offsets[k + 1]``; ``save_index`` writes the
-    arrays out as they are. ``retrieve`` finds a document in a term's
-    postings by binary search, so it relies on the order; ``load_index``
-    trusts a file's positions to be in that order, as it trusts its weights
-    and lengths.
+    arrays out as they are, in file format v4. A document's length enters
+    only its weights, so no lengths are kept. ``retrieve`` finds a document
+    in a term's postings by binary search, so it relies on the order;
+    ``load_index`` trusts a file's positions to be in that order, as it
+    trusts its weights.
 
     Document ``i`` is ``ids[i]``, with title ``text[off[2i]:off[2i+1]]`` and
     body ``text[off[2i+1]:off[2i+2]]`` of the UTF-8 ``text``, where ``off``
@@ -145,13 +146,12 @@ class LexicalIndex:
     """
 
     def __init__(
-        self, ids: Iterable[str], text: bytes | bytearray, text_offsets: array, doc_len: array,
+        self, ids: Iterable[str], text: bytes | bytearray, text_offsets: array,
         terms: Sequence[str], offsets: array, positions: array, weights: array,
     ):
         self._ids = tuple(ids)
         self._text = text
         self._text_offsets = text_offsets
-        self._doc_len = doc_len
         self._term_ids = dict(zip(terms, range(len(terms))))
         self._offsets = offsets
         self._positions = positions
@@ -237,7 +237,7 @@ def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
         side = repeats.get(term, ())
         for j, tf in zip(side[0::2], side[1::2]):
             weights[start + j] = idf * tf * k1_plus_1 / (tf + norm[term_positions[j]])
-    return LexicalIndex(ids, text, text_offsets, doc_len, terms, offsets, positions, weights)
+    return LexicalIndex(ids, text, text_offsets, terms, offsets, positions, weights)
 
 
 def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, float]]:
@@ -441,13 +441,11 @@ def load_corpus(path: str | Path) -> Iterator[Document]:
 
 # The arrays of an index file, in file order, with their array typecodes;
 # the text block follows them.
-_ARRAYS = (
-    ("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d"), ("text_offsets", "q"),
-)
+_ARRAYS = (("offsets", "i"), ("positions", "i"), ("weights", "d"), ("text_offsets", "q"))
 
 
 def save_index(index: LexicalIndex, path: str | Path) -> None:
-    """Write a v3 index file: one JSON header line, the raw arrays, then the text.
+    """Write a v4 index file: one JSON header line, the raw arrays, then the text.
 
     The header holds the terms in posting order, the document ids, each
     array's length and the text's, the item sizes and the byte order; the
@@ -473,7 +471,7 @@ def save_index(index: LexicalIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> LexicalIndex:
-    """Read a v3 index file; an older version asks for the index to be rebuilt."""
+    """Read a v4 index file; an older version asks for the index to be rebuilt."""
 
     def check(ok: bool, what: str) -> None:
         if not ok:
@@ -523,15 +521,14 @@ def load_index(path: str | Path) -> LexicalIndex:
     check(all(map(isinstance, terms, repeat(str))), "a term is not a string")
     check(all(map(isinstance, ids, repeat(str))) and all(ids), "a document id is empty or not a string")
     check(len(ids) > 0 and len(set(ids)) == len(ids), "the document ids are missing or repeat")
-    doc_len, offsets, positions = arrays["doc_len"], arrays["offsets"], arrays["positions"]
-    check(len(doc_len) == len(ids), "doc_len does not match the documents")
+    offsets, positions = arrays["offsets"], arrays["positions"]
     check(len(offsets) == len(terms) + 1 and len(set(terms)) == len(terms), "offsets do not match the terms")
     check(offsets[0] == 0 and offsets[-1] == len(positions) == len(arrays["weights"]),
           "offsets do not match the postings")
     check(all(map(int.__le__, offsets, offsets[1:])), "offsets are not ascending")
     check(_all_in_range(positions, len(ids)), "a posting names no document")
     _check_text(text, arrays["text_offsets"], len(ids), check)
-    return LexicalIndex(ids, text, arrays["text_offsets"], doc_len, terms, offsets, positions, arrays["weights"])
+    return LexicalIndex(ids, text, arrays["text_offsets"], terms, offsets, positions, arrays["weights"])
 
 
 def _all_in_range(items: array, n: int) -> bool:

@@ -401,8 +401,13 @@ class _Search:
                 outcome.error = str(err)
                 return outcome
             outcome.raw_queries = parse_questions(text, self.config.max_queries)
+            # A query asked on this path, or earlier in this ask, would repeat work.
             seen = {_normalize_query(e.source_query) for e in history}
-            outcome.kept_queries = [q for q in outcome.raw_queries if _normalize_query(q) not in seen]
+            for query in outcome.raw_queries:
+                norm = _normalize_query(query)
+                if norm not in seen:
+                    seen.add(norm)
+                    outcome.kept_queries.append(query)
         outcome.children = [self._start(self._evaluate(history, q, depth)) for q in outcome.kept_queries]
         return outcome
 

@@ -171,9 +171,13 @@ class ScriptBuilder:
                 prompt = render_ask_prompt(question, parent.history, self.config.max_queries)
                 self._add_exact(TAG_ASK, prompt, ask_text)
                 self._api += 1
-                kept = parse_questions(ask_text, self.config.max_queries)
                 seen = {_normalize_query(q) for q, _ in parent.history}
-                kept = [q for q in kept if _normalize_query(q) not in seen]
+                kept = []
+                for query in parse_questions(ask_text, self.config.max_queries):
+                    norm = _normalize_query(query)
+                    if norm not in seen:
+                        seen.add(norm)
+                        kept.append(query)
                 kept_per_parent.append((parent, kept))
             candidates: list[SimState] = []
             for parent, kept in kept_per_parent:

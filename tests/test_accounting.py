@@ -88,6 +88,8 @@ def test_merge_is_commutative_and_associative():
         assert total.api_times == a.api_times + b.api_times
         assert total.total_tokens == a.total_tokens + b.total_tokens
         assert total is not a and total is not b
+    with pytest.raises(TypeError):
+        CostLedger() + 1
 
 
 def test_ledger_is_a_plain_value():

@@ -57,10 +57,10 @@ def test_index_reports_document_count(tmp_path, capsys):
     "argv",
     [
         ["index", "--corpus", "{missing}", "--out", "{tmp}/i.json"],
-        ["eval", "--dataset", "{missing}", "--provider", "scripted", "--script", "{script}"],
-        ["ask", "who?", "--provider", "scripted", "--script", "{missing}",
+        ["eval", "--dataset", "{missing}", "--script", "{script}"],
+        ["ask", "who?", "--script", "{missing}",
          "--evidence-mode", "generate_background"],
-        ["ask", "who?", "--provider", "scripted", "--script", "{script}", "--index", "{missing}"],
+        ["ask", "who?", "--script", "{script}", "--index", "{missing}"],
     ],
     ids=["index-corpus", "eval-dataset", "ask-script", "ask-index"],
 )
@@ -167,7 +167,7 @@ def test_ask_prints_the_golden_answer(harpers_cli, tmp_path, capsys):
     code = main(
         [
             "ask", built.question,
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--index", str(index_path),
             "--trace", str(trace_path),
         ]
@@ -238,7 +238,7 @@ def searched_retries(monkeypatch):
 
 def test_ask_retries_reach_the_engine(harpers_cli, capsys, searched_retries):
     built, index_path, script_path = harpers_cli
-    args = ["ask", built.question, "--provider", "scripted", "--script", str(script_path)]
+    args = ["ask", built.question, "--script", str(script_path)]
     assert main(args + ["--index", str(index_path), "--retries", "4"]) == 0
     assert searched_retries == [4]
 
@@ -267,11 +267,12 @@ def test_ask_manifest_records_the_model_used(tmp_path, monkeypatch, chat_server,
 
 def test_ask_manifest_records_the_endpoint_from_the_environment(tmp_path, monkeypatch, chat_server):
     monkeypatch.setenv("BEAMQA_ENDPOINT", chat_server.url)
+    monkeypatch.delenv("BEAMQA_MODEL", raising=False)
     output = tmp_path / "result.json"
     args = ["ask", "who?", "--evidence-mode", "generate_background", "--output", str(output)]
     assert main(args) == 0
     manifest = json.loads(output.read_text(encoding="utf-8"))["manifest"]
-    assert manifest["provider"]["endpoint"] == chat_server.url
+    assert manifest["provider"] == {"kind": "http", "endpoint": chat_server.url, "model": "gpt-3.5-turbo"}
 
 
 @pytest.mark.parametrize(
@@ -344,7 +345,7 @@ def test_ask_missing_template_dir_fails_before_any_call(
     code = main(
         [
             "ask", built.question,
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--index", str(index_path),
             "--template-dir", str(tmp_path / "nonexistent"),
         ]
@@ -376,7 +377,7 @@ def test_ask_template_with_a_bad_placeholder_fails_before_any_call(
     code = main(
         [
             "ask", built.question,
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--index", str(index_path),
             "--template-dir", str(templates),
         ]
@@ -398,7 +399,7 @@ def test_ask_template_that_is_not_utf8_fails_naming_it(
     code = main(
         [
             "ask", "who?",
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--evidence-mode", "generate_background",
             "--template-dir", str(templates),
         ]
@@ -430,7 +431,7 @@ def test_ask_into_a_missing_directory_fails_before_any_call(
     code = main(
         [
             "ask", built.question,
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--index", str(index_path),
             flag, str(target),
         ]
@@ -457,7 +458,7 @@ def test_output_path_that_is_a_directory_fails_before_any_call(
         built, index_path, script_path = request.getfixturevalue("harpers_cli")
         argv = [
             "ask", built.question,
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--index", str(index_path),
             "--" + case.removeprefix("ask-"), str(target),
         ]
@@ -502,7 +503,7 @@ def test_ask_write_that_fails_after_the_run_is_an_error(
     code = main(
         [
             "ask", built.question,
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--index", str(index_path),
             flag, str(target),
         ]
@@ -529,7 +530,7 @@ def test_ask_script_that_cannot_be_read_fails_naming_it(tmp_path, capsys, no_sea
     code = main(
         [
             "ask", "who?",
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--evidence-mode", "generate_background",
         ]
     )
@@ -546,7 +547,7 @@ def test_ask_script_with_a_bad_token_count_fails_before_any_call(tmp_path, capsy
     code = main(
         [
             "ask", "who?",
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--evidence-mode", "generate_background",
         ]
     )
@@ -568,7 +569,7 @@ def test_ask_script_with_a_mistyped_matcher_fails_before_any_call(
     code = main(
         [
             "ask", "who?",
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--evidence-mode", "generate_background",
         ]
     )
@@ -586,7 +587,7 @@ def test_ask_script_with_a_string_repeat_fails_before_any_call(tmp_path, capsys,
     code = main(
         [
             "ask", "who?",
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--evidence-mode", "generate_background",
         ]
     )
@@ -600,7 +601,7 @@ def test_ask_script_with_a_string_repeat_fails_before_any_call(tmp_path, capsys,
 def test_ask_without_index_in_retrieval_mode_fails(harpers_cli, capsys):
     built, _, script_path = harpers_cli
     code = main(
-        ["ask", built.question, "--provider", "scripted", "--script", str(script_path)]
+        ["ask", built.question, "--script", str(script_path)]
     )
     assert code != 0
     assert "--index" in capsys.readouterr().err
@@ -614,7 +615,7 @@ def test_ask_with_an_index_that_shrinks_after_its_size_check_fails_cleanly(harpe
     index_path.write_bytes(data[: header_end + (len(data) - header_end) // 2])
     report_file_size(monkeypatch, len(data))
     code = main(
-        ["ask", built.question, "--index", str(index_path), "--provider", "scripted", "--script", str(script_path)]
+        ["ask", built.question, "--index", str(index_path), "--script", str(script_path)]
     )
     err = capsys.readouterr().err
     assert code == 1
@@ -622,10 +623,20 @@ def test_ask_with_an_index_that_shrinks_after_its_size_check_fails_cleanly(harpe
     assert "Traceback" not in err
 
 
-def test_ask_scripted_without_script_fails(capsys):
-    code = main(["ask", "a question", "--provider", "scripted"])
-    assert code != 0
-    assert "--script" in capsys.readouterr().err
+def test_provider_flag_is_rejected(capsys, no_search):
+    # --script alone picks the scripted provider; there is no --provider.
+    with pytest.raises(SystemExit) as exc:
+        main(["ask", "a question", "--provider", "scripted"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --provider" in capsys.readouterr().err
+
+
+def test_a_given_script_is_never_passed_over_for_http(monkeypatch, capsys, chat_server):
+    monkeypatch.setenv("BEAMQA_ENDPOINT", chat_server.url)
+    code = main(["ask", "who?", "--evidence-mode", "generate_background", "--script", ""])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err.startswith("error: ")
+    assert (captured.out, chat_server.connections) == ("", 0)
 
 
 def test_ask_generate_background_needs_no_index(tmp_path, capsys):
@@ -636,7 +647,7 @@ def test_ask_generate_background_needs_no_index(tmp_path, capsys):
     code = main(
         [
             "ask", built.question,
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--evidence-mode", "generate_background",
             "-D", "1", "-K", "1",
         ]
@@ -697,7 +708,7 @@ def eval_fixture(tmp_path, failing=(), grounded_scores=None):
 def eval_args(index_path, script_path, dataset_path, output):
     return [
         "eval", "--dataset", str(dataset_path),
-        "--provider", "scripted", "--script", str(script_path),
+        "--script", str(script_path),
         "--index", str(index_path),
         "-B", "1", "-D", "1", "-K", "1",
         "--output", str(output),
@@ -852,7 +863,7 @@ def test_eval_template_with_a_bad_placeholder_fails_before_any_call(
 def test_eval_dataset_line_that_is_not_utf8_fails(tmp_path, capsys):
     dataset = tmp_path / "bad.jsonl"
     dataset.write_bytes(b'{"question": "q", "answers": ["a"]}\n{"question": "\xff", "answers": ["b"]}\n')
-    code = main(["eval", "--dataset", str(dataset), "--provider", "scripted", "--script", "x"])
+    code = main(["eval", "--dataset", str(dataset), "--script", "x"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: {dataset}:2: not UTF-8 (byte 0xff at offset 14)\n"
@@ -873,13 +884,13 @@ def test_index_corpus_line_that_is_not_utf8_fails_naming_it(tmp_path, capsys):
 def test_eval_empty_dataset_fails(tmp_path, capsys):
     dataset = tmp_path / "empty.jsonl"
     dataset.write_text("", encoding="utf-8")
-    code = main(["eval", "--dataset", str(dataset), "--provider", "scripted", "--script", "x"])
+    code = main(["eval", "--dataset", str(dataset), "--script", "x"])
     assert code != 0
     assert "no examples" in capsys.readouterr().err
 
 
 def test_eval_dataset_that_is_a_directory_fails(tmp_path, capsys):
-    code = main(["eval", "--dataset", str(tmp_path), "--provider", "scripted", "--script", "x"])
+    code = main(["eval", "--dataset", str(tmp_path), "--script", "x"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err
@@ -900,7 +911,7 @@ def test_eval_flag_overrides_land_in_manifest(tmp_path):
 def test_eval_malformed_dataset_reports_line(tmp_path, capsys):
     dataset = tmp_path / "bad.jsonl"
     dataset.write_text('{"question": "q", "answers": ["a"]}\n{"question": "x"}\n', encoding="utf-8")
-    code = main(["eval", "--dataset", str(dataset), "--provider", "scripted", "--script", "x"])
+    code = main(["eval", "--dataset", str(dataset), "--script", "x"])
     assert code != 0
     assert ":2:" in capsys.readouterr().err
 
@@ -979,7 +990,7 @@ def test_write_that_fails_halfway_leaves_the_old_file_whole(
         built, index_path, script_path = request.getfixturevalue("harpers_cli")
         argv = [
             "ask", built.question,
-            "--provider", "scripted", "--script", str(script_path),
+            "--script", str(script_path),
             "--index", str(index_path),
             "--" + case.removeprefix("ask-"), str(target),
         ]

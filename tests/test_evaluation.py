@@ -137,6 +137,11 @@ def test_hit_rate_empty_evidence():
     assert hit_rate([], ["answer"]) == 0
 
 
+def test_hit_rate_requires_golds():
+    with pytest.raises(ValueError, match="gold answer list is empty"):
+        hit_rate(["some evidence"], [])
+
+
 def test_hit_rate_requires_whole_gold_in_one_evidence():
     evidence = ["Colonel Robert", "E. Lee arrived"]
     assert hit_rate(evidence, ["Colonel Robert E. Lee"]) == 0

@@ -226,6 +226,8 @@ def test_parse_questions_empty_text():
 def test_parse_questions_truncates_to_k():
     text = "1. one?\n2. two?\n3. three?"
     assert parse_questions(text, 2) == ["one?", "two?"]
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        parse_questions(text, 0)
 
 
 def test_parse_questions_tolerates_missing_marker_and_brackets():
@@ -308,6 +310,14 @@ def test_parse_score_reads_percentages_and_fractions_as_scaled_values(text, expe
 def test_parse_score_rejects_a_zero_scale():
     with pytest.raises(ScoreParseError):
         parse_score("8/0")
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "1e999%", "1e999/1e999", "0.9e400 out of 1e400"])
+def test_parse_score_rejects_a_non_finite_value(text):
+    # float() reads an overflowing number as inf, and inf/inf is nan; a clamp
+    # would turn inf into a sure 1.0.
+    with pytest.raises(ScoreParseError, match="non-finite"):
+        parse_score(text)
 
 
 def test_parse_score_raises_without_number():

@@ -71,8 +71,11 @@ def test_negative_token_counts_rejected():
 
 
 def test_ordinal_rule_matches_nth_request_of_tag():
-    provider = ScriptedProvider([ScriptRule(response="0.8", tag="score", ordinal=1)])
+    provider = ScriptedProvider(
+        [ScriptRule(response="second", tag="score", ordinal=2), ScriptRule(response="0.8", tag="score", ordinal=1)]
+    )
     assert provider.complete(req(tag="score")).text == "0.8"
+    assert provider.complete(req(tag="score")).text == "second"
 
 
 def test_exact_and_contains_rules():
@@ -80,10 +83,11 @@ def test_exact_and_contains_rules():
         [
             ScriptRule(response="exact hit", exact="the exact prompt"),
             ScriptRule(response="both hit", contains=("alpha", "beta")),
-            ScriptRule(response="fallback", tag="answer"),
+            ScriptRule(response="fallback", tag="answer", repeat=True),
         ]
     )
     assert provider.complete(req(prompt="the exact prompt")).text == "exact hit"
+    assert provider.complete(req(prompt="alpha without the other")).text == "fallback"
     assert provider.complete(req(prompt="beta then alpha")).text == "both hit"
     assert provider.complete(req(prompt="nothing special")).text == "fallback"
 
@@ -318,6 +322,12 @@ def test_http_requires_endpoint(monkeypatch):
     monkeypatch.delenv("BEAMQA_ENDPOINT", raising=False)
     with pytest.raises(ValueError):
         HttpChatProvider()
+
+
+def test_http_repr_hides_the_api_key():
+    provider = unserved_provider(api_key="sk-secret")
+    assert provider.api_key == "sk-secret"
+    assert "sk-secret" not in repr(provider)
 
 
 def test_http_reads_endpoint_from_env(monkeypatch):

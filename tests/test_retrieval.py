@@ -164,10 +164,19 @@ def test_index_file_is_the_same_with_the_regex_tokenizer(tmp_path, monkeypatch):
 
 
 def test_average_doc_length_matches_hand_count():
-    index = index_corpus(docs3())
-    # titles are indexed too: 1+7, 1+7, 1+6 tokens
+    docs = docs3()
+    index = index_corpus(docs)
+    # titles are indexed too: 1+7, 1+7, 1+6 tokens. A length enters only the
+    # weights, through the norm of its document.
     lengths = [8, 8, 7]
-    assert index._doc_len.tolist() == lengths
+    k1, b = retrieval.BM25_K1, retrieval.BM25_B
+    norm = [k1 * (1 - b + b * dl / (sum(lengths) / 3)) for dl in lengths]
+    for term, (start, end) in spans(index).items():
+        df = end - start
+        idf = math.log(1.0 + (3 - df + 0.5) / (df + 0.5))
+        for pos, weight in zip(index._positions[start:end], index._weights[start:end]):
+            tf = tokenize(f"{docs[pos].title} {docs[pos].body}").count(term)
+            assert weight == idf * tf * (k1 + 1) / (tf + norm[pos]), (term, pos)
 
 
 def test_empty_body_rejected():
@@ -601,14 +610,15 @@ def test_load_index_rejects_other_files(tmp_path):
         load_index(path)
 
 
-# --- index file format v3 ---------------------------------------------------
+# --- index file format v4 ---------------------------------------------------
 #
-# Several tests below keep "v2" in their names from the format they were
-# first written for; each now checks a v3 file, whose layout keeps every
+# Several tests below keep "v2" or "v3" in their names from the format they
+# were first written for; each now checks a v4 file, whose layout keeps every
 # part they check.
 
 
-# A v1 file as ``save_index`` once wrote it, and an empty v2 file.
+# A v1 file as ``save_index`` once wrote it, an empty v2 file, and a v3 file
+# of one document, which still held each document's length.
 V1_FILE = json.dumps({
     "format": "beamqa-lexical-index",
     "version": 1,
@@ -623,9 +633,21 @@ V2_FILE = json.dumps({
     "terms": [],
     "documents": [],
 }).encode() + b"\n\0\0\0\0"
+V3_FILE = json.dumps({
+    "format": "beamqa-lexical-index",
+    "version": 3,
+    "byteorder": sys.byteorder,
+    "itemsize": {"i": 4, "d": 8, "q": 8},
+    "lengths": {"doc_len": 1, "offsets": 2, "positions": 1, "weights": 1, "text_offsets": 3, "text": 3},
+    "terms": ["cat"],
+    "ids": ["d1"],
+}).encode() + b"\n" + b"".join(
+    arr.tobytes() for arr in (array("i", [1]), array("i", [0, 1]), array("i", [0]), array("d", [0.5]),
+                              array("q", [0, 0, 3]))
+) + b"cat"
 
 
-@pytest.mark.parametrize("data", [V1_FILE, V2_FILE], ids=["v1", "v2"])
+@pytest.mark.parametrize("data", [V1_FILE, V2_FILE, V3_FILE], ids=["v1", "v2", "v3"])
 def test_an_older_index_file_is_rejected_with_a_rebuild_message(tmp_path, data):
     path = tmp_path / "old-index"
     path.write_bytes(data)
@@ -636,7 +658,7 @@ def test_an_older_index_file_is_rejected_with_a_rebuild_message(tmp_path, data):
 def assert_same_index(loaded, fresh, queries):
     assert len(loaded) == len(fresh)
     assert loaded.documents == fresh.documents
-    assert loaded._doc_len == fresh._doc_len
+    assert (loaded._offsets, loaded._positions, loaded._weights) == (fresh._offsets, fresh._positions, fresh._weights)
     for query in queries:
         for n in (1, 2, 10):
             expected = [(d, repr(s)) for d, s in retrieve(fresh, query, n)]
@@ -708,11 +730,10 @@ def test_v2_file_is_the_json_header_then_the_arrays_byte_for_byte(tmp_path):
             text_offsets.append(len(text))
     header = {
         "format": "beamqa-lexical-index",
-        "version": 3,
+        "version": 4,
         "byteorder": sys.byteorder,
         "itemsize": {"i": array("i").itemsize, "d": array("d").itemsize, "q": array("q").itemsize},
         "lengths": {
-            "doc_len": len(docs),
             "offsets": len(offsets),
             "positions": len(index._positions),
             "weights": len(index._weights),
@@ -723,7 +744,7 @@ def test_v2_file_is_the_json_header_then_the_arrays_byte_for_byte(tmp_path):
         "ids": [d.doc_id for d in docs],
     }
     expected = json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n"
-    for arr in (index._doc_len, offsets, index._positions, index._weights, text_offsets):
+    for arr in (offsets, index._positions, index._weights, text_offsets):
         expected += arr.tobytes()
     expected += text
     assert (tmp_path / "index").read_bytes() == expected
@@ -733,10 +754,10 @@ def test_v2_file_is_the_json_header_then_the_arrays_byte_for_byte(tmp_path):
 def test_v2_file_starts_with_a_json_header_line(tmp_path):
     save_index(index_corpus(docs3()), tmp_path / "index")
     header = json.loads((tmp_path / "index").read_bytes().split(b"\n", 1)[0])
-    assert (header["format"], header["version"]) == ("beamqa-lexical-index", 3)
+    assert (header["format"], header["version"]) == ("beamqa-lexical-index", 4)
     assert set(header) == {"format", "version", "byteorder", "itemsize", "lengths", "terms", "ids"}
     assert header["ids"] == ["d1", "d2", "d3"]
-    assert header["lengths"]["doc_len"] == 3
+    assert set(header["lengths"]) == {"offsets", "positions", "weights", "text_offsets", "text"}
     assert header["lengths"]["text_offsets"] == 7
 
 
@@ -809,7 +830,7 @@ def with_header(path, header, body):
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
-ARRAYS = (("doc_len", "i"), ("offsets", "i"), ("positions", "i"), ("weights", "d"), ("text_offsets", "q"))
+ARRAYS = (("offsets", "i"), ("positions", "i"), ("weights", "d"), ("text_offsets", "q"))
 
 
 def split_body(header, body):
@@ -863,7 +884,7 @@ def test_v2_file_with_trailing_bytes_is_rejected(tmp_path):
 @pytest.mark.parametrize(
     "name, delta",
     [
-        ("doc_len", -1), ("offsets", 1), ("positions", -1), ("weights", 1), ("weights", -1),
+        ("offsets", 1), ("positions", -1), ("weights", 1), ("weights", -1),
         ("text_offsets", -1), ("text", 1), ("text", -1),
     ],
 )

@@ -252,7 +252,7 @@ def test_expand_state_child_evidence_names_the_colonel():
 
 def test_expand_dedupes_queries_already_in_history():
     # The grounded seed's history holds the question; the ask step repeats it
-    # (case and spacing shuffled) plus one fresh query.
+    # (case and spacing shuffled) plus one fresh query, asked twice.
     fresh = ChildPlan(
         query="a fresh follow-up?",
         evidence="fresh evidence",
@@ -265,16 +265,16 @@ def test_expand_dedupes_queries_already_in_history():
             answer="b",
             score="0.2",
             children=[fresh],
-            ask_text="Ranked Questions:\n1. WHO   did it?\n2. a fresh follow-up?",
+            ask_text="Ranked Questions:\n1. WHO   did it?\n2. a fresh follow-up?\n3. A  Fresh follow-up?",
         ),
         grounded_evidence="seed evidence",
     )
-    config = genread_config(max_depth=1)
+    config = genread_config(max_depth=1, max_queries=3)
     _, provider = build_genread(plan, config)
     result = run_search("who did it?", config, provider)
     grounded = [e.payload for e in result.trace if e.kind == "expanded"][1]
     assert grounded["parent_id"] == 1
-    assert len(grounded["raw_queries"]) == 2
+    assert len(grounded["raw_queries"]) == 3
     assert grounded["kept_queries"] == ["a fresh follow-up?"]
     assert [c["query"] for c in grounded["children"]] == ["a fresh follow-up?"]
     assert result.final_state.asked_queries == ("who did it?", "a fresh follow-up?")
@@ -412,6 +412,39 @@ def test_a_clamped_score_is_flagged_in_its_scored_event():
     ]
     assert result.trace[-1].payload["reason"] == "early_exit"
     assert result.final_answer == "sure"
+
+
+def test_a_non_finite_score_is_a_parse_error_not_an_early_exit():
+    plan = SeedPlan(
+        question="who?",
+        direct=StatePlan(
+            answer="guess",
+            score="0.3",
+            children=[
+                ChildPlan("who exactly?", "more text", StatePlan(answer="sure", score="1e999")),
+                ChildPlan("who really?", "other text", StatePlan(answer="unsure", score="1e999/1e999")),
+            ],
+        ),
+        grounded=StatePlan(answer="other guess", score="0.9e400 out of 1e400"),
+        grounded_evidence="seed evidence",
+    )
+    config = genread_config(max_depth=1)
+    built, provider = build_genread(plan, config)
+    result = run_search("who?", config, provider)
+    scored = [e.payload for e in result.trace if e.kind == "scored"]
+    assert [(p["state_id"], p["score"], "parse_error" in p) for p in scored] == [
+        (0, 0.3, False),
+        (1, 0.0, True),
+        (2, 0.0, True),
+        (3, 0.0, True),
+    ]
+    assert not any(e.kind == "early_exit" for e in result.trace)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for line in result.trace_lines():
+        json.loads(line, parse_constant=refuse)
 
 
 def without_prompt(rules, prompt):
