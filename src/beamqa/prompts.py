@@ -172,8 +172,9 @@ def parse_score(text: str) -> float:
     The scoring prompt asks for a bare number, so the first number wins over
     any later ones a chatty completion may add. A percentage ("85%") or a
     fraction ("8/10", "7 out of 10") is read as its scaled value first, and
-    a number may carry an exponent ("5e-1"). A value that is not finite
-    ("1e999" overflows, "1e999/1e999" is NaN) raises ``ScoreParseError``.
+    a number may carry an exponent ("5e-1"). A value or a scale that is not
+    finite ("1e999" overflows, "8/1e999" would read as 0) raises
+    ``ScoreParseError``, as does a scale of 0 or less.
     """
     m = _SCORE.search(text)
     if m is None:
@@ -183,8 +184,10 @@ def parse_score(text: str) -> float:
         value /= 100
     elif m.group("scale"):
         scale = float(m.group("scale"))
-        if scale <= 0:
-            raise ScoreParseError(f"non-positive score scale in completion: {text[:80]!r}")
+        if not (0 < scale < math.inf):
+            raise ScoreParseError(
+                f"non-positive or non-finite score scale in completion: {text[:80]!r}"
+            )
         value /= scale
     if not math.isfinite(value):
         raise ScoreParseError(f"non-finite score in completion: {text[:80]!r}")

@@ -8,7 +8,6 @@ import math
 import os
 import threading
 from abc import ABC, abstractmethod
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
@@ -50,6 +49,18 @@ class TransportError(ProviderError):
 
 class ScriptError(ProviderError):
     """A scripted provider received a request no rule matches."""
+
+
+def valid_unicode(text: str) -> bool:
+    """Whether ``text`` holds no lone surrogate, which a JSON ``\\ud800``
+    escape decodes to and which cannot be written out as UTF-8."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def estimate_tokens(text: str) -> int:
@@ -100,20 +111,20 @@ class ScriptRule:
 
     A rule applies when all set matchers agree: ``tag`` restricts to requests
     with that tag, ``exact`` requires the full prompt, ``contains`` requires
-    every listed substring, ``ordinal`` requires the request to be the n-th
-    (1-based) carrying the rule's tag. Rules are consumed on first use unless
-    ``repeat`` is set. Explicit token counts, ints >= 0, mark the response
-    as service-reported usage; otherwise usage falls back to the character
-    estimate. A matcher or ``repeat`` of the wrong type is rejected when
-    the rule is built, so a loaded script never holds a rule that cannot
-    match or that repeats by accident.
+    every listed substring. Rules are consumed on first use unless ``repeat``
+    is set, so rules that share matchers answer in list order. Explicit
+    token counts, ints >= 0, mark the response as service-reported usage;
+    otherwise usage falls back to the character estimate. A matcher or
+    ``repeat`` of the wrong type, or a response holding a lone surrogate, is
+    rejected when the rule is built, so a loaded script never holds a rule
+    that cannot match, that repeats by accident or whose answer cannot be
+    written out.
     """
 
     response: str
     tag: str | None = None
     exact: str | None = None
     contains: tuple[str, ...] | None = None
-    ordinal: int | None = None
     repeat: bool = False
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
@@ -121,6 +132,8 @@ class ScriptRule:
     def __post_init__(self):
         if not isinstance(self.response, str):
             raise ValueError(f"rule response must be a string, got {self.response!r}")
+        if not valid_unicode(self.response):
+            raise ValueError(f"rule response holds a lone surrogate: {self.response[:80]!r}")
         if self.exact is not None and not isinstance(self.exact, str):
             raise ValueError(f"rule exact must be a string, got {self.exact!r}")
         contains = (self.contains,) if isinstance(self.contains, str) else self.contains
@@ -128,11 +141,6 @@ class ScriptRule:
             if not isinstance(contains, (list, tuple)) or not all(isinstance(s, str) for s in contains):
                 raise ValueError(f"rule contains must be strings, got {self.contains!r}")
             self.contains = tuple(contains)
-        if self.ordinal is not None:
-            if not (type(self.ordinal) is int and self.ordinal >= 1):
-                raise ValueError(f"rule ordinal must be an int >= 1, got {self.ordinal!r}")
-            if self.tag is None:
-                raise ValueError("ordinal rules need a tag to count against")
         if self.tag is not None and self.tag not in REQUEST_TAGS:
             raise ValueError(f"unknown rule tag {self.tag!r}")
         if type(self.repeat) is not bool:
@@ -142,14 +150,12 @@ class ScriptRule:
             if count is not None and not (type(count) is int and count >= 0):
                 raise ValueError(f"rule {name} must be an int >= 0, got {count!r}")
 
-    def matches(self, request: CompletionRequest, tag_ordinal: int) -> bool:
+    def matches(self, request: CompletionRequest) -> bool:
         if self.tag is not None and request.tag != self.tag:
             return False
         if self.exact is not None and request.prompt != self.exact:
             return False
         if self.contains is not None and not all(s in request.prompt for s in self.contains):
-            return False
-        if self.ordinal is not None and tag_ordinal != self.ordinal:
             return False
         return True
 
@@ -166,33 +172,33 @@ class ScriptRule:
 class ScriptedProvider(CompletionProvider):
     """Deterministic provider that answers from an ordered rule list.
 
-    Matching is serialized so the provider stays deterministic under
-    concurrent use whenever the rule set maps each request to exactly one
-    rule (exact or content rules). Ordinal rules depend on arrival order and
-    are only deterministic for serial callers. Never retries.
+    Each request takes the first unused rule whose matchers all agree, so
+    rules that share matchers answer in list order. Matching is serialized
+    so the provider stays deterministic under concurrent use whenever the
+    rule set maps each request to exactly one rule (exact or content
+    rules). A rule that several requests can match answers whichever
+    arrives first, which only serial callers fix. Never retries.
     """
 
     def __init__(self, rules: Iterable[ScriptRule]):
         self._rules = list(rules)
         self._used = [False] * len(self._rules)
-        self._tag_counts: dict[str, int] = defaultdict(int)
         self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         with self._lock:
-            self._tag_counts[request.tag] += 1
-            ordinal = self._tag_counts[request.tag]
             chosen = None
             for i, rule in enumerate(self._rules):
                 if self._used[i] and not rule.repeat:
                     continue
-                if rule.matches(request, ordinal):
+                if rule.matches(request):
                     self._used[i] = True
                     chosen = rule
                     break
             if chosen is None:
-                # Names only what the request carries: the ordinal depends on
-                # arrival order, and the message ends up in traces.
+                # Names only what the request carries, not which rules are
+                # used up: that depends on arrival order, and the message
+                # ends up in traces.
                 raise ScriptError(
                     f"no scripted response for tag={request.tag!r}; "
                     f"prompt starts: {request.prompt[:160]!r}"
@@ -215,6 +221,11 @@ class ScriptedProvider(CompletionProvider):
 def load_script(path: str | Path) -> ScriptedProvider:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise
+    except OSError as err:
+        # Quoted, so that an empty name (read as the directory ".") shows.
+        raise OSError(f"script file {str(path)!r}: cannot be read ({err.strerror})") from err
     except UnicodeDecodeError as err:
         # read_text decodes the whole file at once, so err.start is its offset.
         raise ValueError(
@@ -414,6 +425,8 @@ class HttpChatProvider(CompletionProvider):
             raise ProviderError(f"malformed completion payload: {err}") from err
         if not isinstance(text, str):
             raise ProviderError(f"malformed completion payload: content is {text!r}, not text")
+        if not valid_unicode(text):
+            raise ProviderError("malformed completion payload: content holds a lone surrogate")
         # Usage counts only when both are non-negative ints (not bools); any
         # other shape is treated as unreported and estimated instead.
         usage = payload.get("usage")

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Seque
 
 from .accounting import CostLedger
 from .prompts import render_genread_prompt, render_summarize_prompt
-from .providers import TAG_GENREAD, TAG_SUMMARIZE
+from .providers import TAG_GENREAD, TAG_SUMMARIZE, valid_unicode
 
 if TYPE_CHECKING:
     from .search import SearchConfig
@@ -432,6 +432,10 @@ def load_corpus(path: str | Path) -> Iterator[Document]:
         title = raw.get("title", "")
         if not isinstance(title, str):
             raise LineFormatError(path, line_no, "'title' must be a string")
+        if not (doc_id.isascii() and title.isascii() and text.isascii()):
+            for name, value in (("id", doc_id), ("title", title), ("text", text)):
+                if not valid_unicode(value):
+                    raise LineFormatError(path, line_no, f"'{name}' holds a lone surrogate")
         if doc_id in first_line:
             reason = f"duplicate id {doc_id!r} (first on line {first_line[doc_id]})"
             raise LineFormatError(path, line_no, reason)

@@ -5,7 +5,9 @@ search will visit, it walks the same deterministic call graph the engine does
 and pre-renders every prompt into an exact-match script rule. Exact rules make
 fixtures independent of request arrival order, so the same script works for
 any worker count. Background-generation prompts are all identical by
-construction, so those use per-tag ordinal rules and need serial execution.
+construction, so those are plain tag rules, listed in call order: each
+request takes the first unused rule that matches, so they answer in list
+order and need serial execution.
 
 Also here: the script-file writer, a naive per-document BM25 oracle (no
 inverted index, and its own regex tokenizer), the canned corpora the
@@ -145,7 +147,6 @@ class ScriptBuilder:
     def build(self, plan: SeedPlan) -> BuiltScript:
         self._rules: list[ScriptRule] = []
         self._exact: dict[tuple[str, str], int] = {}
-        self._genread_ordinal = 0
         self._api = 0
         self._retrievals = 0
 
@@ -242,10 +243,7 @@ class ScriptBuilder:
 
     def _gather(self, question: str, query: str, planned_text: str) -> str:
         if self.config.evidence_mode == GENERATE_BACKGROUND:
-            self._genread_ordinal += 1
-            self._rules.append(
-                ScriptRule(response=planned_text, tag=TAG_GENREAD, ordinal=self._genread_ordinal)
-            )
+            self._rules.append(ScriptRule(response=planned_text, tag=TAG_GENREAD))
             self._api += 1
             return planned_text
         hits = retrieve(self.index, query, self.config.retrieval_docs)

@@ -117,8 +117,9 @@ def test_index_duplicate_id_fails_naming_it(tmp_path, capsys):
     [
         ('{"id": "fact-0", "text": "again"}', "duplicate id 'fact-0' (first on line 1)"),
         ('{"id": "late", "text": ""}', "missing or empty 'text'"),
+        (r'{"id": "late", "text": "\ud800"}', "'text' holds a lone surrogate"),
     ],
-    ids=["duplicate-id", "bad-record"],
+    ids=["duplicate-id", "bad-record", "lone-surrogate"],
 )
 def test_index_error_on_the_last_line_keeps_the_earlier_index(tmp_path, capsys, last_line, reason):
     # The corpus is read while the index is built, so this error comes only
@@ -558,9 +559,7 @@ def test_ask_script_with_a_bad_token_count_fails_before_any_call(tmp_path, capsy
     assert captured.out == ""
 
 
-@pytest.mark.parametrize(
-    "matcher", [{"contains": 5}, {"exact": 5}, {"tag": "answer", "ordinal": True}]
-)
+@pytest.mark.parametrize("matcher", [{"contains": 5}, {"exact": 5}])
 def test_ask_script_with_a_mistyped_matcher_fails_before_any_call(
     tmp_path, capsys, no_search, matcher
 ):
@@ -577,6 +576,51 @@ def test_ask_script_with_a_mistyped_matcher_fails_before_any_call(
     assert code == 1
     assert captured.err.startswith("error: rule ")
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        # Rules that share matchers answer in list order; there is no "ordinal".
+        ({"response": "x", "tag": "answer", "ordinal": 1}, "unknown script rule fields: ['ordinal']"),
+        # json.dumps writes the lone surrogate as the escape "\ud800".
+        ({"response": "a\ud800"}, "rule response holds a lone surrogate: 'a\\ud800'"),
+    ],
+    ids=["ordinal", "lone-surrogate"],
+)
+def test_ask_script_rule_that_does_not_load_fails_before_any_call(
+    tmp_path, capsys, no_search, rule, message
+):
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps({"rules": [rule]}), encoding="utf-8")
+    code = main(
+        [
+            "ask", "who?",
+            "--script", str(script_path),
+            "--evidence-mode", "generate_background",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("given", ["", "{tmp}"], ids=["empty-name", "directory"])
+def test_ask_script_that_is_not_a_file_fails_naming_it(tmp_path, capsys, no_search, given):
+    # An empty name reads as the current directory; quoted, it shows.
+    script = given.format(tmp=tmp_path)
+    code = main(
+        [
+            "ask", "who?",
+            "--script", script,
+            "--evidence-mode", "generate_background",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: script file {script!r}: cannot be read (Is a directory)\n"
     assert captured.out == ""
 
 

@@ -312,10 +312,13 @@ def test_parse_score_rejects_a_zero_scale():
         parse_score("8/0")
 
 
-@pytest.mark.parametrize("text", ["1e999", "-1e999", "1e999%", "1e999/1e999", "0.9e400 out of 1e400"])
+@pytest.mark.parametrize(
+    "text",
+    ["1e999", "-1e999", "1e999%", "1e999/1e999", "0.9e400 out of 1e400", "8 out of 1e999", "8/1e999"],
+)
 def test_parse_score_rejects_a_non_finite_value(text):
     # float() reads an overflowing number as inf, and inf/inf is nan; a clamp
-    # would turn inf into a sure 1.0.
+    # would turn inf into a sure 1.0, and an infinite scale reads as 0.
     with pytest.raises(ScoreParseError, match="non-finite"):
         parse_score(text)
 

@@ -1,5 +1,7 @@
 import gzip
 import json
+import select
+import socket
 import sys
 import threading
 from collections import Counter
@@ -15,6 +17,7 @@ from beamqa.providers import (
     ScriptRule,
     ScriptedProvider,
     TransportError,
+    _readable,
     estimate_tokens,
     load_script,
 )
@@ -68,14 +71,6 @@ def test_negative_token_counts_rejected():
 
 
 # --- scripted provider ----------------------------------------------------
-
-
-def test_ordinal_rule_matches_nth_request_of_tag():
-    provider = ScriptedProvider(
-        [ScriptRule(response="second", tag="score", ordinal=2), ScriptRule(response="0.8", tag="score", ordinal=1)]
-    )
-    assert provider.complete(req(tag="score")).text == "0.8"
-    assert provider.complete(req(tag="score")).text == "second"
 
 
 def test_exact_and_contains_rules():
@@ -137,8 +132,8 @@ def test_explicit_tokens_mark_usage_reported():
 
 def test_scripted_provider_is_pure():
     rules = [
-        ScriptRule(response="a", tag="answer", ordinal=1),
-        ScriptRule(response="b", tag="answer", ordinal=2),
+        ScriptRule(response="a", tag="answer"),
+        ScriptRule(response="b", tag="answer"),
     ]
     outs = []
     for _ in range(2):
@@ -179,7 +174,7 @@ def test_unmatched_request_error_does_not_depend_on_arrival_order():
 
 def test_script_file_round_trip(tmp_path):
     rules = [
-        ScriptRule(response="0.8", tag="score", ordinal=1),
+        ScriptRule(response="0.8", tag="score"),
         ScriptRule(response="yes", exact="full prompt", prompt_tokens=5, completion_tokens=7),
     ]
     path = tmp_path / "script.json"
@@ -192,7 +187,7 @@ def test_script_file_round_trip(tmp_path):
 def test_rule_dict_round_trips_every_field():
     rules = [
         ScriptRule(response="", tag="answer"),
-        ScriptRule(response="a", tag="score", ordinal=2, repeat=True),
+        ScriptRule(response="a", tag="score", repeat=True),
         ScriptRule(response="b", exact="full", contains=("x", "y"), prompt_tokens=0, completion_tokens=0),
     ]
     assert [ScriptRule.from_dict(rule_dict(r)) for r in rules] == rules
@@ -312,6 +307,16 @@ def test_http_client_error_fails_fast(chat_server):
     assert len(chat_server.posts) == 1
 
 
+def test_http_content_with_a_lone_surrogate_is_a_malformed_payload(chat_server):
+    # The reply's JSON holds the escape "\ud800", which decodes to a lone
+    # surrogate: text that no trace, output file or terminal can take.
+    chat_server.replies = [chat_reply("a\ud800b")]
+    with pytest.raises(ProviderError, match="^malformed completion payload: .*lone surrogate") as err:
+        chat_server.provider().complete(req())
+    assert not err.value.retryable
+    assert len(chat_server.posts) == 1
+
+
 def test_http_malformed_payload_raises(chat_server):
     chat_server.replies = [Reply(payload={"weird": True})]
     with pytest.raises(ProviderError):
@@ -428,6 +433,16 @@ def test_http_connection_closed_while_idle_is_replaced_without_a_retry(chat_serv
     # The provider itself never retries, so a stale connection would fail here.
     assert provider.complete(req()).text == "two"
     assert (len(chat_server.posts), chat_server.connections) == (2, 2)
+
+
+def test_readable_falls_back_to_select_without_poll(monkeypatch):
+    # Not every platform's select module has poll().
+    monkeypatch.delattr(select, "poll")
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        assert not _readable(ours)
+        theirs.sendall(b"x")
+        assert _readable(ours)
 
 
 def test_pooled_search_over_http_matches_serial_and_shares_connections(chat_server):
@@ -601,6 +616,8 @@ def test_script_rule_response_must_be_text():
         ScriptRule.from_dict({"response": 0.9})
     with pytest.raises(ValueError, match="missing 'response'"):
         ScriptRule.from_dict({"tag": "answer"})
+    with pytest.raises(ValueError, match="rule response holds a lone surrogate"):
+        ScriptRule.from_dict({"response": "a\ud800b"})
 
 
 @pytest.mark.parametrize("count", [-1, "5", True, 1.0])
@@ -618,14 +635,9 @@ def test_script_rule_token_counts_must_be_ints_at_least_zero(field, count):
         ({"contains": ["alpha", 5]}, "rule contains"),
         ({"exact": 5}, "rule exact"),
         ({"exact": ["the prompt"]}, "rule exact"),
-        ({"tag": "score", "ordinal": "1"}, "rule ordinal"),
-        ({"tag": "score", "ordinal": 0}, "rule ordinal"),
-        ({"tag": "score", "ordinal": 1.0}, "rule ordinal"),
-        ({"tag": "score", "ordinal": True}, "rule ordinal"),
         # A truthy string would otherwise answer every request of its tag.
         ({"tag": "answer", "repeat": "false"}, "rule repeat"),
         ({"tag": "answer", "repeat": 1}, "rule repeat"),
-        ({"ordinal": 1}, "ordinal rules need a tag"),
         ({"tag": "other"}, "unknown rule tag"),
     ],
 )

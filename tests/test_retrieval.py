@@ -546,12 +546,15 @@ def test_load_corpus_reads_jsonl(tmp_path):
     path.write_text(
         '{"id": "a", "title": "T", "text": "body one"}\n'
         "\n"
-        '{"id": "b", "text": "body two"}\n',
+        '{"id": "b", "text": "body two"}\n'
+        # An escaped surrogate pair is one character.
+        r'{"id": "c", "title": "caf\u00e9", "text": "\ud83d\ude00"}' "\n",
         encoding="utf-8",
     )
     docs = list(load_corpus(path))
-    assert [d.doc_id for d in docs] == ["a", "b"]
+    assert [d.doc_id for d in docs] == ["a", "b", "c"]
     assert docs[1].title == ""
+    assert (docs[2].title, docs[2].body) == ("caf\u00e9", "\U0001f600")
 
 
 def test_load_corpus_reports_line_numbers(tmp_path):
@@ -559,6 +562,11 @@ def test_load_corpus_reports_line_numbers(tmp_path):
     for bad, reason in (
         ("not json", "invalid JSON (Expecting value)"),
         ('{"id": "b", "title": 7, "text": "x"}', "'title' must be a string"),
+        # A JSON escape of half a surrogate pair decodes to a lone surrogate,
+        # which the index file, a trace or a terminal cannot write as UTF-8.
+        (r'{"id": "b\ud800", "text": "x"}', "'id' holds a lone surrogate"),
+        (r'{"id": "b", "title": "\udfff", "text": "x"}', "'title' holds a lone surrogate"),
+        (r'{"id": "b", "text": "caf\u00e9 \ud83d"}', "'text' holds a lone surrogate"),
     ):
         path.write_text('{"id": "a", "text": "ok"}\n' + bad + "\n", encoding="utf-8")
         with pytest.raises(LineFormatError) as err:

@@ -636,7 +636,7 @@ def test_seed_phase_provider_failure_aborts_with_partial_trace():
         ("a guess", ScriptError, "no scripted response for tag='score'"),
         ("  ", ProviderError, "provider returned an empty answer"),
     ):
-        rules = [ScriptRule(response=answer, tag="answer", ordinal=1)]  # no score rule
+        rules = [ScriptRule(response=answer, tag="answer")]  # no score rule
         with pytest.raises(SearchError) as err:
             run_search("who?", genread_config(), ScriptedProvider(rules))
         assert type(err.value.__cause__) is cause
