@@ -15,7 +15,7 @@ from typing import Callable
 
 from .accounting import CostReport, format_cost_table
 from .evaluation import QAExample, evaluate, load_dataset
-from .prompts import set_template_dir
+from .prompts import load_templates
 from .providers import HttpChatProvider, ProviderError, load_script
 from .retrieval import (
     EVIDENCE_MODES,
@@ -131,7 +131,7 @@ def _start_run(args: argparse.Namespace, workers: int, *out_paths: str | None) -
     config, provider and index: everything that can fail before the first
     call is paid for."""
     _check_out_paths(*out_paths)
-    set_template_dir(args.template_dir)
+    templates = load_templates(args.template_dir)
     config = SearchConfig(
         beam_size=args.beam_size,
         max_depth=args.max_depth,
@@ -151,7 +151,7 @@ def _start_run(args: argparse.Namespace, workers: int, *out_paths: str | None) -
         if not args.index:
             raise ValueError("evidence mode retrieve_summarize requires --index")
         index = load_index(args.index)
-    return SearchRun(config, provider, index=index, workers=workers, retries=args.retries)
+    return SearchRun(config, provider, index=index, workers=workers, retries=args.retries, templates=templates)
 
 
 def _manifest(args: argparse.Namespace, run: SearchRun, **extra) -> dict:

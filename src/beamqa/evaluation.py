@@ -57,8 +57,6 @@ def exact_match(pred: str, golds: Sequence[str]) -> int:
 def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     if not pred_tokens and not gold_tokens:
         return 1.0
-    if not pred_tokens or not gold_tokens:
-        return 0.0
     overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
     if overlap == 0:
         return 0.0

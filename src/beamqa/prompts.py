@@ -7,7 +7,8 @@ import math
 import re
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 # (query, evidence_text) pairs; the reasoning history a prompt is built over.
 HistoryPairs = Sequence[tuple[str, str]]
@@ -26,13 +27,18 @@ class ScoreParseError(ValueError):
     """Raised when a completion contains no numeric confidence."""
 
 
-def _read_templates(directory: Path | None) -> dict[str, str]:
+def load_templates(directory: str | Path | None = None) -> Mapping[str, str]:
+    """The five templates as a read-only name -> text mapping. A ``<name>.txt``
+    in ``directory`` overrides that template, and a missing one keeps the
+    embedded text. A bad directory or template raises ValueError."""
+    if directory is not None and not Path(directory).is_dir():
+        raise ValueError(f"template directory not found: {directory}")
     embedded = resources.files(__package__) / "templates"
     templates = {}
     for name, fields in _TEMPLATE_FIELDS.items():
         source = embedded / f"{name}.txt"
-        if directory is not None and (directory / f"{name}.txt").exists():
-            source = directory / f"{name}.txt"
+        if directory is not None and (Path(directory) / f"{name}.txt").exists():
+            source = Path(directory) / f"{name}.txt"
         try:
             text = source.read_text(encoding="utf-8").rstrip("\n")
         except UnicodeDecodeError as err:
@@ -51,24 +57,10 @@ def _read_templates(directory: Path | None) -> dict[str, str]:
         if not rendered.strip():
             raise ValueError(f"template {source}: renders a blank prompt when the history is empty")
         templates[name] = text
-    return templates
+    return MappingProxyType(templates)
 
 
-# Replaced whole, never mutated, so concurrent renders see one complete set.
-_templates = _read_templates(None)
-
-
-def set_template_dir(path: str | Path | None) -> None:
-    """Read the five templates again. A ``<name>.txt`` in ``path`` overrides
-    that template, and a missing one keeps the embedded text; None restores
-    the embedded set. A path that is not a directory raises ValueError."""
-    global _templates
-    directory = None
-    if path is not None:
-        directory = Path(path)
-        if not directory.is_dir():
-            raise ValueError(f"template directory not found: {path}")
-    _templates = _read_templates(directory)
+EMBEDDED_TEMPLATES = load_templates()
 
 
 def serialize_history(history: HistoryPairs) -> str:
@@ -80,41 +72,48 @@ def serialize_history(history: HistoryPairs) -> str:
     return "\n".join(f"Query: {q}\nEvidence: {e}" for q, e in history)
 
 
-def _require_text(value: str, what: str) -> str:
+def _require_text(value: str, what: str) -> None:
     if not value or not value.strip():
         raise ValueError(f"{what} must be non-empty")
-    return value
 
 
-def render_answer_prompt(question: str, history: HistoryPairs) -> str:
+def render_answer_prompt(
+    question: str, history: HistoryPairs, *, templates: Mapping[str, str] = EMBEDDED_TEMPLATES
+) -> str:
     _require_text(question, "question")
-    return _templates["answer"].format(history=serialize_history(history), question=question)
+    return templates["answer"].format(history=serialize_history(history), question=question)
 
 
-def render_ask_prompt(question: str, history: HistoryPairs, k: int) -> str:
+def render_ask_prompt(
+    question: str, history: HistoryPairs, k: int, *, templates: Mapping[str, str] = EMBEDDED_TEMPLATES
+) -> str:
     _require_text(question, "question")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _templates["ask"].format(history=serialize_history(history), question=question, k=k)
+    return templates["ask"].format(history=serialize_history(history), question=question, k=k)
 
 
-def render_summarize_prompt(original_question: str, docs_text: str) -> str:
+def render_summarize_prompt(
+    original_question: str, docs_text: str, *, templates: Mapping[str, str] = EMBEDDED_TEMPLATES
+) -> str:
     _require_text(original_question, "question")
     _require_text(docs_text, "document block")
-    return _templates["summarize"].format(question=original_question, document=docs_text)
+    return templates["summarize"].format(question=original_question, document=docs_text)
 
 
-def render_genread_prompt(original_question: str) -> str:
+def render_genread_prompt(
+    original_question: str, *, templates: Mapping[str, str] = EMBEDDED_TEMPLATES
+) -> str:
     _require_text(original_question, "question")
-    return _templates["genread"].format(question=original_question)
+    return templates["genread"].format(question=original_question)
 
 
-def render_score_prompt(question: str, history: HistoryPairs, answer: str) -> str:
+def render_score_prompt(
+    question: str, history: HistoryPairs, answer: str, *, templates: Mapping[str, str] = EMBEDDED_TEMPLATES
+) -> str:
     _require_text(question, "question")
     _require_text(answer, "answer")
-    return _templates["score"].format(
-        history=serialize_history(history), question=question, answer=answer
-    )
+    return templates["score"].format(history=serialize_history(history), question=question, answer=answer)
 
 
 _MARKER = re.compile(r"ranked\s+questions", re.IGNORECASE)

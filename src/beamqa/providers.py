@@ -65,8 +65,6 @@ def valid_unicode(text: str) -> bool:
 
 def estimate_tokens(text: str) -> int:
     """Rough token count for services that report no usage: ceil(chars / 4)."""
-    if not text:
-        return 0
     return math.ceil(len(text) / 4)
 
 
@@ -211,11 +209,6 @@ class ScriptedProvider(CompletionProvider):
             else estimate_tokens(chosen.response)
         )
         return CompletionResponse(chosen.response, pt, ct, usage_reported=reported)
-
-    def unused_rules(self) -> list[ScriptRule]:
-        """Rules never consumed; handy for asserting a fixture was exercised."""
-        with self._lock:
-            return [r for r, used in zip(self._rules, self._used) if not used and not r.repeat]
 
 
 def load_script(path: str | Path) -> ScriptedProvider:

@@ -17,10 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 from .accounting import CostLedger
-from .prompts import render_genread_prompt, render_summarize_prompt
+from .prompts import EMBEDDED_TEMPLATES, render_genread_prompt, render_summarize_prompt
 from .providers import TAG_GENREAD, TAG_SUMMARIZE, valid_unicode
 
 if TYPE_CHECKING:
@@ -365,11 +365,13 @@ def gather_evidence(
     complete: Callable[[str, str], Generator],
     index: LexicalIndex | None,
     ledger: CostLedger,
+    *,
+    templates: Mapping[str, str] = EMBEDDED_TEMPLATES,
 ) -> Generator:
     """Return one Evidence for ``query``, per the configured mode, from a
     generator that yields what ``complete(prompt, tag)`` yields: a generator
     that sends a request, counts the call and returns its text. ``ledger``
-    counts the retrieval.
+    counts the retrieval; ``templates`` renders the prompt.
 
     retrieve_summarize: one retrieval for ``query``, then a single
     summarization call over the concatenated top-N documents (framed by the
@@ -378,13 +380,14 @@ def gather_evidence(
     question, no retrieval.
     """
     if config.evidence_mode == GENERATE_BACKGROUND:
-        text = yield from complete(render_genread_prompt(original_question), TAG_GENREAD)
+        text = yield from complete(render_genread_prompt(original_question, templates=templates), TAG_GENREAD)
         return Evidence(text.strip(), query, PROVENANCE_GENERATED)
     hits = retrieve(index, query, config.retrieval_docs)
     ledger.record_retrieval()
     if not hits:
         return Evidence("", query, PROVENANCE_RETRIEVED)
-    text = yield from complete(render_summarize_prompt(original_question, _docs_block(hits)), TAG_SUMMARIZE)
+    prompt = render_summarize_prompt(original_question, _docs_block(hits), templates=templates)
+    text = yield from complete(prompt, TAG_SUMMARIZE)
     return Evidence(
         text.strip(),
         query,

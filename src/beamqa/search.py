@@ -40,10 +40,11 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Generator, Sequence
+from typing import Generator, Mapping, Sequence
 
 from .accounting import CostLedger
 from .prompts import (
+    EMBEDDED_TEMPLATES,
     ScoreParseError,
     clamp_score,
     parse_questions,
@@ -240,7 +241,8 @@ class SearchRun:
     answer several questions one after another or from several threads at
     once. The provider and index it borrows must then tolerate concurrent
     calls, which the bundled ones do. ``retries`` is how many times one
-    request is sent again after a retryable ``ProviderError``.
+    request is sent again after a retryable ``ProviderError``. ``templates``
+    (see ``load_templates``) renders every prompt the run sends.
     """
 
     def __init__(
@@ -250,6 +252,7 @@ class SearchRun:
         index: LexicalIndex | None = None,
         workers: int = 1,
         retries: int = 1,
+        templates: Mapping[str, str] = EMBEDDED_TEMPLATES,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -262,6 +265,7 @@ class SearchRun:
         self.index = index
         self.workers = workers
         self.retries = retries
+        self.templates = templates
 
     def run_search(self, question: str) -> SearchResult:
         """Run the levels, pruning, and final selection for one question,
@@ -275,10 +279,11 @@ class SearchRun:
 class _Search:
     """One question's search: its trace, ledger, id counter, call queue and,
     while it runs above one worker, its pool. It borrows the settings,
-    provider and index of the ``SearchRun`` that made it."""
+    provider, index and templates of the ``SearchRun`` that made it."""
 
     def __init__(self, owner: SearchRun, question: str):
         self.owner, self.config, self.index = owner, owner.config, owner.index
+        self.templates = owner.templates
         self.question = question
         self.trace: list[TraceEvent] = []
         self.ledger = CostLedger()
@@ -301,12 +306,11 @@ class _Search:
         failure's ``retry_after``, capped at ``MAX_RETRY_AFTER_S``; the wait
         is yielded, so it holds no sender. Any other failure is raised."""
         request = CompletionRequest(prompt=prompt, tag=tag)
-        retries = self.owner.retries
-        for retry in range(retries + 1):
+        for retry in itertools.count():
             try:
                 resp = yield int(last), request
             except ProviderError as err:
-                if not (err.retryable and retry < retries):
+                if not (err.retryable and retry < self.owner.retries):
                     raise
                 backoff = RETRY_BACKOFF_S * 2 ** (retry - 1) if retry else 0.0
                 pause = max(backoff, min(err.retry_after or 0.0, MAX_RETRY_AFTER_S))
@@ -394,7 +398,8 @@ class _Search:
         if depth == 0:
             outcome.kept_queries = [None, self.question]
         else:
-            prompt = render_ask_prompt(self.question, _history_pairs(history), self.config.max_queries)
+            pairs, k = _history_pairs(history), self.config.max_queries
+            prompt = render_ask_prompt(self.question, pairs, k, templates=self.templates)
             try:
                 text = yield from self._complete(prompt, TAG_ASK, outcome.ledger)
             except ProviderError as err:
@@ -422,18 +427,20 @@ class _Search:
         try:
             if query is not None:
                 complete = partial(self._complete, ledger=ledger)
-                gather = gather_evidence(self.question, query, self.config, complete, self.index, ledger)
+                gather = gather_evidence(
+                    self.question, query, self.config, complete, self.index, ledger, templates=self.templates
+                )
                 outcome.history += ((yield from gather),)
             if seed:
                 outcome.ask = self._start(self._ask(outcome.history, 1))
             pairs = _history_pairs(outcome.history)
-            prompt = render_answer_prompt(self.question, pairs)
+            prompt = render_answer_prompt(self.question, pairs, templates=self.templates)
             answer = (yield from self._complete(prompt, TAG_ANSWER, ledger, seed)).strip()
             if not answer:
                 # Contract violation: an unanswerable state cannot be scored.
                 raise ProviderError("provider returned an empty answer")
             outcome.answer, outcome.api_before_score = answer, ledger.api_times
-            prompt = render_score_prompt(self.question, pairs, answer)
+            prompt = render_score_prompt(self.question, pairs, answer, templates=self.templates)
             text = yield from self._complete(prompt, TAG_SCORE, ledger, seed)
         except ProviderError as err:
             outcome.error = err
@@ -571,11 +578,10 @@ class _Search:
                         self._emit("early_exit", {**payload, "threshold": config.score_threshold})
                         reason = EXIT_EARLY
                         break
-                if depth < config.max_depth:
-                    # A seed's ask went out with its history; the next level
-                    # asks every other parent.
-                    sent = {s.state_id: o.ask for s, o in children if o.ask}
-                    parents = [(p, sent.get(p.state_id)) for p in beam]
+                # A seed's ask went out with its history; the next level asks
+                # every other parent.
+                sent = {s.state_id: o.ask for s, o in children if o.ask}
+                parents = [(p, sent.get(p.state_id)) for p in beam]
         finally:
             if self._pool is not None:
                 self._pool.shutdown()

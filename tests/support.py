@@ -9,7 +9,7 @@ construction, so those are plain tag rules, listed in call order: each
 request takes the first unused rule that matches, so they answer in list
 order and need serial execution.
 
-Also here: the script-file writer, a naive per-document BM25 oracle (no
+Also here: the script-file writer, the unused-rule check, a naive per-document BM25 oracle (no
 inverted index, and its own regex tokenizer), the canned corpora the
 golden-run tests use, and ``ChatServer``, a loopback chat-completion service
 for the HTTP provider.
@@ -38,6 +38,7 @@ from beamqa.prompts import (
 from beamqa.providers import (
     HttpChatProvider,
     ScriptRule,
+    ScriptedProvider,
     TAG_ANSWER,
     TAG_ASK,
     TAG_GENREAD,
@@ -70,6 +71,13 @@ def save_script(rules, path) -> None:
     """Write ``rules`` as a script file that ``load_script`` reads."""
     payload = {"rules": [rule_dict(r) for r in rules]}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def unused_rules(provider: ScriptedProvider) -> list[ScriptRule]:
+    """The rules of ``provider`` never consumed, ``repeat`` ones aside: what
+    a fixture planned but its search never sent."""
+    with provider._lock:
+        return [r for r, used in zip(provider._rules, provider._used) if not used and not r.repeat]
 
 
 # --- response plans ---------------------------------------------------------

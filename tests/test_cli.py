@@ -1,16 +1,17 @@
 import json
 import pathlib
+from importlib import resources
 
 import pytest
 
 import beamqa.cli
 from beamqa.cli import build_parser, main
-from beamqa.prompts import set_template_dir
-from beamqa.providers import ScriptedProvider
+from beamqa.providers import ScriptRule, ScriptedProvider
 from beamqa.search import SearchConfig, SearchRun
 
 from support import (
     HARPERS_CORPUS,
+    Reply,
     ScriptBuilder,
     fact_corpus,
     fact_gold,
@@ -244,6 +245,22 @@ def test_ask_retries_reach_the_engine(harpers_cli, capsys, searched_retries):
     assert searched_retries == [4]
 
 
+def test_ask_retries_default_to_three(harpers_cli, capsys, searched_retries):
+    built, index_path, script_path = harpers_cli
+    assert main(["ask", built.question, "--script", str(script_path), "--index", str(index_path)]) == 0
+    assert searched_retries == [3]
+
+
+def test_ask_retries_0_sends_each_request_once(chat_server, capsys):
+    chat_server.respond = lambda post: Reply(status=503)
+    args = ["ask", "who?", "--evidence-mode", "generate_background", "--endpoint", chat_server.url]
+    assert main(args + ["--retries", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: search aborted: HTTP 503")
+    # One send of each seed's first request: the direct answer and the genread.
+    prompts = [post.json["messages"][0]["content"] for post in chat_server.posts]
+    assert len(prompts) == len(set(prompts)) == 2
+
+
 def test_eval_retries_reach_the_engine(tmp_path, capsys, searched_retries):
     index_path, script_path, dataset_path = eval_fixture(tmp_path)
     output = tmp_path / "report.json"
@@ -333,15 +350,7 @@ def test_endpoint_with_a_control_character_fails_before_any_call(chat_server, mo
     assert (captured.out, chat_server.connections) == ("", 0)
 
 
-@pytest.fixture()
-def embedded_templates_after():
-    yield
-    set_template_dir(None)
-
-
-def test_ask_missing_template_dir_fails_before_any_call(
-    harpers_cli, tmp_path, capsys, embedded_templates_after
-):
+def test_ask_missing_template_dir_fails_before_any_call(harpers_cli, tmp_path, capsys):
     built, index_path, script_path = harpers_cli
     code = main(
         [
@@ -369,7 +378,7 @@ BAD_TEMPLATE_IDS = ["typo", "unclosed", "empty", "history-only"]
 
 @pytest.mark.parametrize("name, text, reason", BAD_TEMPLATES, ids=BAD_TEMPLATE_IDS)
 def test_ask_template_with_a_bad_placeholder_fails_before_any_call(
-    harpers_cli, tmp_path, capsys, no_search, embedded_templates_after, name, text, reason
+    harpers_cli, tmp_path, capsys, no_search, name, text, reason
 ):
     built, index_path, script_path = harpers_cli
     templates = tmp_path / "templates"
@@ -389,9 +398,32 @@ def test_ask_template_with_a_bad_placeholder_fails_before_any_call(
     assert captured.out == ""
 
 
-def test_ask_template_that_is_not_utf8_fails_naming_it(
-    tmp_path, capsys, no_search, embedded_templates_after
-):
+def by_tag_rules(genread_prompt: str) -> list[ScriptRule]:
+    """Rules answering any request by its tag, but genread only for ``genread_prompt``."""
+    return [
+        ScriptRule("a background", tag="genread", exact=genread_prompt, repeat=True),
+        ScriptRule("an answer", tag="answer", repeat=True),
+        ScriptRule("0.5", tag="score", repeat=True),
+        ScriptRule("Ranked Questions:\nnone", tag="ask", repeat=True),
+    ]
+
+
+def test_template_dir_does_not_outlive_the_command(tmp_path, capsys):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "genread.txt").write_text("CUSTOM {question}\n", encoding="utf-8")
+    script_path = tmp_path / "script.json"
+    save_script(by_tag_rules("CUSTOM who?"), script_path)
+    args = ["ask", "who?", "--script", str(script_path), "--evidence-mode", "generate_background"]
+    assert main(args + ["--template-dir", str(templates)]) == 0
+    # A run made after the command returned renders the embedded template.
+    embedded = (resources.files("beamqa") / "templates" / "genread.txt").read_text(encoding="utf-8")
+    provider = ScriptedProvider(by_tag_rules(embedded.rstrip("\n").format(question="who?")))
+    result = SearchRun(SearchConfig(evidence_mode="generate_background"), provider).run_search("who?")
+    assert result.final_answer == "an answer"
+
+
+def test_ask_template_that_is_not_utf8_fails_naming_it(tmp_path, capsys, no_search):
     templates = tmp_path / "templates"
     templates.mkdir()
     (templates / "genread.txt").write_bytes(b"\xff{question}")
@@ -825,9 +857,7 @@ def test_eval_workers_flag_keeps_dataset_order(tmp_path, capsys):
     assert a["summary"] == b["summary"]
 
 
-def test_eval_missing_template_dir_fails_before_any_call(
-    tmp_path, capsys, embedded_templates_after
-):
+def test_eval_missing_template_dir_fails_before_any_call(tmp_path, capsys):
     index_path, script_path, dataset_path = eval_fixture(tmp_path)
     output = tmp_path / "report.json"
     args = eval_args(index_path, script_path, dataset_path, output)
@@ -867,9 +897,7 @@ def test_eval_output_that_cannot_be_written_is_an_error(
     assert list(output.iterdir()) == []
 
 
-def test_eval_template_dir_falls_back_to_embedded_templates(
-    tmp_path, capsys, embedded_templates_after
-):
+def test_eval_template_dir_falls_back_to_embedded_templates(tmp_path, capsys):
     # Only genread.txt is overridden; the other four templates stay embedded,
     # so the scripted retrieve_summarize run matches the plain one.
     index_path, script_path, dataset_path = eval_fixture(tmp_path)
@@ -888,7 +916,7 @@ def test_eval_template_dir_falls_back_to_embedded_templates(
 
 @pytest.mark.parametrize("name, text, reason", BAD_TEMPLATES, ids=BAD_TEMPLATE_IDS)
 def test_eval_template_with_a_bad_placeholder_fails_before_any_call(
-    tmp_path, capsys, no_search, embedded_templates_after, name, text, reason
+    tmp_path, capsys, no_search, name, text, reason
 ):
     index_path, script_path, dataset_path = eval_fixture(tmp_path)
     capsys.readouterr()

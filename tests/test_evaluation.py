@@ -137,6 +137,11 @@ def test_hit_rate_empty_evidence():
     assert hit_rate([], ["answer"]) == 0
 
 
+def test_hit_rate_is_zero_when_every_gold_normalizes_to_empty():
+    # "the" and "a." normalize to "", which every evidence would contain.
+    assert hit_rate(["the answer is in here"], ["the", "a."]) == 0
+
+
 def test_hit_rate_requires_golds():
     with pytest.raises(ValueError, match="gold answer list is empty"):
         hit_rate(["some evidence"], [])

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from beamqa.prompts import (
+    EMBEDDED_TEMPLATES,
     ScoreParseError,
     clamp_score,
+    load_templates,
     parse_questions,
     parse_score,
     render_answer_prompt,
@@ -15,7 +17,6 @@ from beamqa.prompts import (
     render_score_prompt,
     render_summarize_prompt,
     serialize_history,
-    set_template_dir,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -155,33 +156,32 @@ def test_renders_are_byte_stable():
 
 def test_template_dir_override(tmp_path):
     (tmp_path / "genread.txt").write_text("CUSTOM {question}\n", encoding="utf-8")
-    set_template_dir(tmp_path)
-    try:
-        assert render_genread_prompt("who?") == "CUSTOM who?"
-    finally:
-        set_template_dir(None)
+    templates = load_templates(tmp_path)
+    assert render_genread_prompt("who?", templates=templates) == "CUSTOM who?"
+    # The other four keep the embedded text, and the embedded set is untouched.
+    assert dict(templates, genread=EMBEDDED_TEMPLATES["genread"]) == EMBEDDED_TEMPLATES
+    assert render_genread_prompt("who?").startswith("Generate a short background")
+
+
+def test_templates_are_read_only():
+    with pytest.raises(TypeError):
+        EMBEDDED_TEMPLATES["genread"] = "CUSTOM {question}"
     assert render_genread_prompt("who?").startswith("Generate a short background")
 
 
 def test_template_dir_must_be_a_directory(tmp_path):
     with pytest.raises(ValueError, match="template directory"):
-        set_template_dir(tmp_path / "missing")
+        load_templates(tmp_path / "missing")
 
 
-@pytest.fixture()
-def embedded_templates_after():
-    yield
-    set_template_dir(None)
-
-
-def test_embedded_templates_pass_the_placeholder_check(tmp_path, embedded_templates_after):
+def test_embedded_templates_pass_the_placeholder_check(tmp_path):
     # Read the embedded set, then the same texts as overrides: both pass.
-    set_template_dir(None)
+    assert load_templates() == EMBEDDED_TEMPLATES
     embedded = resources.files("beamqa") / "templates"
     for name in ("answer", "ask", "summarize", "genread", "score"):
         text = (embedded / f"{name}.txt").read_text(encoding="utf-8")
         (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
-    set_template_dir(tmp_path)
+    assert load_templates(tmp_path) == EMBEDDED_TEMPLATES
 
 
 @pytest.mark.parametrize(
@@ -196,16 +196,12 @@ def test_embedded_templates_pass_the_placeholder_check(tmp_path, embedded_templa
     ],
     ids=["typo", "foreign-name", "unclosed", "brace-in-name", "positional", "stray-close"],
 )
-def test_template_with_a_bad_placeholder_is_rejected_naming_its_file(
-    tmp_path, embedded_templates_after, name, text, message
-):
+def test_template_with_a_bad_placeholder_is_rejected_naming_its_file(tmp_path, name, text, message):
     (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        set_template_dir(tmp_path)
+        load_templates(tmp_path)
     assert str(err.value).startswith(f"template {tmp_path / name}.txt: ")
     assert message in str(err.value)
-    # The embedded set stays in force.
-    assert render_genread_prompt("who?").startswith("Generate a short background")
 
 
 # --- question list parsing ----------------------------------------------------
@@ -237,6 +233,11 @@ def test_parse_questions_tolerates_missing_marker_and_brackets():
 
 def test_parse_questions_drops_empty_items():
     text = "Ranked Questions:\n1. \n2. real question?"
+    assert parse_questions(text, 5) == ["real question?"]
+
+
+def test_parse_questions_drops_an_empty_bracketed_item():
+    text = "Ranked Questions:\n1. []\n2. [ ]\n3. real question?"
     assert parse_questions(text, 5) == ["real question?"]
 
 

@@ -30,7 +30,7 @@ from beamqa.search import (
     run_search,
 )
 
-from support import DROP, STALL, Reply, chat_reply, harpers_script, rule_dict, save_script
+from support import DROP, STALL, Reply, chat_reply, harpers_script, rule_dict, save_script, unused_rules
 
 
 def req(prompt="hello there", tag="answer"):
@@ -104,6 +104,17 @@ def test_repeat_rule_serves_many():
     provider = ScriptedProvider([ScriptRule(response="again", contains="ping", repeat=True)])
     for _ in range(3):
         assert provider.complete(req(prompt="ping")).text == "again"
+
+
+def test_unused_rules_leave_out_repeat_rules():
+    never_sent, repeat, sent = (
+        ScriptRule(response="never", contains="pong"),
+        ScriptRule(response="any time", contains="pang", repeat=True),
+        ScriptRule(response="once", contains="ping"),
+    )
+    provider = ScriptedProvider([never_sent, repeat, sent])
+    assert provider.complete(req(prompt="ping")).text == "once"
+    assert unused_rules(provider) == [never_sent]
 
 
 def test_unmatched_request_names_prompt_and_tag():
@@ -373,6 +384,14 @@ def test_http_endpoint_with_a_control_character_is_rejected(char):
     assert str(err.value) == f"endpoint must not hold a control character, got {endpoint!r}"
 
 
+def test_http_endpoint_check_ends_at_the_c1_controls():
+    # U+009F is the last C1 control; U+00A0, a no-break space, is a character
+    # the path percent-encodes.
+    with pytest.raises(ValueError, match="control character"):
+        HttpChatProvider(endpoint="http://svc.test/v1/\x9fchat")
+    assert HttpChatProvider(endpoint="http://svc.test/v1/\xa0chat").endpoint == "http://svc.test/v1/\xa0chat"
+
+
 def test_http_null_content_is_a_malformed_payload(chat_server):
     chat_server.replies = [chat_reply(None)]
     with pytest.raises(ProviderError, match="malformed completion payload") as err:
@@ -524,6 +543,18 @@ def test_http_proxy_that_is_not_an_http_url_fails_the_call(chat_server, monkeypa
         chat_server.provider().complete(req())
     assert not err.value.retryable
     assert chat_server.connections == 0
+
+
+def test_http_proxy_without_a_port_is_dialled_on_port_80(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy.test")
+    # _connect builds the connection without opening it.
+    conn, target = HttpChatProvider(endpoint="http://svc.test:8080/v1/chat")._connect()
+    try:
+        assert (conn.host, conn.port, target) == ("proxy.test", 80, "http://svc.test:8080/v1/chat")
+    finally:
+        conn.close()
 
 
 def test_http_no_proxy_host_is_reached_directly(chat_server, monkeypatch, refused_port):

@@ -7,6 +7,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import beamqa.search
 from beamqa.accounting import CostLedger
 from beamqa.prompts import (
+    load_templates,
     render_answer_prompt,
     render_ask_prompt,
     render_score_prompt,
@@ -28,7 +30,15 @@ from beamqa.providers import (
     ScriptedProvider,
     TransportError,
 )
-from beamqa.retrieval import GENERATE_BACKGROUND, Document, _docs_block, index_corpus, retrieve
+from beamqa.retrieval import (
+    EVIDENCE_MODES,
+    GENERATE_BACKGROUND,
+    RETRIEVE_SUMMARIZE,
+    Document,
+    _docs_block,
+    index_corpus,
+    retrieve,
+)
 from beamqa.search import (
     SearchConfig,
     SearchError,
@@ -42,6 +52,8 @@ from beamqa.search import (
 )
 
 from support import (
+    HARPERS_CORPUS,
+    HARPERS_QUESTION,
     ChildPlan,
     ScriptBuilder,
     SeedPlan,
@@ -50,6 +62,7 @@ from support import (
     harpers_script,
     random_tree_plan,
     recount_trace_costs,
+    unused_rules,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -299,7 +312,7 @@ def test_golden_run_selects_the_higher_scored_answer():
     assert result.final_state.score == 0.8
     kept = [e for e in result.trace if e.kind == "pruned"][0].payload["kept"]
     assert [score for _, score in kept] == [0.8, 0.7]
-    assert provider.unused_rules() == []
+    assert unused_rules(provider) == []
 
 
 def test_threshold_exit_stops_before_max_depth():
@@ -1324,6 +1337,51 @@ def test_one_run_answers_two_questions_at_once(workers):
     for i, expected in enumerate(fresh):
         assert results[i].trace_lines() == expected.trace_lines()
         assert results[i].ledger == expected.ledger
+
+
+@pytest.mark.parametrize("evidence_mode", EVIDENCE_MODES)
+def test_two_runs_at_once_each_render_from_their_own_templates(tmp_path, evidence_mode):
+    embedded = resources.files("beamqa") / "templates"
+    sets = {}
+    for mark in ("A", "B"):
+        (tmp_path / mark).mkdir()
+        for name in ("answer", "ask", "summarize", "genread", "score"):
+            text = (embedded / f"{name}.txt").read_text(encoding="utf-8")
+            (tmp_path / mark / f"{name}.txt").write_text(f"SET {mark}\n{text}", encoding="utf-8")
+        sets[mark] = load_templates(tmp_path / mark)
+    asked = "Ranked Questions:\n1. Who led the soldiers?\n2. Who stormed the engine house?"
+    rules = [
+        ScriptRule("a summary", tag="summarize", repeat=True),
+        ScriptRule("a background", tag="genread", repeat=True),
+        ScriptRule("an answer", tag="answer", repeat=True),
+        ScriptRule("0.5", tag="score", repeat=True),
+        ScriptRule(asked, tag="ask", repeat=True),
+    ]
+    # Each run's direct seed answer waits for the other's, so the two overlap.
+    direct_answers = [("answer", render_answer_prompt(HARPERS_QUESTION, [], templates=t)) for t in sets.values()]
+    meeting = MeetingProvider(ScriptedProvider(rules), direct_answers)
+    providers = {mark: RecordingProvider(meeting) for mark in sets}
+    config, index = SearchConfig(evidence_mode=evidence_mode), index_corpus(HARPERS_CORPUS)
+    runs = {m: SearchRun(config, providers[m], index=index, workers=2, templates=sets[m]) for m in sets}
+    results = {}
+
+    def answer(mark):
+        results[mark] = runs[mark].run_search(HARPERS_QUESTION)
+
+    threads = [threading.Thread(target=answer, args=(mark,)) for mark in runs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert meeting.met == ["answer", "answer"]
+    evidence_tag = "summarize" if evidence_mode == RETRIEVE_SUMMARIZE else "genread"
+    for mark, provider in providers.items():
+        assert {tag for tag, _ in provider.requests} == {evidence_tag, "answer", "score", "ask"}
+        assert all(prompt.startswith(f"SET {mark}\n") for _, prompt in provider.requests)
+    # The two sets differ only in their first line, so the searches agree.
+    assert results["A"].trace_lines() == results["B"].trace_lines()
+    assert results["A"].ledger.api_times == results["B"].ledger.api_times > 9
 
 
 class FanoutProvider:
