@@ -78,8 +78,6 @@ def hit_rate(evidence_texts: Sequence[str], golds: Sequence[str]) -> int:
     if not golds:
         raise ValueError("gold answer list is empty")
     norm_golds = [g for g in (normalize_answer(g) for g in golds) if g]
-    if not norm_golds:
-        return 0
     for evidence in evidence_texts:
         norm_evidence = normalize_answer(evidence)
         if any(g in norm_evidence for g in norm_golds):

@@ -148,22 +148,33 @@ def _history_pairs(history: Sequence[Evidence]) -> list[tuple[str, str]]:
     return [(e.source_query, e.text) for e in history]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    kind: str
-    payload: dict
+# Every trace line's encoder: sorted keys, no spaces, text as is.
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
-    def __post_init__(self):
-        if self.kind not in TRACE_KINDS:
-            raise ValueError(f"unknown trace kind {self.kind!r}")
+
+@dataclass(frozen=True, slots=True, init=False)
+class TraceEvent:
+    """One search event, held as its kind and the JSON line it is written as.
+
+    The line is encoded once, when the event is made, so its payload must be
+    final by then. ``payload`` decodes a fresh dict from the line on each
+    access: changing that dict changes nothing."""
+
+    kind: str
+    line: str
+
+    def __init__(self, kind: str, payload: dict):
+        if kind not in TRACE_KINDS:
+            raise ValueError(f"unknown trace kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "line", f'{{"kind":"{kind}","payload":{_TRACE_ENCODER.encode(payload)}}}')
+
+    @property
+    def payload(self) -> dict:
+        return json.loads(self.line)["payload"]
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "payload": self.payload},
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
+        return self.line
 
 
 @dataclass(frozen=True)
@@ -174,7 +185,7 @@ class SearchResult:
     ledger: CostLedger
 
     def trace_lines(self) -> list[str]:
-        return [event.to_json_line() for event in self.trace]
+        return [event.line for event in self.trace]
 
 
 def _rank_key(state: SearchState) -> tuple[float, int]:
@@ -242,7 +253,8 @@ class SearchRun:
     once. The provider and index it borrows must then tolerate concurrent
     calls, which the bundled ones do. ``retries`` is how many times one
     request is sent again after a retryable ``ProviderError``. ``templates``
-    (see ``load_templates``) renders every prompt the run sends.
+    (see ``load_templates``) renders every prompt the run sends, and must
+    name every template the embedded set does.
     """
 
     def __init__(
@@ -260,6 +272,9 @@ class SearchRun:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if config.evidence_mode == RETRIEVE_SUMMARIZE and index is None:
             raise ValueError("retrieve_summarize mode needs an index")
+        missing = EMBEDDED_TEMPLATES.keys() - templates.keys()
+        if missing:
+            raise ValueError(f"templates missing: {', '.join(sorted(missing))}")
         self.config = config
         self.provider = provider
         self.index = index
@@ -384,7 +399,7 @@ class _Search:
             self._queue(heapq.heappop(self._timers)[2])
 
     def _emit(self, kind: str, payload: dict) -> None:
-        self.trace.append(TraceEvent(kind=kind, payload=payload))
+        self.trace.append(TraceEvent(kind, payload))
 
     # -- one parent: ask; one child: gather, answer, score -----------------------
 

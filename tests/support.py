@@ -11,17 +11,19 @@ order and need serial execution.
 
 Also here: the script-file writer, the unused-rule check, a naive per-document BM25 oracle (no
 inverted index, and its own regex tokenizer), the canned corpora the
-golden-run tests use, and ``ChatServer``, a loopback chat-completion service
+golden-run tests use, the bytes a kept result holds, and ``ChatServer``, a loopback chat-completion service
 for the HTTP provider.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import re
 import threading
+import tracemalloc
 from dataclasses import asdict, dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -52,7 +54,7 @@ from beamqa.retrieval import (
     _docs_block,
     retrieve,
 )
-from beamqa.search import SearchConfig
+from beamqa.search import SearchConfig, run_search
 
 
 # --- script files -----------------------------------------------------------
@@ -483,6 +485,29 @@ def harpers_script(config: SearchConfig | None = None):
     index = index_corpus(HARPERS_CORPUS)
     built = ScriptBuilder(config, index).build(harpers_plan())
     return built, index, config
+
+
+def retained_bytes_per_result(n: int = 200) -> float:
+    """The traced bytes that each of ``n`` kept harpers results holds, after
+    one search that warms every cache. Needs only the standard library, so
+    it also runs on a Python without pytest:
+    ``PYTHONPATH=src:tests python -c "import support; print(support.retained_bytes_per_result())"``."""
+    built, index, config = harpers_script()
+
+    def search():
+        return run_search(built.question, config, ScriptedProvider(built.rules), index=index)
+
+    search()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [search() for _ in range(n)]
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / len(results)
 
 
 # --- seed-only "recorded facts" fixtures ------------------------------------------

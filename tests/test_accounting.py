@@ -20,6 +20,12 @@ def test_two_calls_count_twice():
     assert ledger.api_times == 2
 
 
+def test_zero_tokens_count_a_call():
+    ledger = CostLedger()
+    ledger.record_api_call(0, 0)
+    assert (ledger.api_times, ledger.total_tokens) == (1, 0)
+
+
 def test_negative_tokens_rejected():
     with pytest.raises(ValueError):
         CostLedger().record_api_call(-1, 0)

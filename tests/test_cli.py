@@ -183,6 +183,16 @@ def test_ask_prints_the_golden_answer(harpers_cli, tmp_path, capsys):
     assert records[-1]["kind"] == "finished"
 
 
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_ask_writes_the_golden_trace(harpers_cli, tmp_path, workers):
+    built, index_path, script_path = harpers_cli
+    trace_path = tmp_path / "trace.jsonl"
+    argv = ["ask", built.question, "--script", str(script_path), "--index", str(index_path)]
+    assert main([*argv, "--trace", str(trace_path), "--workers", workers]) == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "harpers_trace.jsonl"
+    assert trace_path.read_bytes() == golden.read_bytes()
+
+
 def test_help_shows_usage(capsys):
     with pytest.raises(SystemExit) as err:
         main(["ask", "--help"])

@@ -60,6 +60,11 @@ def test_empty_prompt_rejected():
         CompletionRequest(prompt="", tag="answer")
 
 
+def test_whitespace_only_prompt_rejected():
+    with pytest.raises(ValueError, match="prompt must be non-empty"):
+        CompletionRequest(prompt=" \n\t", tag="answer")
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         CompletionRequest(prompt="x", tag="other")
@@ -68,6 +73,11 @@ def test_unknown_tag_rejected():
 def test_negative_token_counts_rejected():
     with pytest.raises(ValueError):
         CompletionResponse(text="x", prompt_tokens=-1, completion_tokens=0, usage_reported=False)
+
+
+def test_zero_token_counts_accepted():
+    resp = CompletionResponse(text="x", prompt_tokens=0, completion_tokens=0, usage_reported=True)
+    assert (resp.prompt_tokens, resp.completion_tokens) == (0, 0)
 
 
 # --- scripted provider ----------------------------------------------------
@@ -250,6 +260,12 @@ def test_http_success_with_usage(chat_server):
     assert post.headers["content-type"] == "application/json"
     # Only an uncompressed body is asked for, so none needs decoding.
     assert post.headers["accept-encoding"] == "identity"
+
+
+def test_http_zero_usage_is_read_as_reported(chat_server):
+    chat_server.replies = [chat_reply("x" * 40, {"prompt_tokens": 0, "completion_tokens": 0})]
+    resp = chat_server.provider().complete(req(prompt="p" * 8))
+    assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_reported) == (0, 0, True)
 
 
 def test_http_missing_usage_falls_back_to_estimate(chat_server):

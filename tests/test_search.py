@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import beamqa.search
 from beamqa.accounting import CostLedger
 from beamqa.prompts import (
+    EMBEDDED_TEMPLATES,
     load_templates,
     render_answer_prompt,
     render_ask_prompt,
@@ -62,6 +63,7 @@ from support import (
     harpers_script,
     random_tree_plan,
     recount_trace_costs,
+    retained_bytes_per_result,
     unused_rules,
 )
 
@@ -115,6 +117,10 @@ def test_config_rejects_bad_values():
         SearchConfig(score_threshold=1.5)
     with pytest.raises(ValueError):
         SearchConfig(evidence_mode="other")
+
+
+def test_config_accepts_a_zero_threshold():
+    assert SearchConfig(score_threshold=0.0).score_threshold == 0.0
 
 
 def test_trace_event_rejects_unknown_kind():
@@ -758,6 +764,28 @@ def test_trace_lines_are_json_and_match_kinds():
         assert set(record) == {"kind", "payload"}
 
 
+def test_trace_event_is_held_as_its_line():
+    payload = {"state_id": 0, "score": 1.0, "api_calls": 1, "clamped": 1.7, "note": "é"}
+    event = TraceEvent("scored", payload)
+    assert event.to_json_line() == json.dumps(
+        {"kind": "scored", "payload": payload}, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
+    assert not hasattr(event, "__dict__")
+    # The line is made when the event is: later changes reach neither it
+    # nor the payload it decodes.
+    payload["score"] = 0.5
+    event.payload["score"] = 0.0
+    assert event.payload == {**payload, "score": 1.0}
+    assert event.payload is not event.payload
+
+
+def test_a_kept_result_holds_few_bytes():
+    # A batch holds every result until its report is written. Held as dicts,
+    # a harpers trace kept 7.5 KB per result on Python 3.11 and 9.7 KB on
+    # 3.10; held as JSON lines, 5.1 and 5.3 KB.
+    assert retained_bytes_per_result(200) < 6400
+
+
 def test_ledger_equals_trace_recount():
     _, result = harpers_result()
     api, retrievals = recount_trace_costs(result.trace)
@@ -1382,6 +1410,15 @@ def test_two_runs_at_once_each_render_from_their_own_templates(tmp_path, evidenc
     # The two sets differ only in their first line, so the searches agree.
     assert results["A"].trace_lines() == results["B"].trace_lines()
     assert results["A"].ledger.api_times == results["B"].ledger.api_times > 9
+
+
+def test_run_rejects_templates_missing_a_name_before_any_call():
+    built, index, config = harpers_script()
+    provider = RecordingProvider(ScriptedProvider(built.rules))
+    partial_set = {name: text for name, text in EMBEDDED_TEMPLATES.items() if name not in ("ask", "score")}
+    with pytest.raises(ValueError, match="templates missing: ask, score"):
+        SearchRun(config, provider, index=index, templates=partial_set).run_search(built.question)
+    assert provider.requests == []
 
 
 class FanoutProvider:
