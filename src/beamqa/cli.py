@@ -100,13 +100,19 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_out_paths(*out_paths: str | None) -> None:
-    """Fail before any work is done if an output path is a directory or its
-    directory is missing."""
+    """Fail before any work is done if an output path is a directory, its
+    directory is missing, or it names the same file as another, through a
+    symlink or not."""
+    seen: dict[Path, str] = {}
     for path in filter(None, out_paths):
         if Path(path).is_dir():
             raise ValueError(f"cannot write {path}: it is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"cannot write {path}: {Path(path).parent} is not a directory")
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ValueError(f"cannot write {seen[resolved]} and {path}: they name one file")
+        seen[resolved] = path
 
 
 def _write(path: str, what: str, write: Callable[[Path], object]) -> None:

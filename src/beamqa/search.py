@@ -37,10 +37,11 @@ import itertools
 import json
 import queue
 import time
+import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Generator, Mapping, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
 from .accounting import CostLedger
 from .prompts import (
@@ -84,7 +85,7 @@ MAX_RETRY_AFTER_S = 60.0
 class SearchError(Exception):
     """A search aborted; carries the partial trace and ledger as a diagnostic."""
 
-    def __init__(self, message: str, trace: tuple["TraceEvent", ...], ledger: CostLedger):
+    def __init__(self, message: str, trace: Sequence["TraceEvent"], ledger: CostLedger):
         super().__init__(message)
         self.trace = trace
         self.ledger = ledger
@@ -176,16 +177,69 @@ class TraceEvent:
     def to_json_line(self) -> str:
         return self.line
 
+    @classmethod
+    def _from_line(cls, line: str) -> "TraceEvent":
+        """The event a held line was encoded from, without decoding it."""
+        event = object.__new__(cls)
+        start = len('{"kind":"')
+        object.__setattr__(event, "kind", line[start : line.index('"', start)])
+        object.__setattr__(event, "line", line)
+        return event
+
+
+# Raw DEFLATE with a 4 KB window and memLevel 4: about 24 KB of compressor
+# state per trace, where zlib's defaults take 256 KB.
+_TRACE_WBITS = -12
+
+
+class Trace(Sequence[TraceEvent]):
+    """A finished search's events, held as their lines joined by newlines
+    and deflated into one block. Iteration, indexing, slicing and ``len``
+    decode the block anew, so read a trace once into a name when a loop
+    needs it several times. JSON escapes every newline inside a line."""
+
+    __slots__ = ("_block",)
+
+    def __init__(self, events: Iterable[TraceEvent]):
+        compressor = zlib.compressobj(1, zlib.DEFLATED, _TRACE_WBITS, 4)
+        text = "\n".join(event.line for event in events).encode()
+        self._block = compressor.compress(text) + compressor.flush()
+
+    def lines(self) -> list[str]:
+        text = zlib.decompress(self._block, _TRACE_WBITS).decode()
+        return text.split("\n") if text else []
+
+    def _events(self) -> tuple[TraceEvent, ...]:
+        return tuple(map(TraceEvent._from_line, self.lines()))
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._events())
+
+    def __len__(self) -> int:
+        return len(self.lines())
+
+    def __getitem__(self, index):
+        return self._events()[index]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Trace) and self._block == other._block
+
+    def __hash__(self) -> int:
+        return hash(self._block)
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} events in {len(self._block)} bytes)"
+
 
 @dataclass(frozen=True)
 class SearchResult:
     final_answer: str
     final_state: SearchState
-    trace: tuple[TraceEvent, ...]
+    trace: Trace
     ledger: CostLedger
 
     def trace_lines(self) -> list[str]:
-        return [event.line for event in self.trace]
+        return self.trace.lines()
 
 
 def _rank_key(state: SearchState) -> tuple[float, int]:
@@ -574,7 +628,7 @@ class _Search:
                             self._turn()
                         self.ledger += sum((r.ledger for r in self._results.values()), CostLedger())
                         err = failures[0]
-                        raise SearchError(f"search aborted: {err}", tuple(self.trace), self.ledger) from err
+                        raise SearchError(f"search aborted: {err}", Trace(self.trace), self.ledger) from err
                     # Seeds are neither pruned nor checked against the threshold.
                     beam = candidates
                 elif not candidates:
@@ -603,7 +657,7 @@ class _Search:
         winner = select_answer(beam)
         payload = {"state_id": winner.state_id, "answer": winner.answer, "score": winner.score}
         self._emit("finished", {**payload, "reason": reason})
-        return SearchResult(winner.answer, winner, tuple(self.trace), self.ledger)
+        return SearchResult(winner.answer, winner, Trace(self.trace), self.ledger)
 
 
 def run_search(

@@ -487,6 +487,37 @@ def test_ask_into_a_missing_directory_fails_before_any_call(
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("link", [False, True])
+def test_ask_trace_and_output_into_one_file_fails_before_any_call(
+    harpers_cli, tmp_path, monkeypatch, capsys, no_search, link
+):
+    built, index_path, script_path = harpers_cli
+    target = tmp_path / "out.json"
+    other = target
+    if link:
+        other = tmp_path / "link.json"
+        other.symlink_to(target)
+
+    def refuse(*args):
+        pytest.fail("a provider call was made")
+
+    monkeypatch.setattr(ScriptedProvider, "complete", refuse)
+    code = main(
+        [
+            "ask", built.question,
+            "--script", str(script_path),
+            "--index", str(index_path),
+            "--trace", str(target),
+            "--output", str(other),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: cannot write {target} and {other}: they name one file\n"
+    assert captured.out == ""
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("case", ["index", "ask-trace", "ask-output", "eval-output"])
 def test_output_path_that_is_a_directory_fails_before_any_call(
     tmp_path, monkeypatch, capsys, request, case

@@ -403,6 +403,46 @@ def test_max_score_never_reads_a_list_that_cannot_reach_the_top_n():
     assert hits == full_scan_retrieve(index, "common needle", 2)
 
 
+def test_a_weight_near_its_bound_is_not_pruned_away():
+    # "needle" fills a short document among long ones, so its weight there
+    # comes within 6% of its bound, idf * (k1 + 1). "pin", in one document
+    # where "needle" is in two, has the higher bound and is read first; as
+    # its one document grows, the weight it leaves there falls from above
+    # that of the "needle" document to below it, through the 6%.
+    filler = [
+        Document(f"f{i:03d}", "", " ".join(f"w{(i * 7 + j) % 50}" for j in range(40)))
+        for i in range(100)
+    ]
+    for length in range(2, 10):
+        docs = filler + [
+            Document("pin", "", " ".join(["pin", "pin"] + ["x"] * (length - 2))),
+            Document("needle", "", " ".join(["needle"] * 8)),
+            Document("long-needle", "", " ".join(["needle"] + ["y"] * 39)),
+        ]
+        index = index_corpus(docs)
+        for query in ("pin needle", "needle pin"):
+            assert retrieve(index, query, 1) == full_scan_retrieve(index, query, 1), (length, query)
+
+
+@pytest.mark.parametrize("tail", ["next next next", "zz zz zz"], ids=["next-list", "array-end"])
+def test_finishing_by_binary_search_reads_no_posting_past_a_list(tail):
+    # "rare" is in the first and the last document, with the same length,
+    # and "common" in every other: both survive the read of "rare", and the
+    # last is finished on the 18 postings of "common" by binary search,
+    # which finds it past that list's end. There the terms' order puts the
+    # postings of "next", whose first is the last document, or the end of
+    # the array.
+    docs = [Document("first", "", "zz zz rare common")]
+    docs += [Document(f"c{i:02d}", "", "common") for i in range(17)]
+    docs.append(Document("last", "", f"rare {tail}"))
+    index = index_corpus(docs)
+    assert not _one_pass_touches_fewer(18, 2)
+    for query in ("rare common", "common rare"):
+        hits = retrieve(index, query, 1)
+        assert hits == full_scan_retrieve(index, query, 1)
+        assert hits[0][0].doc_id == "first"
+
+
 def question_corpus(rng, n_docs=600):
     """The benchmark question's shape: an entity in one document, then terms
     in nearly every document, of varied lengths and term counts."""
@@ -567,6 +607,7 @@ def test_load_corpus_reports_line_numbers(tmp_path):
         (r'{"id": "b\ud800", "text": "x"}', "'id' holds a lone surrogate"),
         (r'{"id": "b", "title": "\udfff", "text": "x"}', "'title' holds a lone surrogate"),
         (r'{"id": "b", "text": "caf\u00e9 \ud83d"}', "'text' holds a lone surrogate"),
+        ('{"id": "", "text": "x"}', "missing or empty 'id'"),
     ):
         path.write_text('{"id": "a", "text": "ok"}\n' + bad + "\n", encoding="utf-8")
         with pytest.raises(LineFormatError) as err:
@@ -921,11 +962,13 @@ def test_v2_lengths_that_disagree_with_the_arrays_are_rejected(tmp_path, name, d
         lambda h: h.pop("ids"),
         lambda h: h["itemsize"].__setitem__("q", 4),
         lambda h: h["lengths"].__setitem__("text", "9"),
+        lambda h: h.__setitem__("itemsize", ["d", 8]),
+        lambda h: h["lengths"].__setitem__("weights", float(h["lengths"]["weights"])),
     ],
     ids=[
         "documents", "terms", "duplicate-term", "itemsize", "byteorder", "negative-length",
         "list-term", "int-term", "duplicate-id", "empty-id", "int-id", "no-ids",
-        "offset-itemsize", "text-length",
+        "offset-itemsize", "text-length", "itemsize-list", "float-length",
     ],
 )
 def test_v2_header_that_disagrees_with_the_arrays_is_rejected(tmp_path, edit):
@@ -1055,6 +1098,24 @@ def test_text_that_disagrees_with_its_offsets_is_rejected(tmp_path, edit, messag
     header["lengths"]["text"] = len(text)
     with_header(path, header, join_body(arrays, text))
     with pytest.raises(ValueError, match=f"malformed index file: .*{message}"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda off: off.__setitem__(0, 1), "do not match the postings"),
+        # Every other offset still ascends, so a check of only those passes.
+        (lambda off: off.__setitem__(1, off[2] + 1), "are not ascending"),
+    ],
+    ids=["first-not-0", "falls-once"],
+)
+def test_postings_offsets_that_disagree_with_the_postings_are_rejected(tmp_path, edit, message):
+    path, header, body = saved_index_file(tmp_path)
+    arrays, text = split_body(header, body)
+    edit(arrays["offsets"])
+    with_header(path, header, join_body(arrays, text))
+    with pytest.raises(ValueError, match=f"malformed index file: offsets {message}"):
         load_index(path)
 
 

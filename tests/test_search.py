@@ -45,6 +45,7 @@ from beamqa.search import (
     SearchError,
     SearchRun,
     SearchState,
+    Trace,
     TraceEvent,
     prune_beam,
     run_search,
@@ -779,11 +780,33 @@ def test_trace_event_is_held_as_its_line():
     assert event.payload is not event.payload
 
 
+def test_a_trace_decodes_the_events_it_was_made_from():
+    events = [
+        TraceEvent("seeded", {"state_id": 0, "note": "two\nlines"}),
+        TraceEvent("scored", {"state_id": 0, "score": 0.5, "note": "é"}),
+        TraceEvent("finished", {"state_id": 0, "answer": "a", "score": 0.5, "reason": "depth"}),
+    ]
+    trace = Trace(events)
+    assert len(trace) == 3
+    assert trace.lines() == [event.line for event in events]
+    assert list(trace) == events
+    assert trace[-1] == events[-1] and trace[1:] == tuple(events[1:])
+    assert trace[0].payload["note"] == "two\nlines"
+    assert trace == Trace(events) and hash(trace) == hash(Trace(events))
+    assert trace != Trace(events[:2])
+    assert not hasattr(trace, "__dict__")
+    assert len(Trace([])) == 0 and Trace([]).lines() == []
+    _, result = harpers_result()
+    assert isinstance(result.trace, Trace)
+    assert result.trace_lines() == [event.line for event in result.trace]
+
+
 def test_a_kept_result_holds_few_bytes():
     # A batch holds every result until its report is written. Held as dicts,
     # a harpers trace kept 7.5 KB per result on Python 3.11 and 9.7 KB on
-    # 3.10; held as JSON lines, 5.1 and 5.3 KB.
-    assert retained_bytes_per_result(200) < 6400
+    # 3.10; held as JSON lines, 5.1 and 5.3 KB; held as one deflated block,
+    # 1.7 and 1.9 KB.
+    assert retained_bytes_per_result(200) < 3000
 
 
 def test_ledger_equals_trace_recount():
