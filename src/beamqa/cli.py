@@ -177,17 +177,26 @@ def _manifest(args: argparse.Namespace, run: SearchRun, **extra) -> dict:
     return manifest
 
 
+def _closing(run: SearchRun) -> contextlib.ExitStack:
+    """Close the run's index, if it has one, and its provider on leaving."""
+    stack = contextlib.ExitStack()
+    stack.callback(run.provider.close)
+    if run.index is not None:
+        stack.callback(run.index.close)
+    return stack
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     _check_out_paths(args.out)
-    index = index_corpus(load_corpus(args.corpus))
-    _write(args.out, f"the index {args.out}", lambda tmp: save_index(index, tmp))
+    with contextlib.closing(index_corpus(load_corpus(args.corpus))) as index:
+        _write(args.out, f"the index {args.out}", lambda tmp: save_index(index, tmp))
     print(f"indexed {len(index)} documents -> {args.out}")
     return 0
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
     run = _start_run(args, args.workers, args.trace, args.output)
-    with contextlib.closing(run.provider):
+    with _closing(run):
         result = run.run_search(args.question)
     ledger = result.ledger.snapshot()
     if args.trace:
@@ -225,7 +234,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except SearchError as err:  # becomes the question's error row
             return err
 
-    with contextlib.closing(run.provider):
+    with _closing(run):
         if args.workers == 1:
             # Inline, not on a one-thread pool: there Ctrl-C would wait for
             # the running question to finish.

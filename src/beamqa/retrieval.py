@@ -6,11 +6,15 @@ document's finished term weight, so a query only adds up weights.
 
 from __future__ import annotations
 
+import codecs
 import heapq
 import json
 import math
 import os
 import sys
+import tempfile
+import threading
+import weakref
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -47,6 +51,10 @@ INDEX_VERSION = 4
 # per-integer work vanishes, few enough that its integers take only a few
 # hundred KB.
 _LANE_CHUNK = 1 << 16
+
+# Bytes of document text that ``load_index`` checks, and ``save_index``
+# copies, at a time.
+_TEXT_CHUNK = 1 << 20
 
 
 class _Separators(dict):
@@ -121,9 +129,64 @@ class Evidence:
             raise ValueError("doc_ids and retrieval_scores must align")
 
 
+class _Text:
+    """The documents' text, left in a file: bytes ``start:start + size`` of
+    the file on ``fd``, a descriptor this object owns. ``text[a:b]`` is one
+    ``os.pread``, or a seek and a read under a lock where the platform has
+    no ``pread``, so threads may read at once.
+
+    Each read first compares the file's size and modification time with
+    ``stat``, taken when the file was read, and raises ``ValueError`` if
+    either moved: bytes rewritten in place would no longer match the
+    postings. A file replaced by rename keeps its bytes, since the
+    descriptor still reads the file it opened. The modification time, not
+    the change time, is compared because removing the replaced file's last
+    name changes the latter. ``close()`` releases the descriptor, as does
+    dropping the object.
+    """
+
+    def __init__(self, fd: int, start: int, size: int, name: str, stat: os.stat_result):
+        self.close = weakref.finalize(self, os.close, fd)
+        self._fd, self._start, self._size, self._name = fd, start, size, name
+        self._stamp = (stat.st_size, stat.st_mtime_ns)
+        self._lock = threading.Lock()
+
+    @property
+    def closed(self) -> bool:
+        return not self.close.alive
+
+    def check_open(self) -> None:
+        if self.closed:
+            raise ValueError("the index is closed")
+
+    def is_read_from(self, path: str | Path) -> bool:
+        """Whether ``path`` names the file the text is read from."""
+        self.check_open()
+        try:
+            return os.path.samestat(os.stat(path), os.fstat(self._fd))
+        except FileNotFoundError:
+            return False
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, key: slice) -> bytes:
+        start, stop, _ = key.indices(self._size)
+        self.check_open()
+        stat = os.fstat(self._fd)
+        if (stat.st_size, stat.st_mtime_ns) != self._stamp:
+            raise ValueError(f"{self._name} has changed since the index read it; load the index again")
+        size, offset = max(stop - start, 0), self._start + start
+        if hasattr(os, "pread"):
+            return os.pread(self._fd, size, offset)
+        with self._lock:
+            os.lseek(self._fd, offset, os.SEEK_SET)
+            return os.read(self._fd, size)
+
+
 class LexicalIndex:
     """Immutable BM25 index: postings in CSR form with precomputed weights,
-    and the documents' text as one UTF-8 block.
+    and the documents' text as one UTF-8 block left in a file.
 
     The postings of the ``k``-th term, ``k = term_ids[term]``, are
     ``positions[start:end]`` (document positions, strictly ascending) and
@@ -137,16 +200,16 @@ class LexicalIndex:
 
     Document ``i`` is ``ids[i]``, with title ``text[off[2i]:off[2i+1]]`` and
     body ``text[off[2i+1]:off[2i+2]]`` of the UTF-8 ``text``, where ``off``
-    is ``text_offsets``. ``index_corpus`` builds these arrays and
-    ``load_index`` reads them; either hands them to the constructor as they
-    are, so ``text`` is bytes-like: the ``bytearray`` the build filled, or
-    the ``bytes`` a file held; the index never changes it. A ``Document`` is
-    decoded only when asked for: for a hit, or by ``documents``. Nothing is
-    cached, so an index can be shared by threads.
+    is ``text_offsets``. The index holds no text in memory: ``text`` reads
+    from a file through a descriptor the index owns, the temporary file
+    that ``index_corpus`` wrote or the index file that ``load_index`` read.
+    A ``Document`` is read and decoded only when asked for: for a hit, or by
+    ``documents``. Nothing is cached, so an index can be shared by threads.
+    ``close()`` releases the descriptor, and dropping the index does too.
     """
 
     def __init__(
-        self, ids: Iterable[str], text: bytes | bytearray, text_offsets: array,
+        self, ids: Iterable[str], text: _Text, text_offsets: array,
         terms: Sequence[str], offsets: array, positions: array, weights: array,
     ):
         self._ids = tuple(ids)
@@ -160,53 +223,84 @@ class LexicalIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
+    def close(self) -> None:
+        """Release the descriptor the text is read through; a later
+        ``retrieve`` raises ``ValueError``. Call it only when no thread reads
+        the index; closing twice does nothing."""
+        self._text.close()
+
     @property
     def documents(self) -> tuple[Document, ...]:
-        """Every document, in index order, decoded anew on each access."""
+        """Every document, in index order, read anew on each access."""
         return tuple(map(self._document, range(len(self._ids))))
 
     def _document(self, pos: int) -> Document:
-        text, off = self._text, self._text_offsets
+        off = self._text_offsets
         title, body, end = off[2 * pos], off[2 * pos + 1], off[2 * pos + 2]
-        return Document(self._ids[pos], text[title:body].decode("utf-8"), text[body:end].decode("utf-8"))
+        data = self._text[title:end]  # one read for both fields
+        return Document(self._ids[pos], data[:body - title].decode("utf-8"), data[body - title:].decode("utf-8"))
 
 
 def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
     """Build an immutable index, reading ``docs`` once; duplicate ids, empty
-    corpora and corpora without a single token are rejected."""
+    corpora and corpora without a single token are rejected. Each title and
+    body is written, as it is read, to a temporary file in
+    ``tempfile.gettempdir()`` that has no name, and the index reads its hits
+    from there."""
     ids: dict[str, None] = {}  # the document ids, in index order
-    text = bytearray()
     text_offsets = array("q", [0])
     doc_len = array("i")
     doc_terms: dict[str, array] = {}  # term -> the positions of its documents
     repeats: dict[str, array] = {}  # term -> [k, tf, ...] for each tf != 1 at doc_terms[term][k]
-    for i, doc in enumerate(docs):
-        if doc.doc_id in ids:
-            raise DuplicateDocumentError(doc.doc_id)
-        ids[doc.doc_id] = None
-        for field in (doc.title, doc.body):
-            text += field.encode("utf-8")
-            text_offsets.append(len(text))
-        tokens = tokenize(f"{doc.title} {doc.body}")
-        doc_len.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            posting = doc_terms.get(term)
-            if posting is None:
-                posting = doc_terms[term] = array("i")
-            if tf != 1:
-                side = repeats.get(term)
-                if side is None:
-                    side = repeats[term] = array("i")
-                side.append(len(posting))
-                side.append(tf)
-            posting.append(i)
-    if not ids:
-        raise ValueError("cannot index an empty corpus")
-    total_len = sum(doc_len)
-    if not total_len:
-        raise ValueError("no document has a token")
+    # Written through a 64 KB buffer: about one write call per 64 KB of text.
+    with tempfile.TemporaryFile(buffering=1 << 16) as spool:
+        for i, doc in enumerate(docs):
+            if doc.doc_id in ids:
+                raise DuplicateDocumentError(doc.doc_id)
+            ids[doc.doc_id] = None
+            for field in (doc.title, doc.body):
+                text_offsets.append(text_offsets[-1] + spool.write(field.encode("utf-8")))
+            tokens = tokenize(f"{doc.title} {doc.body}")
+            doc_len.append(len(tokens))
+            for term, tf in Counter(tokens).items():
+                posting = doc_terms.get(term)
+                if posting is None:
+                    posting = doc_terms[term] = array("i")
+                if tf != 1:
+                    side = repeats.get(term)
+                    if side is None:
+                        side = repeats[term] = array("i")
+                    side.append(len(posting))
+                    side.append(tf)
+                posting.append(i)
+        if not ids:
+            raise ValueError("cannot index an empty corpus")
+        total_len = sum(doc_len)
+        if not total_len:
+            raise ValueError("no document has a token")
+        spool.flush()
+        stat = os.fstat(spool.fileno())
+        # A descriptor of its own: closing the spool then leaves the file open.
+        fd = os.dup(spool.fileno())
+    text = _Text(fd, 0, text_offsets[-1], "the text of a built index", stat)
     n = len(ids)
     avg_doc_len = total_len / n
+    # The arrays are made once at their final size and filled a term's slice
+    # at a time: grown instead, they leave freed copies behind that a later
+    # build in the same process would find still resident. The positions are
+    # laid out first, dropping each term's list once copied, so the lists'
+    # memory is given back before the weights array is made.
+    terms = list(doc_terms)
+    n_postings = sum(map(len, doc_terms.values()))
+    offsets = array("i", [0]) * (len(terms) + 1)
+    positions = array("i", [0]) * n_postings
+    end = 0
+    for k, term in enumerate(terms, start=1):
+        term_positions = doc_terms.pop(term)
+        start, end = end, end + len(term_positions)
+        positions[start:end] = term_positions
+        offsets[k] = end
+    del doc_terms, term_positions
     # Each weight is idf * tf * (k1 + 1) / (tf + norm[pos]), evaluated in
     # the formula's order so that scores are the same to the last bit;
     # tf == 1, most postings, takes the same operations precomputed, and
@@ -214,29 +308,16 @@ def index_corpus(docs: Iterable[Document]) -> LexicalIndex:
     norm = [BM25_K1 * (1 - BM25_B + BM25_B * dl / avg_doc_len) for dl in doc_len]
     norm_tf1 = [1 + x for x in norm]
     k1_plus_1 = BM25_K1 + 1
-    # The arrays are made once at their final size and filled a term's slice
-    # at a time: grown instead, they leave freed copies behind that a later
-    # build in the same process would find still resident.
-    terms = list(doc_terms)
-    n_postings = sum(map(len, doc_terms.values()))
-    offsets = array("i", [0]) * (len(terms) + 1)
-    positions = array("i", [0]) * n_postings
     weights = array("d", [0.0]) * n_postings
-    end = 0
-    for k, term in enumerate(terms, start=1):
-        # Each term's list is dropped once copied, so the lists' memory is
-        # given back while the pass runs.
-        term_positions = doc_terms.pop(term)
-        df = len(term_positions)
+    for k, term in enumerate(terms):
+        start, end = offsets[k], offsets[k + 1]
+        df = end - start
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         num_tf1 = idf * 1 * k1_plus_1
-        start, end = end, end + df
-        positions[start:end] = term_positions
-        offsets[k] = end
-        weights[start:end] = array("d", [num_tf1 / norm_tf1[pos] for pos in term_positions])
-        side = repeats.get(term, ())
+        weights[start:end] = array("d", [num_tf1 / norm_tf1[pos] for pos in positions[start:end]])
+        side = repeats.pop(term, ())
         for j, tf in zip(side[0::2], side[1::2]):
-            weights[start + j] = idf * tf * k1_plus_1 / (tf + norm[term_positions[j]])
+            weights[start + j] = idf * tf * k1_plus_1 / (tf + norm[positions[start + j]])
     return LexicalIndex(ids, text, text_offsets, terms, offsets, positions, weights)
 
 
@@ -270,6 +351,7 @@ def retrieve(index: LexicalIndex, query: str, n: int) -> list[tuple[Document, fl
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    index._text.check_open()
     term_ids, offsets = index._term_ids, index._offsets
     positions, weights = index._positions, index._weights
     query_spans = []
@@ -458,7 +540,8 @@ def save_index(index: LexicalIndex, path: str | Path) -> None:
     array's length and the text's, the item sizes and the byte order; the
     arrays follow in ``_ARRAYS`` order, then the documents' text as one
     UTF-8 block. Term ``k``'s postings are ``offsets[k]:offsets[k+1]`` of
-    ``positions`` and ``weights``, so loading never re-tokenizes.
+    ``positions`` and ``weights``, so loading never re-tokenizes. The file
+    the index was loaded from cannot be the one written.
     """
     arrays = {name: getattr(index, f"_{name}") for name, _ in _ARRAYS}
     header = {
@@ -470,15 +553,22 @@ def save_index(index: LexicalIndex, path: str | Path) -> None:
         "terms": list(index._term_ids),
         "ids": list(index._ids),
     }
+    text = index._text
+    # Opening the file empties it, so a file the text is read from is refused.
+    if text.is_read_from(path):
+        raise ValueError(f"cannot write {path}: the index reads its documents' text from it")
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
         for arr in arrays.values():
             arr.tofile(handle)
-        handle.write(index._text)
+        for start in range(0, len(text), _TEXT_CHUNK):
+            handle.write(text[start:start + _TEXT_CHUNK])
 
 
 def load_index(path: str | Path) -> LexicalIndex:
-    """Read a v4 index file; an older version asks for the index to be rebuilt."""
+    """Read a v4 index file; an older version asks for the index to be
+    rebuilt. The arrays are read into memory; the text is checked a piece
+    at a time and left in the file, which the index keeps open."""
 
     def check(ok: bool, what: str) -> None:
         if not ok:
@@ -509,7 +599,8 @@ def load_index(path: str | Path) -> LexicalIndex:
             check(itemsize.get(arr.typecode) == arr.itemsize, f"item size of {name!r} differs from this platform's")
             check(type(count) is int and count >= 0, f"bad length for {name!r}")
             size += count * arr.itemsize
-        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+        stat = os.fstat(handle.fileno())
+        remaining = stat.st_size - handle.tell()
         check(size == remaining, f"the header's arrays and text take {size} bytes, the file holds {remaining}")
         for name, code in _ARRAYS:
             # Read straight into an array of the header's length: fromfile
@@ -520,21 +611,23 @@ def load_index(path: str | Path) -> LexicalIndex:
             check(got == want, f"{name!r} is truncated: {got} of {want} bytes")
             if header["byteorder"] != sys.byteorder:
                 arr.byteswap()
-        text = handle.read(text_size)
-        check(len(text) == text_size, f"the text is truncated: {len(text)} of {text_size} bytes")
+        text_start = handle.tell()
 
-    ids, terms = header.get("ids"), header.get("terms")
-    check(isinstance(ids, list) and isinstance(terms, list), "no ids or terms")
-    check(all(map(isinstance, terms, repeat(str))), "a term is not a string")
-    check(all(map(isinstance, ids, repeat(str))) and all(ids), "a document id is empty or not a string")
-    check(len(ids) > 0 and len(set(ids)) == len(ids), "the document ids are missing or repeat")
-    offsets, positions = arrays["offsets"], arrays["positions"]
-    check(len(offsets) == len(terms) + 1 and len(set(terms)) == len(terms), "offsets do not match the terms")
-    check(offsets[0] == 0 and offsets[-1] == len(positions) == len(arrays["weights"]),
-          "offsets do not match the postings")
-    check(all(map(int.__le__, offsets, offsets[1:])), "offsets are not ascending")
-    check(_all_in_range(positions, len(ids)), "a posting names no document")
-    _check_text(text, arrays["text_offsets"], len(ids), check)
+        ids, terms = header.get("ids"), header.get("terms")
+        check(isinstance(ids, list) and isinstance(terms, list), "no ids or terms")
+        check(all(map(isinstance, terms, repeat(str))), "a term is not a string")
+        check(all(map(isinstance, ids, repeat(str))) and all(ids), "a document id is empty or not a string")
+        check(len(ids) > 0 and len(set(ids)) == len(ids), "the document ids are missing or repeat")
+        offsets, positions = arrays["offsets"], arrays["positions"]
+        check(len(offsets) == len(terms) + 1 and len(set(terms)) == len(terms), "offsets do not match the terms")
+        check(offsets[0] == 0 and offsets[-1] == len(positions) == len(arrays["weights"]),
+              "offsets do not match the postings")
+        check(all(map(int.__le__, offsets, offsets[1:])), "offsets are not ascending")
+        check(_all_in_range(positions, len(ids)), "a posting names no document")
+        _check_text(handle.read, text_size, arrays["text_offsets"], len(ids), check)
+        # Made last, once every check has passed, so no error leaves it open.
+        fd = os.dup(handle.fileno())
+    text = _Text(fd, text_start, text_size, str(path), stat)
     return LexicalIndex(ids, text, arrays["text_offsets"], terms, offsets, positions, arrays["weights"])
 
 
@@ -572,21 +665,38 @@ def _all_in_range(items: array, n: int) -> bool:
 
 
 def _check_text(
-    text: bytes | bytearray, off: array, n_docs: int, check: Callable[[bool, str], None]
+    read: Callable[[int], bytes], size: int, off: array, n_docs: int, check: Callable[[bool, str], None]
 ) -> None:
-    """Check that ``off`` cuts the bytes-like ``text`` into ``n_docs`` titles
+    """Check that ``off`` cuts the ``size`` bytes of text that ``read(n)``
+    returns, read ``_TEXT_CHUNK`` bytes at a time, into ``n_docs`` titles
     and non-empty bodies of whole UTF-8 characters, so that any hit decodes."""
-    check(len(off) == 2 * n_docs + 1 and off[0] == 0 and off[-1] == len(text),
+    check(len(off) == 2 * n_docs + 1 and off[0] == 0 and off[-1] == size,
           "text offsets do not match the documents and the text")
     check(all(map(int.__le__, off, off[1:])), "text offsets are not ascending")
     check(all(map(int.__lt__, off[1::2], off[2::2])), "a document has an empty body")
-    is_ascii = text.isascii()  # ASCII is valid UTF-8, and every cut falls between characters
-    if not is_ascii:
-        try:
-            text.decode("utf-8")  # only to validate: a str may take four bytes a character
-        except UnicodeDecodeError as err:
-            check(False, f"the text is not UTF-8 ({err.reason} at byte {err.start})")
-    # In valid UTF-8, a cut before any byte but a continuation byte (10xxxxxx)
-    # falls between two characters.
-    check(is_ascii or all(text[i] & 0xC0 != 0x80 for i in off[:-1] if i < len(text)),
-          "a text offset splits a character")
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0
+    while done < size:
+        want = min(_TEXT_CHUNK, size - done)
+        piece = read(want)
+        check(len(piece) == want, f"the text is truncated: {done + len(piece)} of {size} bytes")
+        # ASCII is valid UTF-8, and every cut falls between characters,
+        # unless a character began in the piece before.
+        pending = decoder.getstate()[0]
+        if not piece.isascii() or pending:
+            try:
+                decoder.decode(piece)  # only to validate: a str may take four bytes a character
+            except UnicodeDecodeError as err:
+                check(False, f"the text is not UTF-8 ({err.reason} at byte {done - len(pending) + err.start})")
+            # In valid UTF-8, a cut before any byte but a continuation byte
+            # (10xxxxxx) falls between two characters.
+            first = bisect_left(off, done)
+            last = bisect_left(off, done + len(piece), first)
+            check(all(piece[i - done] & 0xC0 != 0x80 for i in off[first:last]),
+                  "a text offset splits a character")
+        done += len(piece)
+    pending = decoder.getstate()[0]
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as err:
+        check(False, f"the text is not UTF-8 ({err.reason} at byte {size - len(pending) + err.start})")

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import threading
 from importlib import resources
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import beamqa.cli
 from beamqa.cli import build_parser, main
 from beamqa.providers import ScriptRule, ScriptedProvider
+from beamqa.retrieval import LexicalIndex
 from beamqa.search import SearchConfig, SearchRun
 
 from support import (
@@ -226,6 +228,27 @@ def test_flag_defaults_match_default_config():
     assert args.max_queries == defaults.max_queries == 2
     assert args.retrieval_docs == defaults.retrieval_docs == 2
     assert args.evidence_mode == defaults.evidence_mode == "retrieve_summarize"
+
+
+@pytest.mark.parametrize(
+    "flag, value, key, recorded",
+    [
+        ("--threshold", "0", "score_threshold", 0.0),
+        ("--threshold", "1", "score_threshold", 1.0),
+        ("-N", "1", "retrieval_docs", 1),
+    ],
+    ids=["threshold-0", "threshold-1", "one-document"],
+)
+def test_ask_runs_at_the_edge_values_of_the_search_flags(harpers_cli, tmp_path, capsys, flag, value, key, recorded):
+    _, index_path, _ = harpers_cli
+    script_path = tmp_path / "by-tag.json"
+    replies = (("summarize", "a summary"), ("answer", "an answer"), ("score", "0.5"),
+               ("ask", "Ranked Questions:\nnone"))
+    save_script([ScriptRule(text, tag=tag, repeat=True) for tag, text in replies], script_path)
+    output = tmp_path / "result.json"
+    argv = ["ask", "who?", "--script", str(script_path), "--index", str(index_path), "--output", str(output)]
+    assert main([*argv, flag, value]) == 0
+    assert json.loads(output.read_text(encoding="utf-8"))["manifest"]["config"][key] == recorded
 
 
 def test_negative_retries_is_a_flag_error(capsys):
@@ -1007,6 +1030,52 @@ def test_eval_dataset_that_is_a_directory_fails(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_eval_sends_each_question_s_calls_from_the_thread_that_runs_it(tmp_path, monkeypatch, workers):
+    # Each search runs at one worker, so it sends its calls itself; at one
+    # eval worker the questions run inline, on the main thread.
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    searched, called = {}, []
+    run_search, complete = SearchRun.run_search, ScriptedProvider.complete
+
+    def recording_search(run, question):
+        searched[question] = threading.get_ident()
+        return run_search(run, question)
+
+    def recording_complete(provider, request):
+        called.append((request.prompt, threading.get_ident()))
+        return complete(provider, request)
+
+    monkeypatch.setattr(SearchRun, "run_search", recording_search)
+    monkeypatch.setattr(ScriptedProvider, "complete", recording_complete)
+    output = tmp_path / "report.json"
+    assert main(eval_args(index_path, script_path, dataset_path, output) + ["--workers", str(workers)]) == 0
+    assert len(searched) == 4 and len(called) == 28
+    for prompt, thread in called:
+        (question,) = [q for q in searched if q in prompt]
+        assert thread == searched[question], prompt
+    if workers == 1:
+        assert set(searched.values()) == {threading.main_thread().ident}
+
+
+def test_ask_and_eval_close_the_index_they_load(harpers_cli, tmp_path, monkeypatch, capsys):
+    closed = []
+    close = LexicalIndex.close
+
+    def recording_close(index):
+        closed.append(index)
+        close(index)
+
+    monkeypatch.setattr(LexicalIndex, "close", recording_close)
+    built, index_path, script_path = harpers_cli
+    assert main(["ask", built.question, "--script", str(script_path), "--index", str(index_path)]) == 0
+    assert len(closed) == 1 and closed[0]._text.closed
+    index_path, script_path, dataset_path = eval_fixture(tmp_path)
+    closed.clear()
+    assert main(eval_args(index_path, script_path, dataset_path, tmp_path / "report.json")) == 0
+    assert len(closed) == 1 and closed[0]._text.closed
 
 
 def test_eval_flag_overrides_land_in_manifest(tmp_path):

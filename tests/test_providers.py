@@ -151,6 +151,18 @@ def test_explicit_tokens_mark_usage_reported():
     assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_reported) == (200, 90, True)
 
 
+@pytest.mark.parametrize(
+    "counts, expected",
+    [({"prompt_tokens": 200}, (200, 10)), ({"completion_tokens": 90}, (2, 90))],
+    ids=["prompt-only", "completion-only"],
+)
+def test_one_explicit_token_count_is_not_reported_usage(counts, expected):
+    # The other count is estimated, so the usage is not what a service reported.
+    provider = ScriptedProvider([ScriptRule(response="x" * 40, tag="answer", **counts)])
+    resp = provider.complete(req(prompt="p" * 8))
+    assert (resp.prompt_tokens, resp.completion_tokens, resp.usage_reported) == (*expected, False)
+
+
 def test_scripted_provider_is_pure():
     rules = [
         ScriptRule(response="a", tag="answer"),

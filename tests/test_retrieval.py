@@ -1,10 +1,13 @@
 import heapq
 import json
 import math
+import os
 import random
 import re
 import sys
+import tempfile
 import threading
+import time
 import tracemalloc
 from array import array
 from bisect import bisect_left
@@ -1080,16 +1083,17 @@ def empty_body(off, text):
     return text
 
 
+BAD_TEXTS = [
+    (descend, "not ascending"),
+    (end_short, "do not match"),
+    (empty_body, "empty body"),
+    (lambda off, text: text.replace(b"quick", b"qu\xffck"), "not UTF-8"),
+    (lambda off, text: text.replace(b"Cats", b"Cat\xc3"), "not UTF-8"),
+]
+
+
 @pytest.mark.parametrize(
-    "edit, message",
-    [
-        (descend, "not ascending"),
-        (end_short, "do not match"),
-        (empty_body, "empty body"),
-        (lambda off, text: text.replace(b"quick", b"qu\xffck"), "not UTF-8"),
-        (lambda off, text: text.replace(b"Cats", b"Cat\xc3"), "not UTF-8"),
-    ],
-    ids=["descending", "ends-short", "empty-body", "bad-byte", "cut-sequence"],
+    "edit, message", BAD_TEXTS, ids=["descending", "ends-short", "empty-body", "bad-byte", "cut-sequence"]
 )
 def test_text_that_disagrees_with_its_offsets_is_rejected(tmp_path, edit, message):
     path, header, body = saved_index_file(tmp_path)
@@ -1129,3 +1133,261 @@ def test_a_text_offset_inside_a_character_is_rejected(tmp_path):
     with_header(path, header, join_body(arrays, text))
     with pytest.raises(ValueError, match="splits a character"):
         load_index(path)
+
+
+# --- text left on disk ---------------------------------------------------------
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def loaded_and_retained(path):
+    """``load_index(path)`` and the bytes it leaves allocated, by tracemalloc."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        index = load_index(path)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return index, retained
+
+
+def test_a_loaded_index_holds_no_text_in_memory(tmp_path):
+    """Two files of one corpus, one with 400 bytes of separators added to
+    each body: the same postings, ids and terms, and 800 KB more text.
+    Loaded, they retain about the same memory, where an index that held its
+    text would retain the 800 KB more."""
+    write_zipf_corpus(tmp_path / "corpus.jsonl", random.Random(3), 2000)
+    docs = list(load_corpus(tmp_path / "corpus.jsonl"))
+    padded = [Document(doc.doc_id, doc.title, doc.body + " " + "-" * 399) for doc in docs]
+    save_index(index_corpus(docs), tmp_path / "plain")
+    save_index(index_corpus(padded), tmp_path / "padded")
+    plain, plain_retained = loaded_and_retained(tmp_path / "plain")
+    longer, longer_retained = loaded_and_retained(tmp_path / "padded")
+    extra = len(longer._text) - len(plain._text)
+    assert extra == 2000 * 400 and longer._positions == plain._positions
+    assert longer_retained - plain_retained < extra / 4, (plain_retained, longer_retained)
+
+
+def test_a_build_writes_its_text_to_a_nameless_file_in_the_temporary_directory(tmp_path, monkeypatch):
+    spool_dir = tmp_path / "tmp"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    index = index_corpus(docs3())
+    assert list(spool_dir.iterdir()) == []
+    if os.path.isdir("/proc/self/fd"):
+        assert os.readlink(f"/proc/self/fd/{index._text._fd}").startswith(str(spool_dir))
+    assert index.documents == tuple(docs3())
+
+
+def rewrite_last_byte(path):
+    with open(path, "r+b") as handle:
+        handle.seek(-1, os.SEEK_END)
+        last = handle.read(1)
+        handle.seek(-1, os.SEEK_END)
+        handle.write(b"X" if last != b"X" else b"Y")
+
+
+def test_a_text_byte_rewritten_in_place_fails_the_next_hit(tmp_path):
+    path = tmp_path / "index"
+    save_index(index_corpus(docs3()), path)
+    index = load_index(path)
+    assert [d.doc_id for d, _ in retrieve(index, "fish", 1)] == ["d3"]
+    loaded_at = os.stat(path).st_mtime_ns
+    rewrite_last_byte(path)  # the last byte of the last body: same size, other text
+    deadline = time.monotonic() + 10
+    while os.stat(path).st_mtime_ns == loaded_at:  # a coarse clock has not moved yet
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+        rewrite_last_byte(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has changed .* load the index again$"):
+        retrieve(index, "fish", 1)
+    assert retrieve(index, "zebra", 1) == []  # no hit reads no text
+
+
+def test_an_index_file_replaced_by_rename_leaves_the_loaded_index_answering(tmp_path):
+    path = tmp_path / "index"
+    save_index(index_corpus(docs3()), path)
+    index = load_index(path)
+    expected = [(d, repr(s)) for d, s in retrieve(index, "the cat", 3)]
+    save_index(index_corpus([Document("d9", "Other", "another cat entirely")]), tmp_path / "new")
+    os.replace(tmp_path / "new", path)
+    assert [(d, repr(s)) for d, s in retrieve(index, "the cat", 3)] == expected
+    assert index.documents == tuple(docs3())
+    assert load_index(path).documents == (Document("d9", "Other", "another cat entirely"),)
+
+
+def test_saving_over_the_file_an_index_reads_is_refused(tmp_path):
+    path = tmp_path / "index"
+    save_index(index_corpus(docs3()), path)
+    data = path.read_bytes()
+    index = load_index(path)
+    (tmp_path / "link").symlink_to(path)
+    for target in (path, tmp_path / "link"):
+        with pytest.raises(ValueError, match="the index reads its documents' text from it"):
+            save_index(index, target)
+    assert path.read_bytes() == data
+    assert index.documents == tuple(docs3())
+    index.close()
+    with pytest.raises(ValueError, match="the index is closed"):
+        save_index(index, tmp_path / "elsewhere")
+    assert not (tmp_path / "elsewhere").exists()
+
+
+@needs_proc
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_close_releases_the_descriptor_and_a_later_retrieve_fails(tmp_path, source):
+    save_index(index_corpus(docs3()), tmp_path / "index")
+    before = open_descriptors()
+    index = index_corpus(docs3()) if source == "built" else load_index(tmp_path / "index")
+    assert open_descriptors() == before + 1
+    index.close()
+    assert open_descriptors() == before
+    index.close()  # closing again does nothing
+    for query in ("cat", "zebra"):  # a query with hits, and one with none
+        with pytest.raises(ValueError, match="the index is closed"):
+            retrieve(index, query, 3)
+
+
+@needs_proc
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_dropping_an_index_closes_its_descriptor(tmp_path, source):
+    save_index(index_corpus(docs3()), tmp_path / "index")
+    before = open_descriptors()
+    index = index_corpus(docs3()) if source == "built" else load_index(tmp_path / "index")
+    assert retrieve(index, "cat", 1)
+    assert open_descriptors() == before + 1
+    del index
+    assert open_descriptors() == before
+
+
+@needs_proc
+def test_no_failed_load_or_build_leaves_a_descriptor_open(tmp_path, monkeypatch):
+    path, header, body = saved_index_file(tmp_path)
+    arrays, text = split_body(header, body)
+    bad_utf8 = join_body(arrays, text.replace(b"quick", b"qu\xffck"))
+    cut = path.read_bytes()[:-3]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "ok"}\n{"id": "b", "text": "fine"}\n{broken\n', encoding="utf-8")
+    loads = [b"not an index\n", json.dumps(header).encode() + b"\n" + bad_utf8, cut]
+    builds = [[], [Document("d", "", "...")], docs3() + docs3()[:1], load_corpus(corpus)]
+    before = open_descriptors()
+    for data in loads:
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_index(path)
+        assert open_descriptors() == before, data[:40]
+    # The file shrinks after its size was taken: the text read comes up short.
+    path.write_bytes(cut)
+    report_file_size(monkeypatch, len(cut) + 3)
+    with pytest.raises(ValueError, match="the text is truncated"):
+        load_index(path)
+    assert open_descriptors() == before
+    monkeypatch.undo()
+    for docs in builds:
+        with pytest.raises(ValueError):
+            index_corpus(docs)
+        assert open_descriptors() == before, docs
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_characters_split_between_pieces_of_the_text_load(tmp_path, monkeypatch, chunk):
+    docs = [
+        Document("d1", "é", "naïve cat 😀"),
+        Document("d2", "", "中文 ж x"),
+        Document("d3", "plain", "ascii only"),
+        Document("d4", "Ω", "\U00010348"),
+    ]
+    save_index(index_corpus(docs), tmp_path / "index")
+    monkeypatch.setattr(retrieval, "_TEXT_CHUNK", chunk)
+    loaded = load_index(tmp_path / "index")
+    assert loaded.documents == tuple(docs)
+    save_index(loaded, tmp_path / "again")  # copied in pieces of the same size
+    assert (tmp_path / "again").read_bytes() == (tmp_path / "index").read_bytes()
+
+
+def test_every_bad_text_case_fails_alike_when_checked_in_small_pieces(tmp_path_factory, monkeypatch):
+    for chunk in (1, 3):
+        monkeypatch.setattr(retrieval, "_TEXT_CHUNK", chunk)
+        for edit, message in BAD_TEXTS:
+            test_text_that_disagrees_with_its_offsets_is_rejected(tmp_path_factory.mktemp("bad"), edit, message)
+        test_a_text_offset_inside_a_character_is_rejected(tmp_path_factory.mktemp("split"))
+        with monkeypatch.context() as patch:
+            test_a_file_that_shrinks_after_its_size_check_is_rejected(tmp_path_factory.mktemp("cut"), patch, "text")
+
+
+def load_error(path):
+    try:
+        load_index(path)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def whole_text_error(text, off):
+    """What a check of ``text`` as one block finds wrong with it, if anything."""
+    try:
+        text.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return f"the text is not UTF-8 ({err.reason} at byte {err.start})"
+    if any(text[i] & 0xC0 == 0x80 for i in off[:-1]):
+        return "a text offset splits a character"
+    return None
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 1 << 20])
+def test_a_text_fault_reads_the_same_whatever_the_piece_size(tmp_path, monkeypatch, chunk):
+    # Every byte of a mostly non-ASCII text in turn made a stray byte, a
+    # lead byte or an ASCII letter: the error, and the offset it names, is
+    # that of a check of the whole text.
+    monkeypatch.setattr(retrieval, "_TEXT_CHUNK", chunk)
+    path = tmp_path / "index"
+    save_index(index_corpus([Document("d1", "é", "naïve 😀"), Document("d2", "中", "ж x")]), path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    arrays, text = split_body(header, body)
+    for k in range(len(text)):
+        for byte in (b"\xff", b"\xc3", b"a"):
+            edited = text[:k] + byte + text[k + 1:]
+            with_header(path, header, join_body(arrays, edited))
+            expected = whole_text_error(edited, arrays["text_offsets"])
+            assert load_error(path) == (expected and f"{path}: malformed index file: {expected}"), (k, byte)
+
+
+@pytest.mark.parametrize("read", ["pread", "seek"])
+def test_threads_reading_one_loaded_index_each_get_the_serial_hits(tmp_path, monkeypatch, read):
+    if read == "seek":  # the platforms without pread seek and read under a lock
+        monkeypatch.delattr(os, "pread")
+    rng = random.Random(41)
+    docs, vocab = random_corpus(rng, n_docs=300, vocab_size=60)
+    save_index(index_corpus(docs), tmp_path / "index")
+    index = load_index(tmp_path / "index")
+    queries = [" ".join(rng.choices(vocab, k=3)) for _ in range(40)]
+    expected = [retrieve(index, query, 3) for query in queries]
+    start = threading.Barrier(8, timeout=10)
+    results = [None] * 8
+
+    def worker(i):
+        start.wait()
+        results[i] = [retrieve(index, query, 3) for query in queries[i:] + queries[:i]]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, got in enumerate(results):
+        assert got == expected[i:] + expected[:i], i
